@@ -21,7 +21,7 @@ from .plfun import (
     pl_scale,
     pl_to_json,
 )
-from .f2 import F2AffineSpace, F2Matrix, affine_intersects, rank, solve
+from .f2 import F2AffineSpace, affine_intersects, solve
 from .staircase import (
     LaurentPoly,
     SemigroupRuns,
@@ -36,13 +36,10 @@ from .staircase import (
 from .cfk import (
     BifilteredComplex,
     Generator,
-    GradingSlice,
     complex_from_json,
     complex_to_json,
     dual,
-    euler_characteristic,
     from_staircase,
-    grading_slice,
     shift_filtration,
     tensor,
     unknot_complex,

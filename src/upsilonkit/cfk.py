@@ -8,8 +8,8 @@ and respect both filtrations, U itself dropping the grading by 2 and both
 filtration levels by 1.
 
 The whole module treats complexes as immutable values.  Connected sum of
-knots is tensor product of complexes, the mirror is the dual, and a grading
-slice extracts the finite GF(2) picture of a fixed Maslov grading (one
+knots is tensor product of complexes, the mirror is the dual, and the
+grading-0 and grading-1 slices give the finite GF(2) picture (one
 U-translate per generator of matching parity) on which all the homology
 computations run.
 """
@@ -17,9 +17,9 @@ computations run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .f2 import F2Matrix
+from .f2 import Basis, span_basis
 
 Entry = tuple[int, int]  # (source index, target index)
 
@@ -130,19 +130,22 @@ class SliceElement:
 
 
 @dataclass(frozen=True)
-class GradingSlice:
-    """Finite GF(2) model of one Maslov grading of the full complex.
+class Slices:
+    """Finite GF(2) model of the complex: its grading-0 and grading-1 slices.
 
-    basis lists U^{(maslov - m)/2} x for every generator x whose grading has
-    the parity of m, with the induced bifiltration.  boundary_out maps this
-    slice to grading m-1 (rows indexed by the target slice basis) and
-    boundary_in comes from grading m+1.
+    A grading-m slice lists U^{(maslov - m)/2} x for every generator x whose
+    grading has the parity of m, with the induced bifiltration.  Slices two
+    gradings apart are U-translates of each other, so these two carry all
+    the homology.  d0 maps grading 0 to grading -1 and d1 maps grading 1 to
+    grading 0, both as columns: one bitset per source element over the
+    target slice.  d1span is a reduced basis of the grading-0 boundaries.
     """
 
-    grading: int
-    basis: tuple[SliceElement, ...]
-    boundary_in: F2Matrix
-    boundary_out: F2Matrix
+    basis0: tuple[SliceElement, ...]
+    basis1: tuple[SliceElement, ...]
+    d0: list[int]
+    d1: list[int]
+    d1span: Basis
 
 
 def _slice_basis(c: BifilteredComplex, m: int) -> tuple[SliceElement, ...]:
@@ -154,58 +157,36 @@ def _slice_basis(c: BifilteredComplex, m: int) -> tuple[SliceElement, ...]:
     return tuple(out)
 
 
-def _boundary_matrix(c: BifilteredComplex,
-                     src: tuple[SliceElement, ...],
-                     dst: tuple[SliceElement, ...]) -> F2Matrix:
-    """Rows over dst, columns over src; entry 1 iff d(src_j) hits dst_i."""
-    dst_pos = {e.gen_index: k for k, e in enumerate(dst)}
-    dst_exp = {e.gen_index: e.u_exp for e in dst}
-    by_source: dict[int, list[tuple[int, frozenset[int]]]] = {}
-    for (i, j), exps in c.differential.items():
-        by_source.setdefault(i, []).append((j, exps))
-    rows = [0] * len(dst)
-    for j, e in enumerate(src):
-        for tgt, exps in by_source.get(e.gen_index, ()):
-            if tgt not in dst_pos:
+def _boundary_columns(outgoing: dict[int, list[tuple[int, frozenset[int]]]],
+                      src: tuple[SliceElement, ...],
+                      dst: tuple[SliceElement, ...]) -> list[int]:
+    """One bitset per src element: bit k set iff its boundary hits dst[k]."""
+    dst_at = {e.gen_index: (k, e.u_exp) for k, e in enumerate(dst)}
+    cols = []
+    for e in src:
+        col = 0
+        for tgt, exps in outgoing.get(e.gen_index, ()):
+            hit = dst_at.get(tgt)
+            if hit is None:
                 continue
             # U^{e.u_exp} x maps to U^{e.u_exp + n} tgt; it lands on the dst
             # translate exactly when the exponents line up (odd multiplicity
             # over F2).
-            hits = sum(1 for n in exps if e.u_exp + n == dst_exp[tgt])
-            if hits % 2:
-                rows[dst_pos[tgt]] ^= 1 << j
-    return F2Matrix(rows, len(src))
+            k, exp = hit
+            if sum(1 for n in exps if e.u_exp + n == exp) % 2:
+                col ^= 1 << k
+        cols.append(col)
+    return cols
 
 
-def grading_slice(c: BifilteredComplex, m: int) -> GradingSlice:
-    basis = _slice_basis(c, m)
-    above = _slice_basis(c, m + 1)
-    below = _slice_basis(c, m - 1)
-    return GradingSlice(
-        grading=m,
-        basis=basis,
-        boundary_in=_boundary_matrix(c, above, basis),
-        boundary_out=_boundary_matrix(c, basis, below),
-    )
-
-
-def euler_characteristic(c: BifilteredComplex) -> int:
-    return sum(1 if g.maslov % 2 == 0 else -1 for g in c.generators)
-
-
-def validate(c: BifilteredComplex) -> list[str]:
-    """Check the structural axioms; returns a list of violations (empty iff
-    the complex is a valid knot complex).
-
-    Checked: grading compatibility of every differential entry, filtration
-    compatibility, d^2 = 0 over F2[U,U^-1], and that the homology is a single
-    copy of F2[U,U^-1] with its generator in grading 0 (grading-0 slice
-    homology has rank 1, grading-1 slice homology has rank 0; all other
-    gradings are U-translates of these two).
-    """
+def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]:
+    """The violations of the structural axioms (see `validate`) and, when
+    there are none, the slices the homology check ran on."""
     violations: list[str] = []
     gens = c.generators
+    outgoing: dict[int, list[tuple[int, frozenset[int]]]] = {}
     for (i, j), exps in c.differential.items():
+        outgoing.setdefault(i, []).append((j, exps))
         gi, gj = gens[i], gens[j]
         for n in exps:
             if gj.maslov - 2 * n != gi.maslov - 1:
@@ -218,9 +199,6 @@ def validate(c: BifilteredComplex) -> list[str]:
                     f"a filtration level")
 
     # d^2 = 0: compose entries and count U-exponent multiplicities mod 2.
-    outgoing: dict[int, list[tuple[int, frozenset[int]]]] = {}
-    for (i, j), exps in c.differential.items():
-        outgoing.setdefault(i, []).append((j, exps))
     for i in outgoing:
         acc: dict[tuple[int, int], int] = {}
         for j, exps1 in outgoing[i]:
@@ -236,25 +214,40 @@ def validate(c: BifilteredComplex) -> list[str]:
                     f"is nonzero")
 
     if violations:
-        return violations
+        return violations, None
 
     # Homology: rank bookkeeping on the two parity slices.  Slices two
     # gradings apart carry identical boundary matrices (a uniform U-shift),
     # so rank(out of grading 2) = rank(out of grading 0) etc.
     basis0 = _slice_basis(c, 0)
     basis1 = _slice_basis(c, 1)
-    basism1 = _slice_basis(c, -1)
-    d0 = _boundary_matrix(c, basis0, basism1)
-    d1 = _boundary_matrix(c, basis1, basis0)
-    r0 = d0.rank()
-    r1 = d1.rank()
+    d0 = _boundary_columns(outgoing, basis0, _slice_basis(c, -1))
+    d1 = _boundary_columns(outgoing, basis1, basis0)
+    d1span = span_basis(d1)
+    r0 = len(span_basis(d0))
+    r1 = len(d1span)
     h0 = len(basis0) - r0 - r1
     h1 = len(basis1) - r1 - r0
     if h0 != 1:
         violations.append(f"homology: grading-0 homology has rank {h0}, expected 1")
     if h1 != 0:
         violations.append(f"homology: grading-1 homology has rank {h1}, expected 0")
-    return violations
+    if violations:
+        return violations, None
+    return [], Slices(basis0, basis1, d0, d1, d1span)
+
+
+def validate(c: BifilteredComplex) -> list[str]:
+    """Check the structural axioms; returns a list of violations (empty iff
+    the complex is a valid knot complex).
+
+    Checked: grading compatibility of every differential entry, filtration
+    compatibility, d^2 = 0 over F2[U,U^-1], and that the homology is a single
+    copy of F2[U,U^-1] with its generator in grading 0 (grading-0 slice
+    homology has rank 1, grading-1 slice homology has rank 0; all other
+    gradings are U-translates of these two).
+    """
+    return validated_slices(c)[0]
 
 
 def complex_to_json(c: BifilteredComplex) -> dict:

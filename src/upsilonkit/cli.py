@@ -28,8 +28,21 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads every argument that starts with '-' as an option.  The
+    only single-dash option here is -h, so any other argument with a single
+    leading '-' is a value: a mirror such as "-T(2,3)", or a negative number.
+    """
+
+    def _parse_optional(self, arg_string):
+        if (arg_string[:1] == "-" and arg_string[1:2] != "-"
+                and arg_string != "-h"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="upsilonkit",
         description="Exact upsilon and secondary upsilon invariants of "
                     "torus knots, mirrors and connected sums.")

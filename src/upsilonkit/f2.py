@@ -1,164 +1,72 @@
-"""Dense linear algebra over GF(2) on bitset rows.
+"""Dense linear algebra over GF(2) on bitset vectors.
 
-Vectors are Python ints, bit i being coordinate i, so row addition is XOR
-and arbitrary dimensions cost nothing extra.  Matrices keep one int per row.
-The homology engine only ever needs ranks, one solution of a linear system,
-and affine-subspace intersection, all of which come down to Gaussian
-elimination with the highest set bit as pivot.
+Vectors are Python ints, bit i being coordinate i, so addition is XOR and
+arbitrary dimensions cost nothing extra.  Everything the homology engine
+needs (ranks, cycles of a column reduction, one solution of a linear system,
+affine-subspace intersection) is Gaussian elimination with the highest set
+bit as pivot, and `reduce_pair` is the only place that eliminates.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+# Pivot -> (row, tag): each row's pivot is its highest set bit, and the tag
+# is whatever the caller carries along with the row (a combination of
+# inputs, a right-hand-side bit, or 0).
+Basis = dict[int, tuple[int, int]]
+
 
 def parity(v: int) -> int:
     return v.bit_count() & 1
 
 
-def vector_from_bits(bits: Sequence[int]) -> int:
-    v = 0
-    for i, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << i
-    return v
+def reduce_pair(v: int, tag: int, basis: Basis) -> tuple[int, int]:
+    """Reduce v against basis, adding up the tags of the rows used.
 
-
-def vector_to_bits(v: int, n: int) -> list[int]:
-    return [(v >> i) & 1 for i in range(n)]
-
-
-def reduce_vector(v: int, basis: dict[int, int]) -> int:
-    """Reduce v against a pivot-keyed basis (pivot = highest set bit)."""
+    Returns the reduced (v, tag).  A nonzero result is independent of the
+    rows and is inserted under its pivot; a zero v means the input was a
+    combination of the rows, and tag then holds that combination's tags.
+    """
     while v:
         p = v.bit_length() - 1
         row = basis.get(p)
         if row is None:
+            basis[p] = (v, tag)
             break
-        v ^= row
+        v ^= row[0]
+        tag ^= row[1]
+    return v, tag
+
+
+def reduce_vector(v: int, basis: Basis) -> int:
+    """The residue of v against basis; basis is left as it was."""
+    v, _ = reduce_pair(v, 0, basis)
+    if v:
+        del basis[v.bit_length() - 1]
     return v
 
 
-def insert_vector(v: int, basis: dict[int, int]) -> Optional[int]:
-    """Reduce v and insert it if independent; returns its pivot or None."""
-    v = reduce_vector(v, basis)
-    if v == 0:
-        return None
-    p = v.bit_length() - 1
-    basis[p] = v
-    return p
-
-
-def span_basis(vectors: Iterable[int]) -> dict[int, int]:
-    basis: dict[int, int] = {}
+def span_basis(vectors: Iterable[int]) -> Basis:
+    """A reduced basis of the span; its size is the rank."""
+    basis: Basis = {}
     for v in vectors:
-        insert_vector(v, basis)
+        reduce_pair(v, 0, basis)
     return basis
 
 
-class F2Matrix:
-    """Matrix over GF(2); rows stored as bitset ints."""
-
-    def __init__(self, rows: Sequence[int], ncols: int):
-        rows = list(rows)
-        for r in rows:
-            if r < 0 or r >> ncols:
-                raise ValueError("row has bits outside the declared width")
-        self.rows = rows
-        self.ncols = ncols
-
-    @classmethod
-    def from_dense(cls, entries: Sequence[Sequence[int]], ncols: int | None = None) -> "F2Matrix":
-        if ncols is None:
-            ncols = len(entries[0]) if entries else 0
-        return cls([vector_from_bits(r) for r in entries], ncols)
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "F2Matrix":
-        return cls([0] * nrows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls([1 << i for i in range(n)], n)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def to_dense(self) -> list[list[int]]:
-        return [vector_to_bits(r, self.ncols) for r in self.rows]
-
-    def transpose(self) -> "F2Matrix":
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            while r:
-                j = r.bit_length() - 1
-                cols[j] |= 1 << i
-                r &= ~(1 << j)
-        return F2Matrix(cols, self.nrows)
-
-    def matmul(self, other: "F2Matrix") -> "F2Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for r in self.rows:
-            acc = 0
-            rr = r
-            while rr:
-                j = rr.bit_length() - 1
-                acc ^= other.rows[j]
-                rr &= ~(1 << j)
-            out.append(acc)
-        return F2Matrix(out, other.ncols)
-
-    def apply(self, x: int) -> int:
-        """Matrix-vector product; x is a bitset over the columns."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            if parity(r & x):
-                out |= 1 << i
-        return out
-
-    def rank(self) -> int:
-        return len(span_basis(self.rows))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, F2Matrix)
-                and self.ncols == other.ncols and self.rows == other.rows)
-
-    def __repr__(self) -> str:
-        return f"F2Matrix({self.nrows}x{self.ncols})"
-
-
-def rank(m: F2Matrix) -> int:
-    """Rank over GF(2); elimination on rows."""
-    return m.rank()
-
-
-def solve(a: F2Matrix, b: int | Sequence[int]) -> Optional[int]:
-    """Some x with a*x = b, or None if the system is inconsistent.
+def solve(rows: Sequence[int], b: int) -> Optional[int]:
+    """Some x with parity(rows[i] & x) equal to bit i of b for every i, or
+    None if the system is inconsistent.
 
     Any solution is acceptable to the callers, which only ever ask about
     existence; free variables are set to zero.
     """
-    if not isinstance(b, int):
-        if len(b) != a.nrows:
-            raise ValueError("rhs length does not match row count")
-        b = vector_from_bits(b)
-    if b >> a.nrows:
+    if b >> len(rows):
         raise ValueError("rhs has bits outside the row count")
-    # Eliminate pairs (row, rhs-bit); pivot on the row's highest set bit.
-    basis: dict[int, tuple[int, int]] = {}
-    for i, row in enumerate(a.rows):
-        v, s = row, (b >> i) & 1
-        while v:
-            p = v.bit_length() - 1
-            if p in basis:
-                v ^= basis[p][0]
-                s ^= basis[p][1]
-            else:
-                basis[p] = (v, s)
-                break
+    basis: Basis = {}
+    for i, row in enumerate(rows):
+        v, s = reduce_pair(row, (b >> i) & 1, basis)
         if v == 0 and s:
             return None
     # Back-substitute in ascending pivot order: each stored row has its
@@ -177,17 +85,13 @@ class F2AffineSpace:
     def __init__(self, base: int, directions: Iterable[int], dim: int):
         self.dim = dim
         self.base = base
-        self._basis = span_basis(directions)
-
-    @property
-    def directions(self) -> list[int]:
-        return [self._basis[p] for p in sorted(self._basis)]
+        basis = span_basis(directions)
+        # Reduced, so independent; kept as a plain list, the smallest form
+        # for the many spaces the engine caches.
+        self.directions = [basis[p][0] for p in sorted(basis)]
 
     def rank(self) -> int:
-        return len(self._basis)
-
-    def contains(self, v: int) -> bool:
-        return reduce_vector(v ^ self.base, self._basis) == 0
+        return len(self.directions)
 
     def __repr__(self) -> str:
         return f"F2AffineSpace(dim={self.dim}, rank={self.rank()})"
@@ -201,7 +105,5 @@ def affine_intersects(u: F2AffineSpace, v: F2AffineSpace) -> bool:
     """
     if u.dim != v.dim:
         raise ValueError("affine spaces live in different ambient dimensions")
-    basis = dict(u._basis)
-    for d in v.directions:
-        insert_vector(d, basis)
-    return reduce_vector(u.base ^ v.base, basis) == 0
+    basis = span_basis(u.directions + v.directions)
+    return reduce_pair(u.base ^ v.base, 0, basis)[0] == 0

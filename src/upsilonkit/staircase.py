@@ -141,16 +141,6 @@ class SemigroupRuns:
     runs: tuple[tuple[int, int], ...]
     tail_start: int
 
-    def contains(self, n: int) -> bool:
-        if n >= self.tail_start:
-            return True
-        return any(s <= n <= e for s, e in self.runs)
-
-    def elements_upto(self, bound: int) -> list[int]:
-        out = [n for s, e in self.runs for n in range(s, e + 1) if n <= bound]
-        out.extend(range(self.tail_start, bound + 1))
-        return out
-
 
 def _check_params(p: int, q: int) -> None:
     if p < 1 or q < 1:

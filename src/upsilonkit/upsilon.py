@@ -28,15 +28,16 @@ Gaussian elimination over the grading-1 thresholds.
 
 from __future__ import annotations
 
+import math
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import cfk
-from .cfk import BifilteredComplex, tensor, validate
-from .f2 import F2AffineSpace, affine_intersects, reduce_vector, span_basis
+from .cfk import BifilteredComplex, tensor, validated_slices
+from .f2 import (Basis, F2AffineSpace, affine_intersects, reduce_pair,
+                 reduce_vector, solve)
 from .plfun import (NEG_INF, POS_INF, ExtRational, PLFunction, pl_from_samples,
                     _frac)
 
@@ -71,6 +72,17 @@ class _GammaResult:
     contact_levels: tuple[tuple[int, int], ...]
 
 
+def _keys(levels: list[tuple[int, int]], t: Fraction) -> tuple[list[int], int]:
+    """Integer keys proportional to f_t on the given (alg, alex) levels.
+
+    For t = u/v, f_t(a, A) = (u*A + (2v-u)*a) / (2v); the scale 2v is
+    returned so callers can recover exact values.
+    """
+    u, v = t.numerator, t.denominator
+    wa = 2 * v - u
+    return [u * A + wa * a for a, A in levels], 2 * v
+
+
 class _Engine:
     """Per-complex caches for the invariant computations.
 
@@ -81,23 +93,19 @@ class _Engine:
     """
 
     def __init__(self, c: BifilteredComplex):
-        violations = validate(c)
+        violations, slices = validated_slices(c)
         if violations:
             raise InvalidComplexError(violations)
-        basis0 = cfk._slice_basis(c, 0)
-        basis1 = cfk._slice_basis(c, 1)
-        basism1 = cfk._slice_basis(c, -1)
-        self.dim0 = len(basis0)
-        self.dim1 = len(basis1)
-        self.lev0 = [(e.alg, e.alex) for e in basis0]
-        self.lev1 = [(e.alg, e.alex) for e in basis1]
-        self.d0cols = cfk._boundary_matrix(c, basis0, basism1).transpose().rows
-        self.d1cols = cfk._boundary_matrix(c, basis1, basis0).transpose().rows
-        self.bspan = span_basis(self.d1cols)
+        self.dim0 = len(slices.basis0)
+        self.lev0 = [(e.alg, e.alex) for e in slices.basis0]
+        self.lev1 = [(e.alg, e.alex) for e in slices.basis1]
+        self.d0cols = slices.d0
+        self.d1cols = slices.d1
+        self.bspan = slices.d1span
         self.phi = self._essential_functional()
         self.candidates = self._candidate_parameters()
         self._gamma_cache: dict[Fraction, _GammaResult] = {}
-        self._cycle_cache: dict[Fraction, tuple[F2AffineSpace, int]] = {}
+        self._cycle_cache: dict[Fraction, F2AffineSpace] = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -105,43 +113,19 @@ class _Engine:
         """A functional phi with phi(boundary) = 0 and phi(z*) = 1 for one
         (hence every) grading-0 cycle generating the homology."""
         zstar = None
-        reducer: dict[int, tuple[int, int]] = {}
+        reducer: Basis = {}
         for j, col in enumerate(self.d0cols):
-            v, combo = col, 1 << j
-            while v:
-                p = v.bit_length() - 1
-                if p in reducer:
-                    rv, rc = reducer[p]
-                    v ^= rv
-                    combo ^= rc
-                else:
-                    reducer[p] = (v, combo)
-                    break
+            v, combo = reduce_pair(col, 1 << j, reducer)
             if v == 0 and reduce_vector(combo, self.bspan):
                 zstar = combo
                 break
         if zstar is None:
             raise InvalidComplexError(["homology: no essential grading-0 cycle"])
         # Solve <b, phi> = 0 for the boundary basis, <z*, phi> = 1.
-        piv: dict[int, tuple[int, int]] = {}
-        rows = [(b, 0) for b in self.bspan.values()] + [(zstar, 1)]
-        for v, s in rows:
-            while v:
-                p = v.bit_length() - 1
-                if p in piv:
-                    pv, ps = piv[p]
-                    v ^= pv
-                    s ^= ps
-                else:
-                    piv[p] = (v, s)
-                    break
-            if v == 0 and s:
-                raise AssertionError("essential functional system inconsistent")
-        phi = 0
-        for p in sorted(piv):
-            v, s = piv[p]
-            if s ^ ((v & phi).bit_count() & 1):
-                phi |= 1 << p
+        rows = [b for b, _ in self.bspan.values()]
+        phi = solve(rows + [zstar], 1 << len(rows))
+        if phi is None:
+            raise AssertionError("essential functional system inconsistent")
         return phi
 
     def _candidate_parameters(self) -> tuple[Fraction, ...]:
@@ -164,20 +148,15 @@ class _Engine:
 
     # -- scans ------------------------------------------------------------
 
-    def _keys0(self, t: Fraction) -> tuple[list[int], int]:
-        """Integer keys proportional to f_t on the grading-0 levels.
-
-        For t = u/v, f_t(a, A) = (u*A + (2v-u)*a) / (2v); the scale 2v is
-        returned so callers can recover exact values.
-        """
-        u, v = t.numerator, t.denominator
-        wa = 2 * v - u
-        return [u * A + wa * a for a, A in self.lev0], 2 * v
-
-    def _keys1(self, t: Fraction) -> tuple[list[int], int]:
-        u, v = t.numerator, t.denominator
-        wa = 2 * v - u
-        return [u * A + wa * a for a, A in self.lev1], 2 * v
+    def sublevel0(self, t: Fraction, level: Fraction) -> int:
+        """Bitmask of the grading-0 slice elements with f_t <= level."""
+        keys, scale = _keys(self.lev0, t)
+        top = math.floor(level * scale)
+        mask = 0
+        for i, k in enumerate(keys):
+            if k <= top:
+                mask |= 1 << i
+        return mask
 
     def gamma(self, t: Fraction) -> _GammaResult:
         """Minimal f_t level of an essential grading-0 cycle.
@@ -190,22 +169,13 @@ class _Engine:
         cached = self._gamma_cache.get(t)
         if cached is not None:
             return cached
-        keys, scale = self._keys0(t)
+        keys, scale = _keys(self.lev0, t)
         order = sorted(range(self.dim0), key=keys.__getitem__)
-        reducer: dict[int, tuple[int, int]] = {}
+        reducer: Basis = {}
         phi = self.phi
         result = None
         for i in order:
-            v, combo = self.d0cols[i], 1 << i
-            while v:
-                p = v.bit_length() - 1
-                if p in reducer:
-                    rv, rc = reducer[p]
-                    v ^= rv
-                    combo ^= rc
-                else:
-                    reducer[p] = (v, combo)
-                    break
+            v, combo = reduce_pair(self.d0cols[i], 1 << i, reducer)
             if v == 0 and ((combo & phi).bit_count() & 1):
                 key = keys[i]
                 contacts = tuple(sorted(
@@ -234,9 +204,9 @@ class _Engine:
         i = bisect_left(self.candidates, t)
         return i < len(self.candidates) and self.candidates[i] == t
 
-    def cycle_space(self, tside: Fraction) -> tuple[F2AffineSpace, int]:
+    def cycle_space(self, tside: Fraction) -> F2AffineSpace:
         """Affine space of essential cycles in the f_{tside} sublevel set at
-        gamma(tside), plus the sublevel bitmask.
+        gamma(tside).
 
         The space is one witness plus the boundary space of the full complex
         intersected with the sublevel coordinate subspace; the intersection
@@ -247,35 +217,19 @@ class _Engine:
         if cached is not None:
             return cached
         res = self.gamma(tside)
-        keys, scale = self._keys0(tside)
-        threshold = res.value * scale
-        sub = 0
-        for i, k in enumerate(keys):
-            if k <= threshold:
-                sub |= 1 << i
-        assert res.witness & ~sub == 0
+        sub = self.sublevel0(tside, res.value)
+        if res.witness & ~sub:
+            raise AssertionError("essential cycle leaves its sublevel set")
         outside = ~sub
-        reducer: dict[int, tuple[int, int]] = {}
+        reducer: Basis = {}
         dirs: list[int] = []
         for col in self.d1cols:
-            if col == 0:
-                continue
-            v = col
-            o = v & outside
-            while o:
-                p = o.bit_length() - 1
-                if p in reducer:
-                    rv, _ = reducer[p]
-                    v ^= rv
-                    o = v & outside
-                else:
-                    reducer[p] = (v, o)
-                    break
+            o, v = reduce_pair(col & outside, col, reducer)
             if o == 0 and v:
                 dirs.append(v)
         space = F2AffineSpace(res.witness, dirs, self.dim0)
-        self._cycle_cache[tside] = (space, sub)
-        return space, sub
+        self._cycle_cache[tside] = space
+        return space
 
     def pivot_sides(self, t: Fraction) -> tuple[Fraction, Fraction]:
         d = self.delta_at(t)
@@ -362,7 +316,7 @@ def cycle_space(c: BifilteredComplex, t_side) -> F2AffineSpace:
         raise ValueError(
             f"t_side={t_side} is a collinearity parameter; cycle spaces are "
             f"only defined off the candidate set")
-    return eng.cycle_space(t_side)[0]
+    return eng.cycle_space(t_side)
 
 
 def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
@@ -379,40 +333,26 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     if not eng.is_candidate(t):
         return NEG_INF
     tm, tp = eng.pivot_sides(t)
-    plus_space, _ = eng.cycle_space(tp)
-    minus_space, _ = eng.cycle_space(tm)
+    plus_space = eng.cycle_space(tp)
+    minus_space = eng.cycle_space(tm)
     g = eng.gamma(t)
-    keys_t, scale_t = eng._keys1(t)
-    threshold_t = g.value * scale_t
-
-    keys0_t, scale0_t = eng._keys0(t)
-    mask_t = 0
-    for i, k in enumerate(keys0_t):
-        if k <= g.value * scale0_t:
-            mask_t |= 1 << i
     # Cycles from just below/above t live inside the t-sublevel set.
-    assert plus_space.base & ~mask_t == 0
-    assert minus_space.base & ~mask_t == 0
+    if (plus_space.base | minus_space.base) & ~eng.sublevel0(t, g.value):
+        raise AssertionError("a cycle from beside t leaves the sublevel set at t")
 
     target = plus_space.base ^ minus_space.base
-    reducer: dict[int, int] = {}
-
-    def insert(v: int) -> None:
-        v = reduce_vector(v, reducer)
-        if v:
-            reducer[v.bit_length() - 1] = v
-
-    keys_s, scale_s = eng._keys1(s)
+    reducer: Basis = {}
+    keys_t, scale_t = _keys(eng.lev1, t)
+    top_t = math.floor(g.value * scale_t)
+    keys_s, scale_s = _keys(eng.lev1, s)
     rest: list[tuple[int, int]] = []
     for i, col in enumerate(eng.d1cols):
-        if keys_t[i] <= threshold_t:
-            insert(col)
+        if keys_t[i] <= top_t:
+            reduce_pair(col, 0, reducer)
         else:
             rest.append((keys_s[i], col))
-    for v in plus_space.directions:
-        insert(v)
-    for v in minus_space.directions:
-        insert(v)
+    for v in plus_space.directions + minus_space.directions:
+        reduce_pair(v, 0, reducer)
 
     residue = reduce_vector(target, reducer)
     if residue == 0:
@@ -423,7 +363,7 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     while i < n:
         key = rest[i][0]
         while i < n and rest[i][0] == key:
-            insert(rest[i][1])
+            reduce_pair(rest[i][1], 0, reducer)
             i += 1
         residue = reduce_vector(residue, reducer)
         if residue == 0:
@@ -468,7 +408,7 @@ def is_jump_value(c: BifilteredComplex, t) -> bool:
     if not eng.is_candidate(t):
         return False
     tm, tp = eng.pivot_sides(t)
-    return not affine_intersects(eng.cycle_space(tp)[0], eng.cycle_space(tm)[0])
+    return not affine_intersects(eng.cycle_space(tp), eng.cycle_space(tm))
 
 
 def jump_values(c: BifilteredComplex,

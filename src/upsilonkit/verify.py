@@ -34,13 +34,17 @@ class CheckResult:
     detail: str
 
 
+def _verdict(name: str, detail: str, label: str, bad: list) -> CheckResult:
+    """Passes iff nothing is bad; a failure lists the bad cases under label."""
+    return CheckResult(name, not bad,
+                       detail + (f"; {label}: {bad}" if bad else ""))
+
+
 def _coprime_pairs(pmin: int, pmax: int, qmax: int,
-                   qmin_of_p: Callable[[int], int] | None = None,
                    qmax_of_p: Callable[[int], int] | None = None):
     for p in range(pmin, pmax + 1):
-        lo = qmin_of_p(p) if qmin_of_p else p + 1
         hi = min(qmax, qmax_of_p(p)) if qmax_of_p else qmax
-        for q in range(lo, hi + 1):
+        for q in range(p + 1, hi + 1):
             if gcd(p, q) == 1:
                 yield p, q
 
@@ -59,14 +63,15 @@ def check_alexander_agreement(fast: bool = False) -> CheckResult:
         count += 1
         if alexander_torus(p, q) != alexander_oracle(p, q):
             bad.append((p, q))
-    return CheckResult(
-        "alexander-oracle-agreement", not bad,
-        f"{count} coprime pairs with 2 <= p < q <= {qmax}"
-        + (f"; mismatches: {bad}" if bad else ""))
+    return _verdict(
+        "alexander-oracle-agreement",
+        f"{count} coprime pairs with 2 <= p < q <= {qmax}",
+        "mismatches", bad)
 
 
-def check_t34_golden() -> CheckResult:
-    """Staircase steps and upsilon breakpoints of T(3,4)."""
+def check_t34_golden(fast: bool) -> CheckResult:
+    """Staircase steps and upsilon breakpoints of T(3,4); one size only, so
+    fast changes nothing."""
     steps_ok = staircase_steps(3, 4) == [1, 2, 2, 1]
     ups = upsilon_staircase(3, 4)
     want = tuple((Fraction(t), Fraction(v)) for t, v in
@@ -90,10 +95,10 @@ def check_fastpath_vs_engine(fast: bool = False) -> CheckResult:
         count += 1
         if not pl_equal(upsilon_staircase(p, q), upsilon_pl(_torus_complex(p, q))):
             bad.append((p, q))
-    return CheckResult(
-        "staircase-fast-path", not bad,
-        f"{count} coprime pairs with p < q <= {qmax}"
-        + (f"; mismatches: {bad}" if bad else ""))
+    return _verdict(
+        "staircase-fast-path",
+        f"{count} coprime pairs with p < q <= {qmax}",
+        "mismatches", bad)
 
 
 def check_recursion(fast: bool = False) -> CheckResult:
@@ -109,10 +114,10 @@ def check_recursion(fast: bool = False) -> CheckResult:
         rhs = pl_add(upsilon_staircase(a, b), upsilon_staircase(p, p + 1))
         if not pl_equal(lhs, rhs):
             bad.append((p, q))
-    return CheckResult(
-        "torus-recursion", not bad,
-        f"{count} coprime pairs with p < q <= {qmax}"
-        + (f"; mismatches: {bad}" if bad else ""))
+    return _verdict(
+        "torus-recursion",
+        f"{count} coprime pairs with p < q <= {qmax}",
+        "mismatches", bad)
 
 
 def check_first_jump(fast: bool = False) -> CheckResult:
@@ -133,10 +138,10 @@ def check_first_jump(fast: bool = False) -> CheckResult:
                     and at[0].upsilon2 == Fraction(-2 * (p - 1), p))
             if not good:
                 bad.append((p, q))
-    return CheckResult(
-        "first-jump-value", not bad,
-        f"{count} torus knots with p in {ps}, q <= 13"
-        + (f"; failures: {bad}" if bad else ""))
+    return _verdict(
+        "first-jump-value",
+        f"{count} torus knots with p in {ps}, q <= 13",
+        "failures", bad)
 
 
 def _jump_window(c, lo: Fraction, hi: Fraction) -> list[Fraction]:
@@ -155,9 +160,7 @@ def check_adjacent_torus(fast: bool = False) -> CheckResult:
         window = _jump_window(c, Fraction(2, p), s)
         if val != Fraction(-4 * (p - 2), p) or window or not is_jump_value(c, s):
             bad.append(p)
-    return CheckResult(
-        "secondary-value-adjacent-torus", not bad,
-        f"p in {ps}" + (f"; failures: {bad}" if bad else ""))
+    return _verdict("secondary-value-adjacent-torus", f"p in {ps}", "failures", bad)
 
 
 def check_small_k(fast: bool = False) -> CheckResult:
@@ -174,9 +177,7 @@ def check_small_k(fast: bool = False) -> CheckResult:
                 or not is_jump_value(c, s)
                 or _jump_window(c, Fraction(2, p), s)):
             bad.append((p, k))
-    return CheckResult(
-        "secondary-value-small-k", not bad,
-        f"(p,k) in {pairs}" + (f"; failures: {bad}" if bad else ""))
+    return _verdict("secondary-value-small-k", f"(p,k) in {pairs}", "failures", bad)
 
 
 def check_large_k(fast: bool = False) -> CheckResult:
@@ -195,9 +196,7 @@ def check_large_k(fast: bool = False) -> CheckResult:
                 or not is_jump_value(c, s)
                 or jumps_below != sorted([Fraction(2, p), Fraction(2, k)])):
             bad.append((p, k))
-    return CheckResult(
-        "secondary-value-large-k", not bad,
-        f"(p,k) in {pairs}" + (f"; failures: {bad}" if bad else ""))
+    return _verdict("secondary-value-large-k", f"(p,k) in {pairs}", "failures", bad)
 
 
 def check_non_jump(fast: bool = False) -> CheckResult:
@@ -210,10 +209,10 @@ def check_non_jump(fast: bool = False) -> CheckResult:
         count += 1
         if is_jump_value(_torus_complex(p, q), Fraction(4, q)):
             bad.append((p, q))
-    return CheckResult(
-        "non-jump-at-4-over-q", not bad,
-        f"{count} pairs with p < q < 2p, p <= {pmax}"
-        + (f"; failures: {bad}" if bad else ""))
+    return _verdict(
+        "non-jump-at-4-over-q",
+        f"{count} pairs with p < q < 2p, p <= {pmax}",
+        "failures", bad)
 
 
 def check_mirror_trivial(fast: bool = False) -> CheckResult:
@@ -228,10 +227,10 @@ def check_mirror_trivial(fast: bool = False) -> CheckResult:
             count += 1
             if upsilon2(c, t) != POS_INF:
                 bad.append((p, q, t))
-    return CheckResult(
-        "mirror-secondary-trivial", not bad,
-        f"{count} candidate parameters over coprime p < q <= {qmax}"
-        + (f"; failures: {bad}" if bad else ""))
+    return _verdict(
+        "mirror-secondary-trivial",
+        f"{count} candidate parameters over coprime p < q <= {qmax}",
+        "failures", bad)
 
 
 def check_stable_inequivalence(fast: bool = False) -> CheckResult:
@@ -365,16 +364,16 @@ def check_property_battery(fast: bool = False) -> CheckResult:
                 if gamma_at(shifted, tt) != want:
                     failures.append(f"gamma shift law ({da},{db}) at t={tt}")
 
-    return CheckResult(
-        "property-battery", not failures,
+    return _verdict(
+        "property-battery",
         f"{len(pairs)} tensor pairs, {checked_sub} subadditivity parameters, "
-        f"{len(shifts) ** 2} filtration shifts"
-        + (f"; failures: {failures}" if failures else ""))
+        f"{len(shifts) ** 2} filtration shifts",
+        "failures", failures)
 
 
 ALL_CHECKS: list[Callable[[bool], CheckResult]] = [
     check_alexander_agreement,
-    lambda fast: check_t34_golden(),
+    check_t34_golden,
     check_fastpath_vs_engine,
     check_recursion,
     check_first_jump,

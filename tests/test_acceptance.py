@@ -9,50 +9,39 @@ import pytest
 from upsilonkit.expr import expected_generators, parse_expr
 from upsilonkit import verify
 
-CRITERIA = [
-    # (check, budget in seconds)
-    (verify.check_alexander_agreement, 1),
-    (lambda fast=False: verify.check_t34_golden(), 1),
-    (verify.check_fastpath_vs_engine, 30),
-    (verify.check_recursion, 10),
-    (verify.check_first_jump, 30),
-    (verify.check_adjacent_torus, 30),
-    (verify.check_small_k, 30),
-    (verify.check_large_k, 30),
-    (verify.check_non_jump, 30),
-    (verify.check_mirror_trivial, 10),
-    (verify.check_stable_inequivalence, 120),
-    (verify.check_vanishing_family, 300),
-    (verify.check_property_battery, 120),
-]
-
-IDS = [
-    "alexander-oracle-agreement",
-    "t34-golden-values",
-    "staircase-fast-path",
-    "torus-recursion",
-    "first-jump-value",
-    "secondary-value-adjacent-torus",
-    "secondary-value-small-k",
-    "secondary-value-large-k",
-    "non-jump-at-4-over-q",
-    "mirror-secondary-trivial",
-    "stable-inequivalence",
-    "vanishing-upsilon-family",
-    "property-battery",
-]
+# Runtime budget in seconds of each check in verify.ALL_CHECKS, in that
+# order, by the name its result carries.  A check without a budget makes
+# the strict zip below fail, and with it the collection of this module.
+BUDGETS = {
+    "alexander-oracle-agreement": 1,
+    "t34-golden-values": 1,
+    "staircase-fast-path": 30,
+    "torus-recursion": 10,
+    "first-jump-value": 30,
+    "secondary-value-adjacent-torus": 30,
+    "secondary-value-small-k": 30,
+    "secondary-value-large-k": 30,
+    "non-jump-at-4-over-q": 30,
+    "mirror-secondary-trivial": 10,
+    "stable-inequivalence": 120,
+    "vanishing-upsilon-family": 300,
+    "property-battery": 120,
+}
 
 
-@pytest.mark.parametrize("check,budget", CRITERIA, ids=IDS)
-def test_criterion(check, budget):
+@pytest.mark.parametrize("check,name",
+                         zip(verify.ALL_CHECKS, BUDGETS, strict=True),
+                         ids=list(BUDGETS))
+def test_criterion(check, name):
     start = time.perf_counter()
     result = check(False)
     elapsed = time.perf_counter() - start
     print(f"{'PASS' if result.ok else 'FAIL'} {result.name} "
           f"[{elapsed:.2f}s]: {result.detail}")
+    assert result.name == name, "BUDGETS is out of step with verify.ALL_CHECKS"
     assert result.ok, f"{result.name}: {result.detail}"
-    assert elapsed < budget, (
-        f"{result.name} took {elapsed:.2f}s, budget {budget}s")
+    assert elapsed < BUDGETS[name], (
+        f"{result.name} took {elapsed:.2f}s, budget {BUDGETS[name]}s")
 
 
 def test_vanishing_family_sizes():
@@ -67,4 +56,4 @@ def test_vanishing_family_sizes():
 def test_full_suite_exit_status():
     results = verify.run_all(fast=True)
     assert all(r.ok for r in results)
-    assert len(results) == 13
+    assert [r.name for r in results] == list(BUDGETS)

@@ -3,19 +3,19 @@ from collections import Counter
 
 import pytest
 
+from reference import apply, boundary, euler_characteristic, slice_levels
 from upsilonkit.cfk import (
     BifilteredComplex,
     Generator,
     complex_from_json,
     complex_to_json,
     dual,
-    euler_characteristic,
     from_staircase,
-    grading_slice,
     shift_filtration,
     tensor,
     unknot_complex,
     validate,
+    validated_slices,
 )
 from upsilonkit.plfun import pl_equal
 from upsilonkit.staircase import build_staircase
@@ -24,6 +24,12 @@ from upsilonkit.upsilon import upsilon_pl
 
 def torus_complex(p, q):
     return from_staircase(build_staircase(p, q))
+
+
+def slices(c):
+    violations, sl = validated_slices(c)
+    assert violations == []
+    return sl
 
 
 def signature(c):
@@ -211,31 +217,30 @@ class TestNonzeroExponents:
         assert d.differential[(4, 3)] == frozenset({1})
 
     def test_slice_translate_alignment(self):
-        sl = grading_slice(stabilized_t23(), 1)
+        sl = slices(stabilized_t23())
         # x has grading -1, so its slice-1 translate is U^{-1} x at (6,6)
-        x = [e for e in sl.basis if e.u_exp == -1]
+        x = [e for e in sl.basis1 if e.u_exp == -1]
         assert len(x) == 1 and (x[0].alg, x[0].alex) == (6, 6)
-        out = sl.boundary_out
-        assert out.rank() == 2  # b0 and the U-translate of x both hit slice 0
+        assert len(sl.d1span) == 2  # b0 and the translate of x hit slice 0
 
 
 class TestGradingSlice:
     def test_t34_grading0(self):
-        sl = grading_slice(torus_complex(3, 4), 0)
-        assert len(sl.basis) == 3
-        assert all(e.u_exp == 0 for e in sl.basis)
-        assert sl.boundary_in.ncols == 2  # from the two blacks
-        assert sl.boundary_in.rank() == 2
+        sl = slices(torus_complex(3, 4))
+        assert len(sl.basis0) == 3
+        assert all(e.u_exp == 0 for e in sl.basis0)
+        assert len(sl.d1) == 2  # from the two blacks
+        assert len(sl.d1span) == 2
 
     def test_unknot_grading1_empty(self):
-        sl = grading_slice(unknot_complex(), 1)
-        assert sl.basis == ()
+        sl = slices(unknot_complex())
+        assert sl.basis1 == ()
 
     def test_tensor_translate(self):
         c = tensor(torus_complex(2, 3), torus_complex(2, 3))
-        sl = grading_slice(c, 0)
-        assert len(sl.basis) == 5
-        translated = [e for e in sl.basis if e.u_exp == 1]
+        sl = slices(c)
+        assert len(sl.basis0) == 5
+        translated = [e for e in sl.basis0 if e.u_exp == 1]
         assert len(translated) == 1
         e = translated[0]
         g = c.generators[e.gen_index]
@@ -246,16 +251,24 @@ class TestGradingSlice:
         for c in (torus_complex(3, 4),
                   tensor(torus_complex(2, 3), dual(torus_complex(2, 5)))):
             for m in (-1, 0, 1, 2):
-                sl = grading_slice(c, m)
-                prod = sl.boundary_out.matmul(sl.boundary_in)
-                assert all(r == 0 for r in prod.rows)
+                d_out = boundary(c, m)
+                assert all(apply(d_out, col) == 0
+                           for col in boundary(c, m + 1))
+
+    def test_columns_match_reference(self):
+        for c in (torus_complex(3, 4), stabilized_t23(),
+                  tensor(torus_complex(2, 3), dual(torus_complex(2, 5)))):
+            sl = slices(c)
+            assert sl.d0 == boundary(c, 0)
+            assert sl.d1 == boundary(c, 1)
 
     def test_parity_dimensions(self):
         c = tensor(torus_complex(2, 5), torus_complex(3, 4))
         even = sum(1 for g in c.generators if g.maslov % 2 == 0)
-        assert len(grading_slice(c, 0).basis) == even
-        assert len(grading_slice(c, 2).basis) == even
-        assert len(grading_slice(c, 1).basis) == len(c.generators) - even
+        sl = slices(c)
+        assert len(sl.basis0) == even
+        assert len(slice_levels(c, 2)) == even
+        assert len(sl.basis1) == len(c.generators) - even
 
 
 class TestShift:

@@ -218,6 +218,27 @@ class TestCLI:
     def test_non_coprime_exit_code(self, capsys):
         assert main(["upsilon", "T(6,9)"]) == 2
 
+    def test_leading_minus_expression(self, capsys):
+        assert main(["upsilon", "--", "-T(2,3)"]) == 0
+        after_dashes = capsys.readouterr().out
+        assert main(["upsilon", "-T(2,3)"]) == 0
+        assert capsys.readouterr().out == after_dashes
+
+    def test_leading_minus_upsilon2(self, capsys):
+        assert main(["upsilon2", "-T(7,8)", "--t", "4/7"]) == 0
+        assert capsys.readouterr().out.strip() == "inf"
+
+    def test_leading_minus_jumps(self, capsys):
+        assert main(["jumps", "-T(3,4)"]) == 0
+        rows = [l.split("\t") for l in capsys.readouterr().out.splitlines()[1:]]
+        assert rows and all(r[1:] == ["no", "inf"] for r in rows)
+
+    def test_help_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["upsilon", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: upsilonkit upsilon")
+
     def test_size_guard_exit_code(self, capsys):
         assert main(["upsilon", "10*T(2,3)"]) == 2
         assert "generators" in capsys.readouterr().err

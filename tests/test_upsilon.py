@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from upsilonkit.cfk import (dual, from_staircase, grading_slice,
-                            shift_filtration, tensor, unknot_complex)
+from reference import apply, boundary, slice_levels
+from upsilonkit.cfk import (dual, from_staircase, shift_filtration, tensor,
+                            unknot_complex)
 from upsilonkit.f2 import affine_intersects, reduce_vector, span_basis
 from upsilonkit.plfun import (NEG_INF, POS_INF, pl_add, pl_constant, pl_equal,
                               pl_eval, pl_neg)
@@ -22,19 +23,18 @@ def torus_complex(p, q):
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles, written against the public slice/matrix API only.
-# They enumerate whole GF(2) coordinate spaces, so they stay honest and slow;
-# use them only on complexes whose slices have at most ~12 elements.
+# Brute-force oracles, written against the reference slices in
+# tests/reference.py, not the engine's.  They enumerate whole GF(2)
+# coordinate spaces, so they stay honest and slow; use them only on
+# complexes whose slices have at most ~12 elements.
 # ---------------------------------------------------------------------------
 
 def _slice_data(c):
-    sl0 = grading_slice(c, 0)
-    sl1 = grading_slice(c, 1)
-    d0 = sl0.boundary_out          # rows over the grading -1 slice
-    d1 = sl1.boundary_out          # rows over the grading 0 slice
-    levels0 = [(e.alg, e.alex) for e in sl0.basis]
-    levels1 = [(e.alg, e.alex) for e in sl1.basis]
-    boundary_span = span_basis(d1.transpose().rows)
+    d0 = boundary(c, 0)            # columns over the grading -1 slice
+    d1 = boundary(c, 1)            # columns over the grading 0 slice
+    levels0 = [(alg, alex) for _, _, alg, alex in slice_levels(c, 0)]
+    levels1 = [(alg, alex) for _, _, alg, alex in slice_levels(c, 1)]
+    boundary_span = span_basis(d1)
     return d0, d1, levels0, levels1, boundary_span
 
 
@@ -50,7 +50,7 @@ def _essential_cycles_in(c, t, level_cap, d0, levels0, boundary_span):
     out = []
     for bits in itertools.product((0, 1), repeat=len(allowed)):
         x = sum(1 << i for i, b in zip(allowed, bits) if b)
-        if x and d0.apply(x) == 0 and reduce_vector(x, boundary_span):
+        if x and apply(d0, x) == 0 and reduce_vector(x, boundary_span):
             out.append(x)
     return out
 
@@ -86,7 +86,7 @@ def brute_gamma2(c, t, s):
         assert len(allowed) <= 14, "oracle complex too large"
         for bits in itertools.product((0, 1), repeat=len(allowed)):
             w = sum(1 << i for i, b in zip(allowed, bits) if b)
-            if d1.apply(w) in targets:
+            if apply(d1, w) in targets:
                 return True
         return False
 
