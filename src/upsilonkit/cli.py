@@ -3,7 +3,8 @@
 Expressions use the grammar of upsilonkit.expr, e.g. "T(3,4)",
 "T(5,6) # T(2,5) # -T(5,7)", "2*T(2,3) # U".  Rational arguments are
 written a/b or a.  Exit codes: 0 success, 1 verification mismatch,
-2 parse or validation errors.
+2 parse or validation errors, 3 internal error (a failed consistency check
+of the engine).
 """
 
 from __future__ import annotations
@@ -175,6 +176,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

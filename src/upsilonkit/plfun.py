@@ -12,7 +12,7 @@ neighbours) so that structural equality coincides with functional equality.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -202,22 +202,50 @@ def pl_constant(value: Rational) -> PLFunction:
     return PLFunction(((T_MIN, v), (T_MAX, v)))
 
 
+def _param(point: tuple[Fraction, Fraction]) -> Fraction:
+    return point[0]
+
+
+def _interpolate(p0, p1, t: Fraction) -> Fraction:
+    """Value at t of the segment from breakpoint p0 to breakpoint p1."""
+    (t0, v0), (t1, v1) = p0, p1
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
 def pl_eval(f: PLFunction, t: Rational) -> Fraction:
     """Exact value of f at t by linear interpolation."""
     t = _frac(t)
     if t < T_MIN or t > T_MAX:
         raise ValueError(f"t={t} outside [0,2]")
-    ts = [p[0] for p in f.breakpoints]
-    i = bisect_right(ts, t) - 1
-    if i == len(ts) - 1:
-        return f.breakpoints[-1][1]
-    (t0, v0), (t1, v1) = f.breakpoints[i], f.breakpoints[i + 1]
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    pts = f.breakpoints
+    i = bisect_right(pts, t, key=_param) - 1
+    if i == len(pts) - 1:
+        return pts[-1][1]
+    return _interpolate(pts[i], pts[i + 1], t)
 
 
 def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
-    grid = sorted({t for t, _ in f.breakpoints} | {t for t, _ in g.breakpoints})
-    return _canonicalize([(t, pl_eval(f, t) + pl_eval(g, t)) for t in grid])
+    """Pointwise sum, by one merge over both breakpoint lists.
+
+    Both lists start at 0 and end at 2, so a breakpoint of one function
+    lies strictly inside the current segment of the other, or on its end.
+    """
+    fp, gp = f.breakpoints, g.breakpoints
+    points: list[tuple[Fraction, Fraction]] = []
+    i = j = 0
+    while i < len(fp) and j < len(gp):
+        (tf, vf), (tg, vg) = fp[i], gp[j]
+        if tf == tg:
+            points.append((tf, vf + vg))
+            i += 1
+            j += 1
+        elif tf < tg:
+            points.append((tf, vf + _interpolate(gp[j - 1], gp[j], tf)))
+            i += 1
+        else:
+            points.append((tg, _interpolate(fp[i - 1], fp[i], tg) + vg))
+            j += 1
+    return _canonicalize(points)
 
 
 def pl_neg(f: PLFunction) -> PLFunction:
@@ -237,21 +265,41 @@ def pl_equal(f: PLFunction, g: PLFunction) -> bool:
 def pl_lower_envelope(lines: Sequence[tuple[Rational, Rational]]) -> PLFunction:
     """Pointwise minimum over [0,2] of the lines t -> slope*t + intercept.
 
-    Breakpoints of the envelope are pairwise intersection parameters, so the
-    minimum over the lines at those parameters determines it exactly.
+    An exact O(n log n) convex-hull sweep (Andrew's monotone chain): keep the
+    lowest intercept for each slope, take the lines by decreasing slope, and
+    keep a stack of the lines on the envelope, each with the parameter where
+    it takes over from the one below it.  A new line pops the top while it
+    crosses the top at or before the top's own takeover.  The envelope over
+    [0,2] is then read off at 0, at the takeovers inside (0,2) and at 2.
     """
     if not lines:
         raise ValueError("empty family of lines")
-    lns = [(_frac(m), _frac(b)) for m, b in lines]
-    grid = {T_MIN, T_MAX}
-    for i, (m1, b1) in enumerate(lns):
-        for m2, b2 in lns[i + 1:]:
-            if m1 == m2:
-                continue
-            t = (b2 - b1) / (m1 - m2)
-            if T_MIN < t < T_MAX:
-                grid.add(t)
-    samples = [(t, min(m * t + b for m, b in lns)) for t in sorted(grid)]
+    lowest: dict[Fraction, Fraction] = {}
+    for m, b in lines:
+        m, b = _frac(m), _frac(b)
+        if m not in lowest or b < lowest[m]:
+            lowest[m] = b
+    # (takeover parameter, slope, intercept).  The steepest line holds from
+    # -inf and is never popped, so every later line gets a takeover.
+    hull: list[tuple[Fraction | None, Fraction, Fraction]] = []
+    for m in sorted(lowest, reverse=True):
+        b = lowest[m]
+        takeover = None
+        while hull:
+            start, m0, b0 = hull[-1]
+            takeover = (b - b0) / (m0 - m)
+            if start is None or takeover > start:
+                break
+            hull.pop()
+        hull.append((takeover, m, b))
+    first = bisect_right(hull, T_MIN, lo=1, key=_param) - 1
+    stop = bisect_left(hull, T_MAX, lo=1, key=_param)
+    on_domain = hull[first:stop]
+    _, m, b = on_domain[0]
+    samples = [(T_MIN, b)]
+    samples += [(t, m * t + b) for t, m, b in on_domain[1:]]
+    _, m, b = on_domain[-1]
+    samples.append((T_MAX, m * T_MAX + b))
     return _canonicalize(samples)
 
 

@@ -163,19 +163,18 @@ def semigroup_runs(p: int, q: int) -> SemigroupRuns:
         return SemigroupRuns((), 0)
     _check_params(p, q)
     conductor = (p - 1) * (q - 1)
-    member = [False] * (conductor + 1)
-    member[0] = True
-    for v in range(1, conductor + 1):
-        member[v] = (v >= p and member[v - p]) or (v >= q and member[v - q])
+    # one byte per integer below the conductor; S is the union over b of
+    # the progressions bq + pN
+    member = bytearray(conductor)
+    for bq in range(0, conductor, q):
+        member[bq::p] = b"\x01" * len(range(bq, conductor, p))
+    # conductor - 1 is the largest gap, so every run ends before it
     runs: list[tuple[int, int]] = []
-    v = 0
-    while v < conductor:
-        if member[v]:
-            start = v
-            while v + 1 < conductor and member[v + 1]:
-                v += 1
-            runs.append((start, v))
-        v += 1
+    start = member.find(1)
+    while start != -1:
+        end = member.find(0, start)
+        runs.append((start, end - 1))
+        start = member.find(1, end)
     return SemigroupRuns(tuple(runs), conductor)
 
 

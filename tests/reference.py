@@ -1,10 +1,14 @@
 """Reference constructions for the tests, written from the definitions and
 sharing no code with upsilonkit: grading slices, boundary maps as bitset
-columns, and the Euler characteristic.
+columns, the Euler characteristic, and the lower envelope of a family of
+lines.
 
 The brute-force oracles and the d^2 test use these, so they do not trust
-the slices the engine builds.
+the slices the engine builds; the envelope tests use the all-pairs
+envelope, so they do not trust the hull sweep.
 """
+
+from fractions import Fraction
 
 
 def slice_levels(c, m):
@@ -49,3 +53,27 @@ def apply(cols, x):
 
 def euler_characteristic(c):
     return sum(1 if g.maslov % 2 == 0 else -1 for g in c.generators)
+
+
+def lower_envelope(lines):
+    """Breakpoints of the minimum over [0,2] of the lines t -> m*t + b, from
+    every pairwise intersection and the minimum over all lines at each,
+    O(n^3).  Interior points collinear with their neighbours are dropped."""
+    lns = [(Fraction(m), Fraction(b)) for m, b in lines]
+    grid = {Fraction(0), Fraction(2)}
+    for i, (m1, b1) in enumerate(lns):
+        for m2, b2 in lns[i + 1:]:
+            if m1 == m2:
+                continue
+            t = (b2 - b1) / (m1 - m2)
+            if 0 < t < 2:
+                grid.add(t)
+    kept = []
+    for p in [(t, min(m * t + b for m, b in lns)) for t in sorted(grid)]:
+        while len(kept) >= 2:
+            (t0, v0), (t1, v1) = kept[-2], kept[-1]
+            if (v1 - v0) * (p[0] - t1) != (p[1] - v1) * (t1 - t0):
+                break
+            kept.pop()
+        kept.append(p)
+    return tuple(kept)

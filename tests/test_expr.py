@@ -239,6 +239,16 @@ class TestCLI:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: upsilonkit upsilon")
 
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def failing_check(c):
+            raise AssertionError("no essential cycle")
+
+        monkeypatch.setattr("upsilonkit.cli.upsilon_pl", failing_check)
+        assert main(["upsilon", "T(2,3)"]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: no essential cycle\n"
+        assert "Traceback" not in err
+
     def test_size_guard_exit_code(self, capsys):
         assert main(["upsilon", "10*T(2,3)"]) == 2
         assert "generators" in capsys.readouterr().err

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import lower_envelope
 from upsilonkit.plfun import (
     NEG_INF,
     POS_INF,
@@ -21,7 +24,7 @@ from upsilonkit.plfun import (
     pl_scale,
     pl_to_json,
 )
-from upsilonkit.staircase import upsilon_staircase
+from upsilonkit.staircase import build_staircase, upsilon_staircase
 
 UPS34 = upsilon_staircase(3, 4)
 
@@ -225,6 +228,79 @@ class TestLowerEnvelope:
             env = pl_lower_envelope(lines)
             for t in (F(0), F(1, 3), F(1), F(8, 5), F(2)):
                 assert pl_eval(env, t) == min(m * t + b for m, b in lines)
+
+
+SMALL = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+# where a pencil of lines crosses: an end of [0,2], outside it, or anywhere
+PENCIL_POINTS = st.sampled_from([F(0), F(2), F(-1), F(3)]) | SMALL
+
+
+@st.composite
+def line_families(draw):
+    """1-12 lines with small rational coefficients, with duplicates, equal
+    slopes and pencils of three or more lines through one point put in."""
+    lines = draw(st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=6))
+    kinds = st.sampled_from(["duplicate", "same slope", "pencil"])
+    for kind in draw(st.lists(kinds, max_size=3)):
+        m, b = draw(st.sampled_from(lines))
+        if kind == "duplicate":
+            lines.append((m, b))
+        elif kind == "same slope":
+            lines.append((m, b + draw(SMALL.filter(bool))))
+        else:
+            t = draw(PENCIL_POINTS)
+            v = m * t + b
+            slopes = st.lists(SMALL.filter(lambda s: s != m), min_size=2,
+                              max_size=2, unique=True)
+            lines += [(s, v - s * t) for s in draw(slopes)]
+    return lines
+
+
+@st.composite
+def pl_functions(draw):
+    inner = st.integers(1, 23).map(lambda k: F(k, 12))
+    ts = draw(st.lists(inner, max_size=6, unique=True))
+    grid = [F(0)] + sorted(ts) + [F(2)]
+    return pl_from_samples([(t, draw(SMALL)) for t in grid])
+
+
+def assert_canonical(f):
+    assert f.breakpoints[0][0] == 0 and f.breakpoints[-1][0] == 2
+    # strictly increasing parameters and no collinear interior breakpoint
+    assert pl_equal(pl_from_samples(f.breakpoints), f)
+
+
+STAIRCASE_PAIRS = [pytest.param(p, q, id=f"T({p},{q})")
+                   for p in range(2, 21) for q in range(p + 1, 22)
+                   if gcd(p, q) == 1]
+
+
+class TestEnvelopeOracle:
+    """The hull sweep against the all-pairs envelope of tests/reference.py."""
+
+    @pytest.mark.parametrize("p,q", STAIRCASE_PAIRS)
+    def test_staircase_whites(self, p, q):
+        lines = [(F(alex - alg, 2), F(alg))
+                 for alg, alex in build_staircase(p, q).whites]
+        assert pl_lower_envelope(lines).breakpoints == lower_envelope(lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_families())
+    def test_random_families(self, lines):
+        env = pl_lower_envelope(lines)
+        assert env.breakpoints == lower_envelope(lines)
+        assert_canonical(env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pl_functions(), pl_functions())
+def test_add_on_union_of_breakpoints(f, g):
+    union = {t for t, _ in f.breakpoints} | {t for t, _ in g.breakpoints}
+    h = pl_add(f, g)
+    assert {t for t, _ in h.breakpoints} <= union
+    for t in union:
+        assert pl_eval(h, t) == pl_eval(f, t) + pl_eval(g, t)
+    assert_canonical(h)
 
 
 def test_json_round_trip():
