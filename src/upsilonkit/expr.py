@@ -17,7 +17,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from math import gcd
-from typing import Union
+from typing import Callable, Union
 
 from .cfk import BifilteredComplex, dual, from_staircase, tensor, unknot_complex
 from .staircase import build_staircase, semigroup_runs
@@ -192,24 +192,29 @@ def expr_to_str(e: KnotExpr) -> str:
     return term_str(e)
 
 
-def expected_generators(e: KnotExpr) -> int:
-    """Generator count of realize(e), computed without building anything."""
+def _product_over_tori(e: KnotExpr, torus: Callable[[int, int], int]) -> int:
+    """Product of torus(p, q) over the torus factors of e, counted with
+    multiplicity (generator counts multiply under tensor products)."""
     if isinstance(e, Unknot):
         return 1
     if isinstance(e, Torus):
-        if e.p == 1 or e.q == 1:
-            return 1
-        return 2 * len(semigroup_runs(e.p, e.q).runs) + 1
+        return torus(e.p, e.q)
     if isinstance(e, Mirror):
-        return expected_generators(e.expr)
+        return _product_over_tori(e.expr, torus)
     if isinstance(e, Multiple):
-        return expected_generators(e.expr) ** e.n
+        return _product_over_tori(e.expr, torus) ** e.n
     if isinstance(e, Sum):
         total = 1
         for part in e.parts:
-            total *= expected_generators(part)
+            total *= _product_over_tori(part, torus)
         return total
     raise TypeError(f"not a knot expression: {e!r}")
+
+
+def expected_generators(e: KnotExpr) -> int:
+    """Generator count of realize(e), computed without building anything."""
+    return _product_over_tori(e, lambda p, q: 1 if p == 1 or q == 1 else
+                              2 * len(semigroup_runs(p, q).runs) + 1)
 
 
 DEFAULT_GENERATOR_LIMIT = 20000
@@ -222,11 +227,19 @@ def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
     Refuses to build complexes beyond max_generators generators (tensor
     products grow multiplicatively); pass None to lift the limit.
     """
-    size = expected_generators(e)
-    if max_generators is not None and size > max_generators:
-        raise ComplexTooLargeError(
-            f"{expr_to_str(e)} needs {size} generators, above the limit of "
-            f"{max_generators}; raise or disable the limit to proceed")
+    if max_generators is not None:
+        # Refuse on a lower bound before sieving any semigroup: T(p,q) with
+        # p < q has at least 2p - 1 generators (checked on every coprime
+        # pair with p < 70, q < 120).
+        size = _product_over_tori(e, lambda p, q: 2 * min(p, q) - 1)
+        need = f"at least {size}"
+        if size <= max_generators:
+            size = expected_generators(e)
+            need = str(size)
+        if size > max_generators:
+            raise ComplexTooLargeError(
+                f"{expr_to_str(e)} needs {need} generators, above the limit "
+                f"of {max_generators}; raise or disable the limit to proceed")
 
     def build(node: KnotExpr) -> BifilteredComplex:
         if isinstance(node, Unknot):

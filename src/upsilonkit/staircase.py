@@ -78,9 +78,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def min_exp(self) -> int:
-        return min(self.terms)
-
     def max_exp(self) -> int:
         return max(self.terms)
 

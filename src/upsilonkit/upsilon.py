@@ -104,6 +104,8 @@ class _Engine:
         self.bspan = slices.d1span
         self.phi = self._essential_functional()
         self.candidates = self._candidate_parameters()
+        # The candidates cut [0,2] into chambers (ends[i], ends[i+1]).
+        self.ends = (Fraction(0), *self.candidates, Fraction(2))
         self._gamma_cache: dict[Fraction, _GammaResult] = {}
         self._cycle_cache: dict[Fraction, F2AffineSpace] = {}
 
@@ -187,18 +189,13 @@ class _Engine:
         self._gamma_cache[t] = result
         return result
 
-    def neighbours(self, t: Fraction) -> tuple[Fraction, Fraction]:
-        """Nearest candidate parameters strictly left/right of t (or 0/2)."""
-        lo = bisect_left(self.candidates, t)
-        left = self.candidates[lo - 1] if lo > 0 else Fraction(0)
-        hi = bisect_right(self.candidates, t)
-        right = (self.candidates[hi] if hi < len(self.candidates)
-                 else Fraction(2))
-        return left, right
-
-    def delta_at(self, t: Fraction) -> Fraction:
-        left, right = self.neighbours(t)
-        return min(t - left, right - t) / 2
+    def beside(self, t: Fraction) -> tuple[Fraction, Fraction]:
+        """Halfway from t in (0,2) to the nearest chamber end below and above
+        it: the midpoints of the chambers either side of a candidate t.  Any
+        other t lies in one chamber (a, b), and tm + tp - t = (a + b) / 2."""
+        e = self.ends
+        return ((e[bisect_left(e, t) - 1] + t) / 2,
+                (t + e[bisect_right(e, t)]) / 2)
 
     def is_candidate(self, t: Fraction) -> bool:
         i = bisect_left(self.candidates, t)
@@ -206,13 +203,17 @@ class _Engine:
 
     def cycle_space(self, tside: Fraction) -> F2AffineSpace:
         """Affine space of essential cycles in the f_{tside} sublevel set at
-        gamma(tside).
+        gamma(tside), for tside off the candidates.  Any point of a chamber
+        gives the same space (the f_t order of the levels is fixed in it), so
+        it is built once per chamber, at the midpoint.
 
         The space is one witness plus the boundary space of the full complex
         intersected with the sublevel coordinate subspace; the intersection
         is the image of the kernel of "project a boundary combination onto
         the outside coordinates".
         """
+        tm, tp = self.beside(tside)
+        tside = tm + tp - tside                  # the chamber midpoint
         cached = self._cycle_cache.get(tside)
         if cached is not None:
             return cached
@@ -230,10 +231,6 @@ class _Engine:
         space = F2AffineSpace(res.witness, dirs, self.dim0)
         self._cycle_cache[tside] = space
         return space
-
-    def pivot_sides(self, t: Fraction) -> tuple[Fraction, Fraction]:
-        d = self.delta_at(t)
-        return t - d, t + d
 
 
 _engines: "weakref.WeakKeyDictionary[BifilteredComplex, _Engine]" = (
@@ -266,17 +263,15 @@ def gamma_at(c: BifilteredComplex, t) -> Fraction:
 def upsilon_pl(c: BifilteredComplex) -> PLFunction:
     """Upsilon of the complex as an exact piecewise-linear function.
 
-    gamma is sampled at every collinearity candidate plus the endpoints, and
-    linearity between consecutive samples is verified at each midpoint, so
+    gamma is sampled at every chamber end (the collinearity candidates plus
+    0 and 2), and linearity on each chamber is verified at its midpoint, so
     the returned canonical function is exact.
     """
     eng = _engine(c)
-    ts = [Fraction(0), *eng.candidates, Fraction(2)]
+    ts = eng.ends
     vals = [eng.gamma(t).value for t in ts]
     for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-        mid = (t0 + t1) / 2
-        gm = eng.gamma(mid).value
-        if gm != (v0 + v1) / 2:
+        if eng.gamma((t0 + t1) / 2).value != (v0 + v1) / 2:
             raise AssertionError(
                 f"gamma not linear on [{t0},{t1}]: candidate set incomplete")
     return pl_from_samples([(t, -2 * v) for t, v in zip(ts, vals)])
@@ -286,28 +281,32 @@ def pivot_points(c: BifilteredComplex, t) -> PivotPair:
     """The unique bifiltration levels on the support line just below and just
     above t.
 
-    delta is half the gap from t to the nearest other candidate parameter
-    (clamped inside (0,2)); at t +/- delta the support line meets exactly one
-    grading-0 level, which is asserted.
+    The levels are read at the points beside t (for a candidate, the
+    midpoints of the chambers either side of it), and delta is the distance
+    from t to the nearer of them: half the gap to the nearest other candidate
+    parameter, 0 or 2.  There the support line meets exactly one grading-0
+    level, which is checked.
     """
     t = _frac(t)
     if not 0 < t < 2:
         raise ValueError(f"pivot points need t in (0,2), got {t}")
     eng = _engine(c)
-    tm, tp = eng.pivot_sides(t)
+    tm, tp = eng.beside(t)
     neg = eng.gamma(tm).contact_levels
     pos = eng.gamma(tp).contact_levels
+    delta = min(t - tm, tp - t)
     if len(neg) != 1 or len(pos) != 1:
         raise AssertionError(
-            f"support line at t={t}+/-{t - tm} meets more than one level; "
+            f"support line at t={t}+/-{delta} meets more than one level; "
             f"delta not small enough")
-    return PivotPair(negative=neg[0], positive=pos[0], delta=t - tm)
+    return PivotPair(negative=neg[0], positive=pos[0], delta=delta)
 
 
 def cycle_space(c: BifilteredComplex, t_side) -> F2AffineSpace:
     """Affine space of essential grading-0 cycles in the sublevel subcomplex
-    at gamma(t_side); t_side must avoid the candidate parameters (use the
-    t +/- delta returned by pivot_points)."""
+    at gamma(t_side).  t_side must avoid the candidate parameters; any point
+    of a chamber gives the same space (for instance the t +/- delta of
+    pivot_points)."""
     t_side = _frac(t_side)
     if not 0 < t_side < 2:
         raise ValueError(f"t_side={t_side} outside (0,2)")
@@ -332,7 +331,7 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     """
     if not eng.is_candidate(t):
         return NEG_INF
-    tm, tp = eng.pivot_sides(t)
+    tm, tp = eng.beside(t)
     plus_space = eng.cycle_space(tp)
     minus_space = eng.cycle_space(tm)
     g = eng.gamma(t)
@@ -407,7 +406,7 @@ def is_jump_value(c: BifilteredComplex, t) -> bool:
     eng = _engine(c)
     if not eng.is_candidate(t):
         return False
-    tm, tp = eng.pivot_sides(t)
+    tm, tp = eng.beside(t)
     return not affine_intersects(eng.cycle_space(tp), eng.cycle_space(tm))
 
 

@@ -3,6 +3,7 @@ from first definitions at its stated runtime budget, one pass/fail line per
 criterion (run with -s to see them on success)."""
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,12 @@ BUDGETS = {
     "property-battery": 120,
 }
 
+# The golden verify-paper output, line by check name; each check's line
+# must match it byte for byte, detail included.
+GOLDEN = {line.split(":")[0].removeprefix("PASS "): line
+          for line in (Path(__file__).resolve().parents[1] / "perfbench"
+                       / "golden" / "verify-paper.txt").read_text().splitlines()}
+
 
 @pytest.mark.parametrize("check,name",
                          zip(verify.ALL_CHECKS, BUDGETS, strict=True),
@@ -40,6 +47,7 @@ def test_criterion(check, name):
           f"[{elapsed:.2f}s]: {result.detail}")
     assert result.name == name, "BUDGETS is out of step with verify.ALL_CHECKS"
     assert result.ok, f"{result.name}: {result.detail}"
+    assert f"PASS {name}: {result.detail}" == GOLDEN[name]
     assert elapsed < BUDGETS[name], (
         f"{result.name} took {elapsed:.2f}s, budget {BUDGETS[name]}s")
 

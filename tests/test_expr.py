@@ -1,5 +1,6 @@
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -134,6 +135,23 @@ class TestRealize:
         assert expected_generators(e) == 3 ** 10
         with pytest.raises(ComplexTooLargeError, match="59049"):
             realize(e)
+
+    def test_size_guard_refuses_before_sieving(self, monkeypatch):
+        def no_sieve(p, q):
+            raise AssertionError(f"semigroup of T({p},{q}) sieved")
+        monkeypatch.setattr("upsilonkit.expr.semigroup_runs", no_sieve)
+        monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", no_sieve)
+        with pytest.raises(ComplexTooLargeError, match="at least 20001"):
+            realize(parse_expr("T(10001,10002)"))
+
+    def test_size_lower_bound_never_refuses_a_fitting_knot(self):
+        # The pre-sieve bound 2p - 1 must not exceed the exact count.
+        for p in range(1, 20):
+            for q in range(p + 1, 30):
+                if gcd(p, q) == 1:
+                    e = Torus(p, q)
+                    n = expected_generators(e)
+                    assert len(realize(e, max_generators=n)) == n, (p, q)
 
     def test_size_guard_override(self):
         e = parse_expr("T(2,3) # T(2,3)")

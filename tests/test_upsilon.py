@@ -14,7 +14,8 @@ from upsilonkit.staircase import build_staircase, upsilon_staircase
 from upsilonkit.upsilon import (InvalidComplexError, candidate_parameters,
                                 check_subadditivity, cycle_space, gamma2,
                                 gamma_at, is_jump_value, jump_values,
-                                pivot_points, upsilon2, upsilon_pl)
+                                pivot_points, upsilon2, upsilon_pl,
+                                _engine)
 from upsilonkit.cfk import BifilteredComplex, Generator
 
 
@@ -252,6 +253,31 @@ class TestCycleSpace:
     def test_candidate_parameter_rejected(self):
         with pytest.raises(ValueError, match="collinearity"):
             cycle_space(torus_complex(3, 4), F(1))
+
+    @pytest.mark.parametrize("name,make", [
+        ("T(3,4)#T(2,5)",
+         lambda: tensor(torus_complex(3, 4), torus_complex(2, 5))),
+        ("T(3,5)#-T(2,3)",
+         lambda: tensor(torus_complex(3, 5), dual(torus_complex(2, 3)))),
+        ("-T(3,4)", lambda: dual(torus_complex(3, 4))),
+    ])
+    def test_one_space_per_chamber(self, name, make):
+        c = make()
+        cands = candidate_parameters(c)
+        jump_values(c)
+        cache = _engine(c)._cycle_cache
+        assert len(cache) <= len(cands) + 1, name
+        ends = [F(0), *cands, F(2)]
+        for k, t in enumerate(cands, start=1):
+            delta = pivot_points(c, t).delta
+            for sign, mid in ((-1, (ends[k - 1] + t) / 2),
+                              (1, (t + ends[k + 1]) / 2)):
+                spaces = [cycle_space(c, x) for x in
+                          (t + sign * delta, mid, t + sign * delta / 3)]
+                assert len({s.base for s in spaces}) == 1, (name, t, sign)
+                assert len({tuple(s.directions) for s in spaces}) == 1, (
+                    name, t, sign)
+        assert len(cache) <= len(cands) + 1, name
 
     def test_t34_no_jump_at_1(self):
         c = torus_complex(3, 4)
