@@ -217,6 +217,13 @@ def expected_generators(e: KnotExpr) -> int:
                               2 * len(semigroup_runs(p, q).runs) + 1)
 
 
+def generator_lower_bound(e: KnotExpr) -> int:
+    """A lower bound on expected_generators(e) that sieves nothing: T(p,q)
+    with p < q has at least 2p - 1 generators (checked on every coprime
+    pair with p < 70, q < 120)."""
+    return _product_over_tori(e, lambda p, q: 2 * min(p, q) - 1)
+
+
 DEFAULT_GENERATOR_LIMIT = 20000
 
 
@@ -228,10 +235,8 @@ def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
     products grow multiplicatively); pass None to lift the limit.
     """
     if max_generators is not None:
-        # Refuse on a lower bound before sieving any semigroup: T(p,q) with
-        # p < q has at least 2p - 1 generators (checked on every coprime
-        # pair with p < 70, q < 120).
-        size = _product_over_tori(e, lambda p, q: 2 * min(p, q) - 1)
+        # Refuse on the lower bound before sieving any semigroup.
+        size = generator_lower_bound(e)
         need = f"at least {size}"
         if size <= max_generators:
             size = expected_generators(e)

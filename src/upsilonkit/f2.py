@@ -9,6 +9,7 @@ bit as pivot, and `reduce_pair` is the only place that eliminates.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Optional, Sequence
 
 # Pivot -> (row, tag): each row's pivot is its highest set bit, and the tag
@@ -90,6 +91,13 @@ class F2AffineSpace:
         # for the many spaces the engine caches.
         self.directions = [basis[p][0] for p in sorted(basis)]
 
+    def through(self, base: int) -> "F2AffineSpace":
+        """The parallel space through base, sharing this space's direction
+        list (the same object, so affine_intersects can tell)."""
+        space = copy.copy(self)
+        space.base = base
+        return space
+
     def rank(self) -> int:
         return len(self.directions)
 
@@ -101,9 +109,10 @@ def affine_intersects(u: F2AffineSpace, v: F2AffineSpace) -> bool:
     """Whether the two affine subspaces share a point.
 
     u.base + span(U) meets v.base + span(V) iff u.base + v.base lies in
-    span(U union V).
+    span(U union V), which is span(U) alone when both share one list.
     """
     if u.dim != v.dim:
         raise ValueError("affine spaces live in different ambient dimensions")
-    basis = span_basis(u.directions + v.directions)
+    dirs = u.directions
+    basis = span_basis(dirs if dirs is v.directions else dirs + v.directions)
     return reduce_pair(u.base ^ v.base, 0, basis)[0] == 0

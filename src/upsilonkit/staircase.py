@@ -206,13 +206,7 @@ def alexander_oracle(p: int, q: int) -> LaurentPoly:
 
 def staircase_steps(p: int, q: int) -> list[int]:
     """Alternating horizontal/vertical step lengths of the staircase."""
-    rs = semigroup_runs(p, q)
-    steps: list[int] = []
-    starts = [s for s, _ in rs.runs] + [rs.tail_start]
-    for i, (s, e) in enumerate(rs.runs):
-        steps.append(e - s + 1)
-        steps.append(starts[i + 1] - e - 1)
-    return steps
+    return list(build_staircase(p, q).steps)
 
 
 @dataclass(frozen=True)
@@ -242,15 +236,17 @@ def build_staircase(p: int, q: int) -> Staircase:
     genus = (p - 1) * (q - 1) // 2
     starts = [s for s, _ in rs.runs] + [rs.tail_start]
     alpha = [0]
-    for s, e in rs.runs:
+    steps: list[int] = []
+    for i, (s, e) in enumerate(rs.runs):
         alpha.append(alpha[-1] + (e - s + 1))
+        steps += (e - s + 1, starts[i + 1] - e - 1)
     whites = tuple(
         (alpha[i], alpha[i] - starts[i] + genus) for i in range(len(starts))
     )
     blacks = tuple(
         (alpha[i + 1], alpha[i] - starts[i] + genus) for i in range(len(rs.runs))
     )
-    return Staircase(tuple(staircase_steps(p, q)), whites, blacks, genus)
+    return Staircase(tuple(steps), whites, blacks, genus)
 
 
 def upsilon_staircase(p: int, q: int) -> PLFunction:

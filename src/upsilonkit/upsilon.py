@@ -83,6 +83,27 @@ def _keys(levels: list[tuple[int, int]], t: Fraction) -> tuple[list[int], int]:
     return [u * A + wa * a for a, A in levels], 2 * v
 
 
+def _collinearity_parameters(levels: list[tuple[int, int]]
+                             ) -> tuple[Fraction, ...]:
+    """All t in (0,2) where two distinct (alg, alex) levels agree under f_t.
+
+    f_t(P) = f_t(Q) is linear in t, so each unordered pair of distinct
+    levels contributes at most one parameter: for P left of and above Q,
+    with A = Q.alg - P.alg > 0 and X = P.alex - Q.alex > 0, it is
+    t = 2A / (A + X); other pairs agree at no t in (0,2).  t depends only
+    on A/X, so pairs are deduped on the reduced integer (A, X) and one
+    Fraction is built per distinct parameter.
+    """
+    pts = sorted(set(levels))
+    keys: set[tuple[int, int]] = set()
+    for i, (a1, x1) in enumerate(pts):
+        for a2, x2 in pts[i + 1:]:
+            if a2 > a1 and x1 > x2:
+                g = math.gcd(a2 - a1, x1 - x2)
+                keys.add(((a2 - a1) // g, (x1 - x2) // g))
+    return tuple(sorted(Fraction(2 * a, a + x) for a, x in keys))
+
+
 class _Engine:
     """Per-complex caches for the invariant computations.
 
@@ -103,11 +124,13 @@ class _Engine:
         self.d1cols = slices.d1
         self.bspan = slices.d1span
         self.phi = self._essential_functional()
-        self.candidates = self._candidate_parameters()
+        self.candidates = _collinearity_parameters(self.lev0)
         # The candidates cut [0,2] into chambers (ends[i], ends[i+1]).
         self.ends = (Fraction(0), *self.candidates, Fraction(2))
         self._gamma_cache: dict[Fraction, _GammaResult] = {}
         self._cycle_cache: dict[Fraction, F2AffineSpace] = {}
+        # Sublevel mask -> the boundaries supported inside it.
+        self._inside_cache: dict[int, F2AffineSpace] = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -129,24 +152,6 @@ class _Engine:
         if phi is None:
             raise AssertionError("essential functional system inconsistent")
         return phi
-
-    def _candidate_parameters(self) -> tuple[Fraction, ...]:
-        """All t in (0,2) where two distinct grading-0 levels agree under f_t.
-
-        f_t(P) = f_t(Q) is linear in t, so each unordered pair of distinct
-        levels contributes at most one parameter.
-        """
-        pts = sorted(set(self.lev0))
-        out: set[Fraction] = set()
-        for i, (a1, x1) in enumerate(pts):
-            for a2, x2 in pts[i + 1:]:
-                da, dx = a1 - a2, x1 - x2
-                if da == dx:
-                    continue
-                t = Fraction(2 * da, da - dx)
-                if 0 < t < 2:
-                    out.add(t)
-        return tuple(sorted(out))
 
     # -- scans ------------------------------------------------------------
 
@@ -207,10 +212,11 @@ class _Engine:
         gives the same space (the f_t order of the levels is fixed in it), so
         it is built once per chamber, at the midpoint.
 
-        The space is one witness plus the boundary space of the full complex
-        intersected with the sublevel coordinate subspace; the intersection
-        is the image of the kernel of "project a boundary combination onto
-        the outside coordinates".
+        The space is one witness plus the boundaries supported inside the
+        sublevel set.  Those depend on the sublevel mask alone, and many
+        chambers share a mask, so they are eliminated once per mask
+        (`boundaries_inside`) and the chambers' spaces share one direction
+        list.
         """
         tm, tp = self.beside(tside)
         tside = tm + tp - tside                  # the chamber midpoint
@@ -221,6 +227,18 @@ class _Engine:
         sub = self.sublevel0(tside, res.value)
         if res.witness & ~sub:
             raise AssertionError("essential cycle leaves its sublevel set")
+        inside = self._inside_cache.get(sub)
+        if inside is None:
+            inside = self._inside_cache[sub] = self.boundaries_inside(sub)
+        space = inside.through(res.witness)
+        self._cycle_cache[tside] = space
+        return space
+
+    def boundaries_inside(self, sub: int) -> F2AffineSpace:
+        """The boundary space of the full complex intersected with the
+        coordinate subspace of sub, as a linear space: the image of the
+        kernel of "project a boundary combination onto the outside
+        coordinates"."""
         outside = ~sub
         reducer: Basis = {}
         dirs: list[int] = []
@@ -228,9 +246,7 @@ class _Engine:
             o, v = reduce_pair(col & outside, col, reducer)
             if o == 0 and v:
                 dirs.append(v)
-        space = F2AffineSpace(res.witness, dirs, self.dim0)
-        self._cycle_cache[tside] = space
-        return space
+        return F2AffineSpace(0, dirs, self.dim0)
 
 
 _engines: "weakref.WeakKeyDictionary[BifilteredComplex, _Engine]" = (

@@ -19,6 +19,7 @@ from upsilonkit.expr import (
     parse_expr,
     realize,
 )
+from upsilonkit.staircase import semigroup_runs
 
 
 class TestParse:
@@ -144,6 +145,19 @@ class TestRealize:
         with pytest.raises(ComplexTooLargeError, match="at least 20001"):
             realize(parse_expr("T(10001,10002)"))
 
+    def test_one_sieve_per_factor_when_building(self, monkeypatch):
+        sieved = []
+
+        def counted(p, q):
+            sieved.append((p, q))
+            return semigroup_runs(p, q)
+
+        monkeypatch.setattr("upsilonkit.expr.semigroup_runs", counted)
+        monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", counted)
+        realize(parse_expr("T(7,8) # T(2,7) # -T(7,9)"))
+        # once for the size check and once for the staircase, per factor
+        assert len(sieved) <= 6
+
     def test_size_lower_bound_never_refuses_a_fitting_knot(self):
         # The pre-sieve bound 2p - 1 must not exceed the exact count.
         for p in range(1, 20):
@@ -207,6 +221,22 @@ class TestCLI:
 
     def test_alexander_rejects_sums(self, capsys):
         assert main(["alexander", "T(3,4) # T(2,3)"]) == 2
+
+    def test_alexander_size_guard_refuses_before_sieving(self, capsys,
+                                                         monkeypatch):
+        def no_sieve(p, q):
+            raise AssertionError(f"semigroup of T({p},{q}) sieved")
+        monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", no_sieve)
+        assert main(["alexander", "T(10001,10002)"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least 20001" in err
+
+    def test_alexander_size_guard_bound(self, capsys, monkeypatch):
+        # T(3,4) has exactly 2*3 - 1 = 5 terms; T(4,5) at least 7.
+        monkeypatch.setattr("upsilonkit.cli.DEFAULT_GENERATOR_LIMIT", 5)
+        assert main(["alexander", "T(3,4)"]) == 0
+        assert main(["alexander", "T(4,5)"]) == 2
+        assert "at least 7 Alexander terms" in capsys.readouterr().err
 
     def test_dump_complex_round_trip(self, capsys):
         assert main(["dump-complex", "T(2,5) # -T(2,3)"]) == 0

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from upsilonkit.f2 import (
     F2AffineSpace,
@@ -207,6 +208,26 @@ class TestAffine:
         assert affine_intersects(u, point(0b001))
         assert affine_intersects(u, point(0b111))
         assert not affine_intersects(u, point(0b000))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda dim: st.tuples(
+        st.just(dim), st.integers(0, 2 ** dim - 1),
+        st.integers(0, 2 ** dim - 1),
+        st.lists(st.integers(0, 2 ** dim - 1), max_size=6))))
+    def test_shared_direction_list(self, case):
+        # Spaces through one linear space share its list, and the jump test
+        # then spans it once; the answer must be the one for two lists.
+        dim, a, b, vectors = case
+        linear = F2AffineSpace(0, vectors, dim)
+        u, v = linear.through(a), linear.through(b)
+        assert u.directions is v.directions is linear.directions
+        assert (u.base, v.base, u.dim) == (a, b, dim)
+        copied = F2AffineSpace(b, list(linear.directions), dim)
+        assert copied.directions is not u.directions
+        expected = reduce_vector(a ^ b, span_basis(vectors)) == 0
+        assert affine_intersects(u, v) == expected
+        assert affine_intersects(u, copied) == expected
+        assert affine_intersects(copied, u) == expected
 
     def test_directions_are_reduced(self):
         u = F2AffineSpace(0, [0b11, 0b11, 0b01], 2)

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reference import apply, boundary, slice_levels
+from reference import (apply, boundary, collinearity_parameters, cycle_spaces,
+                       slice_levels)
 from upsilonkit.cfk import (dual, from_staircase, shift_filtration, tensor,
                             unknot_complex)
 from upsilonkit.f2 import affine_intersects, reduce_vector, span_basis
@@ -15,7 +17,7 @@ from upsilonkit.upsilon import (InvalidComplexError, candidate_parameters,
                                 check_subadditivity, cycle_space, gamma2,
                                 gamma_at, is_jump_value, jump_values,
                                 pivot_points, upsilon2, upsilon_pl,
-                                _engine)
+                                _collinearity_parameters, _engine, _Engine)
 from upsilonkit.cfk import BifilteredComplex, Generator
 
 
@@ -142,6 +144,35 @@ class TestGammaOracle:
         c = torus_complex(3, 4)
         assert gamma2(c, F(17, 16), F(1)) is NEG_INF
         assert upsilon2(c, F(17, 16), F(1)) is POS_INF
+
+
+@st.composite
+def _level_sets(draw):
+    """Level sets with repeated levels and negative coordinates, and with
+    pairs forced to agree at t = 0 (equal alg), at t = 2 (equal alex) and
+    nowhere (da == dx)."""
+    coord = st.integers(-6, 6)
+    levels = draw(st.lists(st.tuples(coord, coord), max_size=12))
+    for _ in range(draw(st.integers(0, 4))):
+        a, x = draw(st.tuples(coord, coord))
+        k = draw(st.integers(-4, 4))
+        da, dx = draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+        levels += [(a, x), (a + k * da, x + k * dx)]
+    return levels
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("name,make", SMALL_COMPLEXES)
+    def test_matches_pairwise_fractions(self, name, make):
+        c = make()
+        levels = [(alg, alex) for _, _, alg, alex in slice_levels(c, 0)]
+        assert candidate_parameters(c) == collinearity_parameters(levels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_level_sets())
+    def test_level_sets(self, levels):
+        assert _collinearity_parameters(levels) == \
+            collinearity_parameters(levels)
 
 
 class TestGammaValues:
@@ -278,6 +309,38 @@ class TestCycleSpace:
                 assert len({tuple(s.directions) for s in spaces}) == 1, (
                     name, t, sign)
         assert len(cache) <= len(cands) + 1, name
+
+    @pytest.mark.parametrize("name,make,chambers,masks", [
+        ("T(3,4)#T(2,5)",
+         lambda: tensor(torus_complex(3, 4), torus_complex(2, 5)), 8, 4),
+        ("T(5,6)#T(2,5)#-T(5,7)",
+         lambda: tensor(tensor(torus_complex(5, 6), torus_complex(2, 5)),
+                        dual(torus_complex(5, 7))), 166, 38),
+    ])
+    def test_one_elimination_per_sublevel_mask(self, monkeypatch, name, make,
+                                               chambers, masks):
+        eliminated = []
+        boundaries_inside = _Engine.boundaries_inside
+
+        def counted(eng, sub):
+            eliminated.append(sub)
+            return boundaries_inside(eng, sub)
+
+        monkeypatch.setattr(_Engine, "boundaries_inside", counted)
+        c = make()
+        jump_values(c)
+        eng = _engine(c)
+        ends = eng.ends
+        mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        assert len(mids) == chambers, name
+        seen = {eng.sublevel0(m, eng.gamma(m).value) for m in mids}
+        assert len(seen) == masks, name
+        assert sorted(eliminated) == sorted(seen), name
+        rebuilt = cycle_spaces(c, mids)
+        for m, (base, dirs) in zip(mids, rebuilt):
+            space = cycle_space(c, m)
+            assert (space.base, space.directions) == (base, dirs), (name, m)
+        assert len(eliminated) == masks, name
 
     def test_t34_no_jump_at_1(self):
         c = torus_complex(3, 4)
