@@ -21,7 +21,7 @@ from .plfun import (
     pl_scale,
     pl_to_json,
 )
-from .f2 import F2AffineSpace, affine_intersects, solve
+from .f2 import solve
 from .staircase import (
     LaurentPoly,
     SemigroupRuns,

@@ -263,9 +263,36 @@ def complex_to_json(c: BifilteredComplex) -> dict:
     }
 
 
+_KINDS = {list: "a list", str: "a string", int: "an integer"}
+
+
+def _checked(value, where: str, kind: type):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"complex dump: {where} must be {_KINDS[kind]}")
+    return value
+
+
+def _field(obj, key: str, where: str, kind: type):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"complex dump: {where}{key} is missing")
+    return _checked(obj[key], where + key, kind)
+
+
 def complex_from_json(d: dict) -> BifilteredComplex:
-    gens = [Generator(g["name"], g["maslov"], g["alg"], g["alex"])
-            for g in d["generators"]]
-    diff = {(e["source"], e["target"]): set(e["exponents"])
-            for e in d["differential"]}
+    """Inverse of complex_to_json; a malformed dump raises ValueError naming
+    the first bad field."""
+    gens = []
+    for i, g in enumerate(_field(d, "generators", "", list)):
+        where = f"generators[{i}]."
+        gens.append(Generator(_field(g, "name", where, str),
+                              *(_field(g, k, where, int)
+                                for k in ("maslov", "alg", "alex"))))
+    diff = {}
+    for i, e in enumerate(_field(d, "differential", "", list)):
+        where = f"differential[{i}]."
+        exps = _field(e, "exponents", where, list)
+        for k, n in enumerate(exps):
+            _checked(n, f"{where}exponents[{k}]", int)
+        diff[(_field(e, "source", where, int),
+              _field(e, "target", where, int))] = set(exps)
     return BifilteredComplex(gens, diff)

@@ -2,14 +2,14 @@
 
 Vectors are Python ints, bit i being coordinate i, so addition is XOR and
 arbitrary dimensions cost nothing extra.  Everything the homology engine
-needs (ranks, cycles of a column reduction, one solution of a linear system,
-affine-subspace intersection) is Gaussian elimination with the highest set
-bit as pivot, and `reduce_pair` is the only place that eliminates.
+needs (ranks, the cycles of a column reduction over a sublevel mask and the
+parity of a functional on them, one solution of a linear system) is Gaussian
+elimination with the highest set bit as pivot, and `reduce_pair` is the only
+place that eliminates.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Iterable, Optional, Sequence
 
 # Pivot -> (row, tag): each row's pivot is its highest set bit, and the tag
@@ -78,41 +78,3 @@ def solve(rows: Sequence[int], b: int) -> Optional[int]:
         if s ^ parity(row & x):
             x |= 1 << p
     return x
-
-
-class F2AffineSpace:
-    """Affine subspace base + span(directions) of GF(2)^dim."""
-
-    def __init__(self, base: int, directions: Iterable[int], dim: int):
-        self.dim = dim
-        self.base = base
-        basis = span_basis(directions)
-        # Reduced, so independent; kept as a plain list, the smallest form
-        # for the many spaces the engine caches.
-        self.directions = [basis[p][0] for p in sorted(basis)]
-
-    def through(self, base: int) -> "F2AffineSpace":
-        """The parallel space through base, sharing this space's direction
-        list (the same object, so affine_intersects can tell)."""
-        space = copy.copy(self)
-        space.base = base
-        return space
-
-    def rank(self) -> int:
-        return len(self.directions)
-
-    def __repr__(self) -> str:
-        return f"F2AffineSpace(dim={self.dim}, rank={self.rank()})"
-
-
-def affine_intersects(u: F2AffineSpace, v: F2AffineSpace) -> bool:
-    """Whether the two affine subspaces share a point.
-
-    u.base + span(U) meets v.base + span(V) iff u.base + v.base lies in
-    span(U union V), which is span(U) alone when both share one list.
-    """
-    if u.dim != v.dim:
-        raise ValueError("affine spaces live in different ambient dimensions")
-    dirs = u.directions
-    basis = span_basis(dirs if dirs is v.directions else dirs + v.directions)
-    return reduce_pair(u.base ^ v.base, 0, basis)[0] == 0

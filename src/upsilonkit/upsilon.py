@@ -13,17 +13,22 @@ changes when s crosses f_t of a slice basis element, and gamma's breakpoints
 in t only occur at the finitely many parameters where two distinct grading-0
 bifiltration levels take the same f_t value (the collinearity candidates).
 
-The secondary invariant at a jump parameter t measures how far the support
-line must retreat, along a second direction s, before the cycles coming from
-just below t and just above t become homologous:
+The cycles of a chamber (an open interval between candidates) are read off
+its sublevel mask M, the slice elements at or below gamma there: they are
+the essential cycles supported in M, since every grading-0 cycle is either
+essential or a boundary.  So both questions about a candidate t, with masks
+M- and M+ on the chambers below and above it, are column sweeps over masks.
+t is a jump when no essential cycle lies in M- and M+ at once.  The
+secondary invariant measures how far the support line must retreat, along
+a second direction s, before the cycles coming from just below t and just
+above t become homologous:
 
     gamma2_{t}(s) = min { r : some z+ and z- represent the same class in
                           H_0( C^t_{gamma(t)} + C^s_r ) }
 
-with z+/z- ranging over the affine spaces of minimal-level representative
-cycles on either side of t.  The scan over r is monotone (growing r only
-adds grading-1 elements), so the minimum is found by one incremental
-Gaussian elimination over the grading-1 thresholds.
+with z+ and z- essential cycles in M+ and M-.  The scan over r is monotone
+(growing r only adds grading-1 elements), so the minimum is found by one
+incremental Gaussian elimination over the grading-1 thresholds.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cfk import BifilteredComplex, tensor, validated_slices
-from .f2 import (Basis, F2AffineSpace, affine_intersects, reduce_pair,
-                 reduce_vector, solve)
+from .f2 import Basis, reduce_pair, reduce_vector, solve
 from .plfun import (NEG_INF, POS_INF, ExtRational, PLFunction, pl_from_samples,
                     _frac)
 
@@ -69,6 +73,7 @@ class JumpReport:
 class _GammaResult:
     value: Fraction
     witness: int                      # essential cycle over the slice-0 basis
+    mask: int                         # slice-0 elements with f_t <= value
     contact_levels: tuple[tuple[int, int], ...]
 
 
@@ -128,9 +133,6 @@ class _Engine:
         # The candidates cut [0,2] into chambers (ends[i], ends[i+1]).
         self.ends = (Fraction(0), *self.candidates, Fraction(2))
         self._gamma_cache: dict[Fraction, _GammaResult] = {}
-        self._cycle_cache: dict[Fraction, F2AffineSpace] = {}
-        # Sublevel mask -> the boundaries supported inside it.
-        self._inside_cache: dict[int, F2AffineSpace] = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -155,23 +157,14 @@ class _Engine:
 
     # -- scans ------------------------------------------------------------
 
-    def sublevel0(self, t: Fraction, level: Fraction) -> int:
-        """Bitmask of the grading-0 slice elements with f_t <= level."""
-        keys, scale = _keys(self.lev0, t)
-        top = math.floor(level * scale)
-        mask = 0
-        for i, k in enumerate(keys):
-            if k <= top:
-                mask |= 1 << i
-        return mask
-
     def gamma(self, t: Fraction) -> _GammaResult:
         """Minimal f_t level of an essential grading-0 cycle.
 
         Processes slice elements in increasing f_t order while column-reducing
         the grading-0 boundary map; every dependent column yields a cycle
         supported in the current sublevel set, and phi tells in O(1) whether
-        it is essential.  The first essential cycle fixes gamma(t).
+        it is essential.  The first essential cycle fixes gamma(t), and with
+        it the sublevel mask at gamma(t).
         """
         cached = self._gamma_cache.get(t)
         if cached is not None:
@@ -185,9 +178,14 @@ class _Engine:
             v, combo = reduce_pair(self.d0cols[i], 1 << i, reducer)
             if v == 0 and ((combo & phi).bit_count() & 1):
                 key = keys[i]
-                contacts = tuple(sorted(
-                    {self.lev0[j] for j in range(self.dim0) if keys[j] == key}))
-                result = _GammaResult(Fraction(key, scale), combo, contacts)
+                mask, contacts = 0, set()
+                for j, k in enumerate(keys):
+                    if k <= key:
+                        mask |= 1 << j
+                        if k == key:
+                            contacts.add(self.lev0[j])
+                result = _GammaResult(Fraction(key, scale), combo, mask,
+                                      tuple(sorted(contacts)))
                 break
         if result is None:
             raise AssertionError("no essential cycle found; complex invalid")
@@ -206,47 +204,34 @@ class _Engine:
         i = bisect_left(self.candidates, t)
         return i < len(self.candidates) and self.candidates[i] == t
 
-    def cycle_space(self, tside: Fraction) -> F2AffineSpace:
-        """Affine space of essential cycles in the f_{tside} sublevel set at
-        gamma(tside), for tside off the candidates.  Any point of a chamber
-        gives the same space (the f_t order of the levels is fixed in it), so
-        it is built once per chamber, at the midpoint.
+    def essential_sweep(self, inside: int, outside: int) -> Optional[Basis]:
+        """Eliminate the column (d0 e_i, e_i & outside) for every slice
+        element i in inside, tagged phi_i.  A zero residue with an odd tag
+        is a chain x in inside with d0 x = 0, phi(x) = 1 and no element
+        outside: an essential cycle.  Returns None at the first one, else
+        the basis, for the caller to eliminate further columns against.
 
-        The space is one witness plus the boundaries supported inside the
-        sublevel set.  Those depend on the sublevel mask alone, and many
-        chambers share a mask, so they are eliminated once per mask
-        (`boundaries_inside`) and the chambers' spaces share one direction
-        list.
+        The d0 part sits above the slice-0 coordinates, so a further column
+        with no d0 part is a plain slice-0 vector.
         """
-        tm, tp = self.beside(tside)
-        tside = tm + tp - tside                  # the chamber midpoint
-        cached = self._cycle_cache.get(tside)
-        if cached is not None:
-            return cached
-        res = self.gamma(tside)
-        sub = self.sublevel0(tside, res.value)
-        if res.witness & ~sub:
-            raise AssertionError("essential cycle leaves its sublevel set")
-        inside = self._inside_cache.get(sub)
-        if inside is None:
-            inside = self._inside_cache[sub] = self.boundaries_inside(sub)
-        space = inside.through(res.witness)
-        self._cycle_cache[tside] = space
-        return space
-
-    def boundaries_inside(self, sub: int) -> F2AffineSpace:
-        """The boundary space of the full complex intersected with the
-        coordinate subspace of sub, as a linear space: the image of the
-        kernel of "project a boundary combination onto the outside
-        coordinates"."""
-        outside = ~sub
+        phi = self.phi
         reducer: Basis = {}
-        dirs: list[int] = []
-        for col in self.d1cols:
-            o, v = reduce_pair(col & outside, col, reducer)
-            if o == 0 and v:
-                dirs.append(v)
-        return F2AffineSpace(0, dirs, self.dim0)
+        for i, col in enumerate(self.d0cols):
+            if inside >> i & 1:
+                v, odd = reduce_pair(col << self.dim0 | ((1 << i) & outside),
+                                     phi >> i & 1, reducer)
+                if v == 0 and odd:
+                    return None
+        return reducer
+
+    def is_jump(self, t: Fraction) -> bool:
+        """Whether no essential cycle lies in both masks beside the
+        candidate t.  A chamber witness inside the other mask is one;
+        otherwise one sweep over the meet of the masks looks for one."""
+        lo, hi = (self.gamma(x) for x in self.beside(t))
+        if not lo.witness & ~hi.mask or not hi.witness & ~lo.mask:
+            return False
+        return self.essential_sweep(lo.mask & hi.mask, 0) is not None
 
 
 _engines: "weakref.WeakKeyDictionary[BifilteredComplex, _Engine]" = (
@@ -318,11 +303,13 @@ def pivot_points(c: BifilteredComplex, t) -> PivotPair:
     return PivotPair(negative=neg[0], positive=pos[0], delta=delta)
 
 
-def cycle_space(c: BifilteredComplex, t_side) -> F2AffineSpace:
-    """Affine space of essential grading-0 cycles in the sublevel subcomplex
-    at gamma(t_side).  t_side must avoid the candidate parameters; any point
-    of a chamber gives the same space (for instance the t +/- delta of
-    pivot_points)."""
+def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
+    """The essential grading-0 cycles in the sublevel subcomplex at
+    gamma(t_side), as (base, directions): the gamma witness plus the span of
+    the boundaries supported there, a reduced basis in increasing pivot
+    order.  t_side must avoid the candidate parameters; any point of a
+    chamber gives the same space (for instance the t +/- delta of
+    pivot_points).  Built on demand; the engine itself reads masks."""
     t_side = _frac(t_side)
     if not 0 < t_side < 2:
         raise ValueError(f"t_side={t_side} outside (0,2)")
@@ -331,57 +318,63 @@ def cycle_space(c: BifilteredComplex, t_side) -> F2AffineSpace:
         raise ValueError(
             f"t_side={t_side} is a collinearity parameter; cycle spaces are "
             f"only defined off the candidate set")
-    return eng.cycle_space(t_side)
+    res = eng.gamma(t_side)
+    # A boundary combination is supported inside when its projection onto
+    # the outside coordinates vanishes.
+    outside = ~res.mask
+    reducer: Basis = {}
+    inside: Basis = {}
+    for col in eng.d1cols:
+        o, v = reduce_pair(col & outside, col, reducer)
+        if o == 0:
+            reduce_pair(v, 0, inside)
+    return res.witness, [inside[p][0] for p in sorted(inside)]
 
 
 def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     """Incremental minimal-r scan for the secondary invariant.
 
-    Unknown vector: a grading-1 chain w plus corrections z+ -> z+ + v+ and
-    z- -> z- + v- inside their affine spaces; the equation is
-    d(w) + v+ + v- = z+ + z-.  Columns always available: boundary columns of
-    grading-1 elements inside C^t_{gamma(t)} and the direction vectors of
-    both cycle spaces.  Remaining grading-1 columns enter in increasing f_s
-    order; solvability is monotone along the scan, and the first group whose
-    insertion makes the system consistent gives gamma2.
+    The question is whether some chain x in M+ with d0 x = 0 and
+    phi(x) = 1 (an essential cycle z+) and some allowed grading-1 chain w
+    leave x + d1 w inside M- (an essential cycle z-, homologous to z+).
+    One elimination answers it: the columns (d0 e_i, e_i outside M-) for i
+    in M+, tagged phi_i, then (d1 w outside M-), tagged 0, for the
+    grading-1 elements inside C^t_{gamma(t)} and then the others in
+    increasing f_s order.  A dependency with an odd tag is such a pair;
+    solvability is monotone along the scan, and the threshold at which the
+    first one appears gives gamma2 (-infinity before the f_s scan).
     """
     if not eng.is_candidate(t):
         return NEG_INF
-    tm, tp = eng.beside(t)
-    plus_space = eng.cycle_space(tp)
-    minus_space = eng.cycle_space(tm)
+    lo, hi = (eng.gamma(x) for x in eng.beside(t))
     g = eng.gamma(t)
-    # Cycles from just below/above t live inside the t-sublevel set.
-    if (plus_space.base | minus_space.base) & ~eng.sublevel0(t, g.value):
+    # The cycles from just below and above t, which lie in their masks,
+    # live inside the t-sublevel set.
+    if (lo.mask | hi.mask | lo.witness | hi.witness) & ~g.mask:
         raise AssertionError("a cycle from beside t leaves the sublevel set at t")
 
-    target = plus_space.base ^ minus_space.base
-    reducer: Basis = {}
+    outside = ~lo.mask
+    reducer = eng.essential_sweep(hi.mask, outside)
+    if reducer is None:
+        return NEG_INF
+
+    def closes(col: int) -> bool:
+        v, odd = reduce_pair(col & outside, 0, reducer)
+        return v == 0 and odd == 1
+
     keys_t, scale_t = _keys(eng.lev1, t)
     top_t = math.floor(g.value * scale_t)
     keys_s, scale_s = _keys(eng.lev1, s)
     rest: list[tuple[int, int]] = []
     for i, col in enumerate(eng.d1cols):
         if keys_t[i] <= top_t:
-            reduce_pair(col, 0, reducer)
+            if closes(col):
+                return NEG_INF
         else:
             rest.append((keys_s[i], col))
-    for v in plus_space.directions + minus_space.directions:
-        reduce_pair(v, 0, reducer)
-
-    residue = reduce_vector(target, reducer)
-    if residue == 0:
-        return NEG_INF
-
     rest.sort(key=lambda kv: kv[0])
-    i, n = 0, len(rest)
-    while i < n:
-        key = rest[i][0]
-        while i < n and rest[i][0] == key:
-            reduce_pair(rest[i][1], 0, reducer)
-            i += 1
-        residue = reduce_vector(residue, reducer)
-        if residue == 0:
+    for key, col in rest:
+        if closes(col):
             return Fraction(key, scale_s)
     raise AssertionError(
         "secondary invariant scan exhausted all grading-1 thresholds without "
@@ -389,9 +382,10 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
 
 
 def gamma2(c: BifilteredComplex, t, s) -> ExtRational:
-    """Minimal r at which some cycles from either side of t become homologous
-    in C^t_{gamma(t)} + C^s_r; -infinity when they already are at r -> -oo
-    (in particular whenever the two cycle sets meet)."""
+    """Minimal r at which some essential cycles in the sublevel masks just
+    below and just above t become homologous in C^t_{gamma(t)} + C^s_r;
+    -infinity when they already are at r -> -oo (in particular whenever one
+    essential cycle lies in both masks, that is when t is not a jump)."""
     t, s = _frac(t), _frac(s)
     if not 0 < t < 2:
         raise ValueError(f"gamma2 needs t in (0,2), got {t}")
@@ -415,15 +409,13 @@ def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
 
 
 def is_jump_value(c: BifilteredComplex, t) -> bool:
-    """Whether the cycle spaces just below and just above t are disjoint."""
+    """Whether the cycles just below and just above t are all distinct: no
+    essential cycle lies in both sublevel masks beside t."""
     t = _frac(t)
     if not 0 < t < 2:
         raise ValueError(f"jump test needs t in (0,2), got {t}")
     eng = _engine(c)
-    if not eng.is_candidate(t):
-        return False
-    tm, tp = eng.beside(t)
-    return not affine_intersects(eng.cycle_space(tp), eng.cycle_space(tm))
+    return eng.is_candidate(t) and eng.is_jump(t)
 
 
 def jump_values(c: BifilteredComplex,

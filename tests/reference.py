@@ -1,15 +1,16 @@
 """Reference constructions for the tests, written from the definitions and
 sharing no code with upsilonkit: grading slices, boundary maps as bitset
 columns, the Euler characteristic, the lower envelope of a family of
-lines, the collinearity parameters of a level set and the cycle spaces of a
-complex.
+lines, the collinearity parameters of a level set, the cycle spaces of a
+complex, and the jump test and secondary invariant computed on them.
 
 The brute-force oracles and the d^2 test use these, so they do not trust
 the slices the engine builds; the envelope tests use the all-pairs
 envelope, so they do not trust the hull sweep; the candidate and
 cycle-space tests build one Fraction per pair of levels and one
 elimination per parameter, so they do not trust the engine's dedupe and
-caches.
+caches; the jump and secondary-invariant tests intersect affine cycle
+spaces, so they do not trust the engine's mask sweeps.
 """
 
 from fractions import Fraction
@@ -32,11 +33,14 @@ def boundary(c, m):
     one bitset column per source element over the target slice."""
     target = {i: (k, n) for k, (i, n, _, _) in
               enumerate(slice_levels(c, m - 1))}
+    outgoing = {}
+    for (src, tgt), exps in c.differential.items():
+        outgoing.setdefault(src, []).append((tgt, exps))
     cols = []
     for i, n, _, _ in slice_levels(c, m):
         col = 0
-        for (src, tgt), exps in c.differential.items():
-            if src != i or tgt not in target:
+        for tgt, exps in outgoing.get(i, ()):
+            if tgt not in target:
                 continue
             k, tn = target[tgt]
             for e in exps:
@@ -113,6 +117,37 @@ def _reduce(v, tag, basis, insert=True):
     return v, tag
 
 
+def _data(c):
+    """d0, d1, the grading-0 and grading-1 levels and a basis of the
+    grading-0 boundaries."""
+    d1 = boundary(c, 1)
+    boundaries = {}
+    for col in d1:
+        _reduce(col, 0, boundaries)
+    return (boundary(c, 0), d1,
+            [(alg, alex) for _, _, alg, alex in slice_levels(c, 0)],
+            [(alg, alex) for _, _, alg, alex in slice_levels(c, 1)],
+            boundaries)
+
+
+def _f(t, level):
+    alg, alex = level
+    return alg + t * (alex - alg) / 2
+
+
+def _gamma(data, t):
+    """(gamma(t), the first essential cycle of the column reduction of d0
+    in f_t order, ties by slice index); a cycle is essential when it is not
+    a boundary."""
+    d0, _, levels, _, boundaries = data
+    columns = {}
+    for i in sorted(range(len(levels)), key=lambda j: _f(t, levels[j])):
+        v, base = _reduce(d0[i], 1 << i, columns)
+        if v == 0 and _reduce(base, 0, boundaries, insert=False)[0]:
+            return _f(t, levels[i]), base
+    raise AssertionError("no essential cycle")
+
+
 def cycle_spaces(c, ts):
     """(base, directions) of the essential grading-0 cycles at gamma(t), for
     each t off the candidate parameters, rebuilt from scratch at every t.
@@ -120,24 +155,16 @@ def cycle_spaces(c, ts):
     It runs the engine's eliminations in the engine's order, so equal
     output means the same lists, not only the same spaces.  base is the
     first essential cycle of the column reduction of d0 in f_t order (ties
-    by slice index); a cycle is essential when it is not a boundary.  The
-    directions span the boundaries supported in the sublevel set at
-    gamma(t), as a reduced basis in increasing pivot order.
+    by slice index).  The directions span the boundaries supported in the
+    sublevel set at gamma(t), as a reduced basis in increasing pivot order.
     """
-    d0, d1 = boundary(c, 0), boundary(c, 1)
-    levels = [(alg, alex) for _, _, alg, alex in slice_levels(c, 0)]
-    boundaries = {}
-    for col in d1:
-        _reduce(col, 0, boundaries)
+    data = _data(c)
+    _, d1, levels, _, _ = data
     out = []
     for t in ts:
-        f = [(t / 2) * alex + (1 - t / 2) * alg for alg, alex in levels]
-        columns = {}
-        for i in sorted(range(len(f)), key=f.__getitem__):
-            v, base = _reduce(d0[i], 1 << i, columns)
-            if v == 0 and _reduce(base, 0, boundaries, insert=False)[0]:
-                break
-        outside = ~sum(1 << j for j, fj in enumerate(f) if fj <= f[i])
+        g, base = _gamma(data, t)
+        outside = ~sum(1 << j for j, lev in enumerate(levels)
+                       if _f(t, lev) <= g)
         kernel, dirs = {}, []
         for col in d1:
             o, v = _reduce(col & outside, col, kernel)
@@ -147,4 +174,62 @@ def cycle_spaces(c, ts):
         for v in dirs:
             _reduce(v, 0, span)
         out.append((base, [span[p][0] for p in sorted(span)]))
+    return out
+
+
+def secondary(c, ts, ss):
+    """The per-chamber jump test and secondary invariant at each candidate
+    t in ts, on the affine cycle spaces beside t: a list of
+    (is_jump, [gamma2(t, s) for s in ss]), where an s of None stands for t
+    and a value of None for -infinity.
+
+    t is a jump when the cycle spaces of the chambers either side of it are
+    disjoint affine spaces.  gamma2 solves d1 w + v+ + v- = z+ + z- for a
+    grading-1 chain w, with v+ and v- directions of the two spaces: first
+    with w inside C^t_{gamma(t)}, then admitting the other grading-1
+    elements in increasing f_s order, a whole level at a time.
+    """
+    data = _data(c)
+    _, d1, levels0, levels1, _ = data
+    ends = [Fraction(0), *collinearity_parameters(levels0), Fraction(2)]
+    sides = {}
+    for t in ts:
+        k = ends.index(t)
+        sides[t] = ((ends[k - 1] + t) / 2, (t + ends[k + 1]) / 2)
+    mids = sorted({x for pair in sides.values() for x in pair})
+    space = dict(zip(mids, cycle_spaces(c, mids)))
+    out = []
+    for t in ts:
+        (zm, dm), (zp, dp) = (space[x] for x in sides[t])
+        meet = {}
+        for v in dm + dp:
+            _reduce(v, 0, meet)
+        target = zm ^ zp
+        jump = _reduce(target, 0, meet, insert=False)[0] != 0
+        g = _gamma(data, t)[0]
+        inside, later = dict(meet), []
+        for col, lev in zip(d1, levels1):
+            if _f(t, lev) <= g:
+                _reduce(col, 0, inside)
+            else:
+                later.append((lev, col))
+        values = []
+        for s in ss:
+            s = t if s is None else s
+            reducer = dict(inside)
+            residue = _reduce(target, 0, reducer, insert=False)[0]
+            value = None
+            scan = sorted((_f(s, lev), col) for lev, col in later) \
+                if residue else []
+            k = 0
+            while residue and k < len(scan):
+                value = scan[k][0]
+                while k < len(scan) and scan[k][0] == value:
+                    _reduce(scan[k][1], 0, reducer)
+                    k += 1
+                residue = _reduce(residue, 0, reducer, insert=False)[0]
+            if residue:
+                raise AssertionError("secondary scan exhausted")
+            values.append(value)
+        out.append((jump, values))
     return out

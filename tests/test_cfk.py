@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -291,3 +292,20 @@ def test_json_round_trip():
     assert signature(c2) == signature(c)
     assert c2.differential == c.differential
     assert [g.name for g in c2.generators] == [g.name for g in c.generators]
+
+
+@pytest.mark.parametrize("dump,field", [
+    ({}, "generators"),
+    ({"generators": "x", "differential": []}, "generators"),
+    ({"generators": [{"name": "a", "alg": 0, "alex": 0}], "differential": []},
+     "generators[0].maslov"),
+    ({"generators": [{"name": "a", "maslov": 0, "alg": 0, "alex": 0}]},
+     "differential"),
+    ({"generators": [{"name": "a", "maslov": 0, "alg": 0, "alex": 0},
+                     {"name": "b", "maslov": -1, "alg": 0, "alex": 0}],
+      "differential": [{"source": 0, "target": 1, "exponents": [0.5]}]},
+     "differential[0].exponents[0]"),
+])
+def test_malformed_json_names_field(dump, field):
+    with pytest.raises(ValueError, match=re.escape(f"complex dump: {field} ")):
+        complex_from_json(dump)

@@ -1,18 +1,8 @@
-import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from upsilonkit.f2 import (
-    F2AffineSpace,
-    affine_intersects,
-    parity,
-    reduce_pair,
-    reduce_vector,
-    solve,
-    span_basis,
-)
+from upsilonkit.f2 import parity, reduce_pair, reduce_vector, solve, span_basis
 
 
 def _random_rows(rng, nrows, ncols):
@@ -42,9 +32,9 @@ def _rowspan_size(rows) -> int:
 
 class TestReducePair:
     def test_residues_are_tagged_combinations(self):
-        # The contract gamma, the essential functional and cycle_space rely
-        # on: each residue is the XOR of the inputs its tag selects, and
-        # exactly input count - rank inputs reduce to zero.
+        # The contract gamma, the essential functional, the mask sweeps and
+        # cycle_space rely on: each residue is the XOR of the inputs its tag
+        # selects, and exactly input count - rank inputs reduce to zero.
         rng = random.Random(19)
         for _ in range(60):
             n, dim = rng.randint(1, 12), rng.randint(1, 8)
@@ -150,89 +140,3 @@ class TestMatrixOps:
     def test_parity(self):
         assert parity(0b1011) == 1
         assert parity(0b1001) == 0
-
-
-class TestAffine:
-    def test_equal_spaces_intersect(self):
-        u = F2AffineSpace(0b101, [0b110], 3)
-        assert affine_intersects(u, u)
-
-    def test_parallel_distinct_lines(self):
-        # base e1 vs e2, both with direction e3: never meet
-        u = F2AffineSpace(0b001, [0b100], 3)
-        v = F2AffineSpace(0b010, [0b100], 3)
-        assert not affine_intersects(u, v)
-
-    def test_symmetric(self):
-        rng = random.Random(47)
-        for _ in range(50):
-            dim = rng.randint(1, 8)
-            u = F2AffineSpace(rng.getrandbits(dim),
-                              [rng.getrandbits(dim) for _ in range(rng.randint(0, 3))],
-                              dim)
-            v = F2AffineSpace(rng.getrandbits(dim),
-                              [rng.getrandbits(dim) for _ in range(rng.randint(0, 3))],
-                              dim)
-            assert affine_intersects(u, v) == affine_intersects(v, u)
-
-    def test_against_enumeration(self):
-        rng = random.Random(53)
-        for _ in range(40):
-            dim = rng.randint(1, 6)
-            def make():
-                return F2AffineSpace(
-                    rng.getrandbits(dim),
-                    [rng.getrandbits(dim) for _ in range(rng.randint(0, 2))],
-                    dim)
-            u, v = make(), make()
-
-            def points(s):
-                dirs = s.directions
-                pts = set()
-                for coeffs in itertools.product((0, 1), repeat=len(dirs)):
-                    x = s.base
-                    for c, d in zip(coeffs, dirs):
-                        if c:
-                            x ^= d
-                    pts.add(x)
-                return pts
-
-            assert affine_intersects(u, v) == bool(points(u) & points(v))
-
-    def test_contains(self):
-        u = F2AffineSpace(0b001, [0b110], 3)
-
-        def point(x):
-            return F2AffineSpace(x, [], 3)
-
-        assert affine_intersects(u, point(0b001))
-        assert affine_intersects(u, point(0b111))
-        assert not affine_intersects(u, point(0b000))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 8).flatmap(lambda dim: st.tuples(
-        st.just(dim), st.integers(0, 2 ** dim - 1),
-        st.integers(0, 2 ** dim - 1),
-        st.lists(st.integers(0, 2 ** dim - 1), max_size=6))))
-    def test_shared_direction_list(self, case):
-        # Spaces through one linear space share its list, and the jump test
-        # then spans it once; the answer must be the one for two lists.
-        dim, a, b, vectors = case
-        linear = F2AffineSpace(0, vectors, dim)
-        u, v = linear.through(a), linear.through(b)
-        assert u.directions is v.directions is linear.directions
-        assert (u.base, v.base, u.dim) == (a, b, dim)
-        copied = F2AffineSpace(b, list(linear.directions), dim)
-        assert copied.directions is not u.directions
-        expected = reduce_vector(a ^ b, span_basis(vectors)) == 0
-        assert affine_intersects(u, v) == expected
-        assert affine_intersects(u, copied) == expected
-        assert affine_intersects(copied, u) == expected
-
-    def test_directions_are_reduced(self):
-        u = F2AffineSpace(0, [0b11, 0b11, 0b01], 2)
-        assert u.rank() == 2
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            affine_intersects(F2AffineSpace(0, [], 2), F2AffineSpace(0, [], 3))

@@ -1,7 +1,9 @@
-"""Repository-level checks: no tracked build artefacts, and no correctness
-check that `python -O` would strip."""
+"""Repository-level checks: no tracked build artefacts, no correctness
+check that `python -O` would strip, and no function name the benchmark
+tracer wraps missing from the package."""
 
 import ast
+import importlib
 import shutil
 import subprocess
 from pathlib import Path
@@ -32,3 +34,18 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_traced_names_exist():
+    # The benchmark tracer wraps these upsilonkit functions by name; a
+    # removed or renamed one would break its traced runs.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    [wrapped] = [node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["WRAPPED"]]
+    missing = [f"{layer}.{name}"
+               for layer, names in ast.literal_eval(wrapped).items()
+               for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"upsilonkit.{layer}"), name, None))]
+    assert missing == []

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import (apply, boundary, collinearity_parameters, cycle_spaces,
-                       slice_levels)
+                       secondary, slice_levels)
 from upsilonkit.cfk import (dual, from_staircase, shift_filtration, tensor,
                             unknot_complex)
-from upsilonkit.f2 import affine_intersects, reduce_vector, span_basis
+from upsilonkit.f2 import reduce_vector, span_basis
 from upsilonkit.plfun import (NEG_INF, POS_INF, pl_add, pl_constant, pl_equal,
                               pl_eval, pl_neg)
 from upsilonkit.staircase import build_staircase, upsilon_staircase
@@ -19,6 +20,7 @@ from upsilonkit.upsilon import (InvalidComplexError, candidate_parameters,
                                 pivot_points, upsilon2, upsilon_pl,
                                 _collinearity_parameters, _engine, _Engine)
 from upsilonkit.cfk import BifilteredComplex, Generator
+from upsilonkit.cli import main
 
 
 def torus_complex(p, q):
@@ -260,26 +262,27 @@ class TestPivots:
             pivot_points(torus_complex(3, 4), 2)
 
 
+def _vanishing_family(p):
+    """T(p,p+1) # T(2,p) # -T(p,p+2): Upsilon vanishes, Upsilon2 does not."""
+    return tensor(tensor(torus_complex(p, p + 1), torus_complex(2, p)),
+                  dual(torus_complex(p, p + 2)))
+
+
 class TestCycleSpace:
     def test_unknot_single_point(self):
-        cs = cycle_space(unknot_complex(), F(1))
-        assert cs.base == 0b1
-        assert cs.rank() == 0
+        assert cycle_space(unknot_complex(), F(1)) == (0b1, [])
 
     def test_t34_minus_side(self):
         c = torus_complex(3, 4)
         delta = pivot_points(c, F(2, 3)).delta
-        cs = cycle_space(c, F(2, 3) - delta)
         # the lone white at (0,3) is slice index 0
-        assert cs.base == 0b001
-        assert cs.rank() == 0
+        assert cycle_space(c, F(2, 3) - delta) == (0b001, [])
 
     def test_dual_all_whites_cycle(self):
         c = dual(torus_complex(2, 5))
         delta = pivot_points(c, F(1)).delta
         lo, hi = cycle_space(c, F(1) - delta), cycle_space(c, F(1) + delta)
-        assert lo.base == hi.base == 0b111
-        assert lo.rank() == hi.rank() == 0
+        assert lo == hi == (0b111, [])
 
     def test_candidate_parameter_rejected(self):
         with pytest.raises(ValueError, match="collinearity"):
@@ -295,9 +298,6 @@ class TestCycleSpace:
     def test_one_space_per_chamber(self, name, make):
         c = make()
         cands = candidate_parameters(c)
-        jump_values(c)
-        cache = _engine(c)._cycle_cache
-        assert len(cache) <= len(cands) + 1, name
         ends = [F(0), *cands, F(2)]
         for k, t in enumerate(cands, start=1):
             delta = pivot_points(c, t).delta
@@ -305,50 +305,116 @@ class TestCycleSpace:
                               (1, (t + ends[k + 1]) / 2)):
                 spaces = [cycle_space(c, x) for x in
                           (t + sign * delta, mid, t + sign * delta / 3)]
-                assert len({s.base for s in spaces}) == 1, (name, t, sign)
-                assert len({tuple(s.directions) for s in spaces}) == 1, (
-                    name, t, sign)
-        assert len(cache) <= len(cands) + 1, name
+                assert spaces[0] == spaces[1] == spaces[2], (name, t, sign)
 
     @pytest.mark.parametrize("name,make,chambers,masks", [
         ("T(3,4)#T(2,5)",
          lambda: tensor(torus_complex(3, 4), torus_complex(2, 5)), 8, 4),
-        ("T(5,6)#T(2,5)#-T(5,7)",
-         lambda: tensor(tensor(torus_complex(5, 6), torus_complex(2, 5)),
-                        dual(torus_complex(5, 7))), 166, 38),
+        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5), 166, 38),
     ])
-    def test_one_elimination_per_sublevel_mask(self, monkeypatch, name, make,
-                                               chambers, masks):
-        eliminated = []
-        boundaries_inside = _Engine.boundaries_inside
-
-        def counted(eng, sub):
-            eliminated.append(sub)
-            return boundaries_inside(eng, sub)
-
-        monkeypatch.setattr(_Engine, "boundaries_inside", counted)
+    def test_matches_reference_at_chamber_midpoints(self, name, make,
+                                                    chambers, masks):
+        # The directions depend on the sublevel mask alone, so chambers
+        # with one mask share them.
         c = make()
-        jump_values(c)
         eng = _engine(c)
         ends = eng.ends
         mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
         assert len(mids) == chambers, name
-        seen = {eng.sublevel0(m, eng.gamma(m).value) for m in mids}
-        assert len(seen) == masks, name
-        assert sorted(eliminated) == sorted(seen), name
-        rebuilt = cycle_spaces(c, mids)
-        for m, (base, dirs) in zip(mids, rebuilt):
+        dirs_of_mask = {}
+        for m, expected in zip(mids, cycle_spaces(c, mids)):
             space = cycle_space(c, m)
-            assert (space.base, space.directions) == (base, dirs), (name, m)
-        assert len(eliminated) == masks, name
+            assert space == expected, (name, m)
+            assert space[0] == eng.gamma(m).witness, (name, m)
+            mask = eng.gamma(m).mask
+            assert dirs_of_mask.setdefault(mask, space[1]) == space[1], (
+                name, m)
+        assert len(dirs_of_mask) == masks, name
 
     def test_t34_no_jump_at_1(self):
         c = torus_complex(3, 4)
-        delta = pivot_points(c, F(1)).delta
-        zplus = cycle_space(c, F(1) + delta)
-        zminus = cycle_space(c, F(1) - delta)
-        assert affine_intersects(zplus, zminus)
+        [(jump, _)] = secondary(c, [F(1)], [])
+        assert not jump
         assert not is_jump_value(c, F(1))
+
+
+S_VALUES = (None, F(0), F(1, 3), F(1), F(3, 2), F(2))   # None stands for t
+
+
+def _engine_gamma2(value):
+    return value if value is not NEG_INF else None
+
+
+class TestSecondaryOracle:
+    """The mask sweeps against the affine cycle spaces of the reference."""
+
+    @pytest.mark.parametrize("name,make", SMALL_COMPLEXES + [
+        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5))])
+    def test_every_candidate(self, name, make):
+        c = make()
+        cands = candidate_parameters(c)
+        expected = secondary(c, cands, S_VALUES)
+        for t, (jump, values) in zip(cands, expected):
+            assert is_jump_value(c, t) == jump, (name, t)
+            got = [_engine_gamma2(gamma2(c, t, t if s is None else s))
+                   for s in S_VALUES]
+            assert got == values, (name, t)
+
+    def test_p7_family_at_its_jumps(self):
+        c = _vanishing_family(7)
+        jumps = [r.t for r in jump_values(c) if r.is_jump]
+        assert jumps == [F(4, 7), F(6, 7), F(8, 7), F(10, 7)]
+        for t, (jump, values) in zip(jumps, secondary(c, jumps, S_VALUES)):
+            assert jump, t
+            got = [_engine_gamma2(gamma2(c, t, t if s is None else s))
+                   for s in S_VALUES]
+            assert got == values, t
+
+
+class TestCertificates:
+    """The consistency checks of gamma2 raise (exit 3), also under -O."""
+
+    @pytest.fixture
+    def corrupt_beside(self, monkeypatch):
+        """Make gamma at the points beside t = 2/3 of T(3,4) report a
+        field grown by one slice element outside gamma(2/3)'s mask."""
+        def corrupt(field):
+            t = F(2, 3)
+            c = torus_complex(3, 4)
+            eng = _engine(c)
+            outside = ~eng.gamma(t).mask & ((1 << eng.dim0) - 1)
+            assert outside
+            extra = outside & -outside
+            gamma = _Engine.gamma
+
+            def patched(self, x):
+                res = gamma(self, x)
+                if x == t:
+                    return res
+                return dataclasses.replace(
+                    res, **{field: getattr(res, field) | extra})
+
+            monkeypatch.setattr(_Engine, "gamma", patched)
+            return c, t
+        return corrupt
+
+    @pytest.mark.parametrize("field", ["mask", "witness"])
+    def test_cycle_outside_sublevel_set_raises(self, corrupt_beside, field):
+        c, t = corrupt_beside(field)
+        with pytest.raises(AssertionError, match="leaves the sublevel set"):
+            gamma2(c, t, t)
+
+    def test_cli_exit_code(self, corrupt_beside, capsys):
+        corrupt_beside("mask")
+        assert main(["upsilon2", "T(3,4)", "--t", "2/3"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
+
+    def test_exhausted_scan_raises(self):
+        c = torus_complex(3, 4)
+        eng = _engine(c)
+        eng.d1cols = [0] * len(eng.d1cols)
+        with pytest.raises(AssertionError, match="exhausted"):
+            gamma2(c, F(2, 3), F(2, 3))
 
 
 class TestSecondary:
