@@ -14,7 +14,6 @@ from .plfun import (
     pl_constant,
     pl_equal,
     pl_eval,
-    pl_from_json,
     pl_from_samples,
     pl_lower_envelope,
     pl_neg,

@@ -254,9 +254,9 @@ def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
         if isinstance(node, Mirror):
             return dual(build(node.expr))
         if isinstance(node, Multiple):
-            out = build(node.expr)
+            summand = out = build(node.expr)
             for _ in range(node.n - 1):
-                out = tensor(out, build(node.expr))
+                out = tensor(out, summand)
             return out
         if isinstance(node, Sum):
             out = build(node.parts[0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -27,12 +28,13 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+@total_ordering
 class Infinity:
     """A signed infinity adjoined to the rationals.
 
-    Only the two module singletons POS_INF and NEG_INF exist.  Ordering puts
-    NEG_INF below every rational and POS_INF above.  Adding a finite value
-    keeps the infinity; adding infinities of opposite sign raises.
+    Only the two module singletons POS_INF and NEG_INF exist.  They are
+    ordered values with no arithmetic: NEG_INF lies below every rational
+    and POS_INF above.
     """
 
     __slots__ = ("sign",)
@@ -43,71 +45,18 @@ class Infinity:
     def __repr__(self) -> str:
         return "inf" if self.sign > 0 else "-inf"
 
-    def __neg__(self) -> "Infinity":
-        return NEG_INF if self.sign > 0 else POS_INF
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Infinity) and other.sign == self.sign
 
     def __hash__(self) -> int:
         return hash(("Infinity", self.sign))
 
-    def _cmp_known(self, other) -> bool:
-        return isinstance(other, (Infinity, Fraction, int))
-
     def __lt__(self, other):
-        if not self._cmp_known(other):
-            return NotImplemented
         if isinstance(other, Infinity):
             return self.sign < other.sign
-        return self.sign < 0
-
-    def __le__(self, other):
-        if not self._cmp_known(other):
-            return NotImplemented
-        return self == other or self < other
-
-    def __gt__(self, other):
-        if not self._cmp_known(other):
-            return NotImplemented
-        if isinstance(other, Infinity):
-            return self.sign > other.sign
-        return self.sign > 0
-
-    def __ge__(self, other):
-        if not self._cmp_known(other):
-            return NotImplemented
-        return self == other or self > other
-
-    def __add__(self, other):
-        if isinstance(other, Infinity):
-            if other.sign != self.sign:
-                raise ArithmeticError("cannot add infinities of opposite sign")
-            return self
         if isinstance(other, (Fraction, int)):
-            return self
+            return self.sign < 0
         return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Infinity):
-            return self + (-other)
-        if isinstance(other, (Fraction, int)):
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            if other == 0:
-                raise ArithmeticError("cannot multiply infinity by zero")
-            return self if other > 0 else -self
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 POS_INF = Infinity(1)
@@ -131,20 +80,10 @@ def rational_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def rational_from_json(d: dict) -> Fraction:
-    return Fraction(d["num"], d["den"])
-
-
 def ext_to_json(x: ExtRational) -> dict:
     if isinstance(x, Infinity):
         return {"inf": x.sign}
     return rational_to_json(x)
-
-
-def ext_from_json(d: dict) -> ExtRational:
-    if "inf" in d:
-        return POS_INF if d["inf"] > 0 else NEG_INF
-    return rational_from_json(d)
 
 
 T_MIN = Fraction(0)
@@ -310,10 +249,3 @@ def pl_to_json(f: PLFunction) -> dict:
             for t, v in f.breakpoints
         ]
     }
-
-
-def pl_from_json(d: dict) -> PLFunction:
-    return pl_from_samples(
-        [(rational_from_json(p["t"]), rational_from_json(p["v"]))
-         for p in d["breakpoints"]]
-    )

@@ -45,41 +45,11 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, exp: int, coef: int = 1) -> "LaurentPoly":
-        return cls({exp: coef})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_exp(self) -> int:
-        return max(self.terms)
 
     def sorted_terms(self) -> list[tuple[int, int]]:
         return sorted(self.terms.items())
@@ -103,29 +73,6 @@ class LaurentPoly:
     def to_json(self) -> dict:
         return {"terms": [{"exp": e, "coef": c} for e, c in self.sorted_terms()]}
 
-    @classmethod
-    def from_json(cls, d: dict) -> "LaurentPoly":
-        return cls({t["exp"]: t["coef"] for t in d["terms"]})
-
-
-def poly_divexact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact quotient num / den; raises if the division leaves a remainder."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = LaurentPoly(dict(num.terms))
-    lead_e = den.max_exp()
-    lead_c = den.terms[lead_e]
-    quot: dict[int, int] = {}
-    while not rem.is_zero():
-        e = rem.max_exp()
-        c = rem.terms[e]
-        if e < lead_e or c % lead_c != 0:
-            raise ArithmeticError("polynomial division is not exact")
-        qe, qc = e - lead_e, c // lead_c
-        quot[qe] = qc
-        rem = rem - den * LaurentPoly.monomial(qe, qc)
-    return LaurentPoly(quot)
-
 
 @dataclass(frozen=True)
 class SemigroupRuns:
@@ -140,8 +87,6 @@ class SemigroupRuns:
 
 
 def _check_params(p: int, q: int) -> None:
-    if p < 1 or q < 1:
-        raise ValueError(f"torus parameters must be positive, got ({p},{q})")
     if p >= q:
         raise ValueError(f"torus parameters must satisfy p < q, got ({p},{q})")
     if gcd(p, q) != 1:
@@ -149,14 +94,15 @@ def _check_params(p: int, q: int) -> None:
 
 
 def _is_unknot(p: int, q: int) -> bool:
+    """T(1,n) and T(n,1) are the unknot; non-positive parameters raise."""
+    if p < 1 or q < 1:
+        raise ValueError(f"torus parameters must be positive, got ({p},{q})")
     return p == 1 or q == 1
 
 
 def semigroup_runs(p: int, q: int) -> SemigroupRuns:
     """Runs of S = {ap+bq : a,b >= 0} up to the conductor (p-1)(q-1)."""
     if _is_unknot(p, q):
-        if not (p == 1 or q == 1) or gcd(p, q) != 1:
-            raise ValueError(f"invalid torus parameters ({p},{q})")
         return SemigroupRuns((), 0)
     _check_params(p, q)
     conductor = (p - 1) * (q - 1)
@@ -190,18 +136,31 @@ def alexander_torus(p: int, q: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def _divide_one_minus(coeffs: list[int], n: int) -> list[int]:
+    """Coefficients of (sum_i coeffs[i] t^i) / (1 - t^n), or ArithmeticError.
+
+    The quotient's coefficients are the running sums of coeffs with stride
+    n; the division is exact iff the last n running sums are zero.
+    """
+    sums = list(coeffs)
+    for i in range(n, len(sums)):
+        sums[i] += sums[i - n]
+    if any(sums[-n:]):
+        raise ArithmeticError(f"division by 1 - t^{n} is not exact")
+    return sums[:-n]
+
+
 def alexander_oracle(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of T(p,q) as the classical rational-function
-    quotient (1-t^{pq})(1-t) / ((1-t^p)(1-t^q)), computed by exact division."""
+    quotient (1-t^{pq})(1-t) / ((1-t^p)(1-t^q)), computed by exact division
+    of coefficient lists."""
     if _is_unknot(p, q):
         return LaurentPoly.one()
     _check_params(p, q)
-
-    def one_minus(n: int) -> LaurentPoly:
-        return LaurentPoly({0: 1, n: -1})
-
-    num = one_minus(p * q) * one_minus(1)
-    return poly_divexact(poly_divexact(num, one_minus(p)), one_minus(q))
+    num = [0] * (p * q + 2)
+    num[0], num[1], num[p * q], num[p * q + 1] = 1, -1, -1, 1
+    quot = _divide_one_minus(_divide_one_minus(num, p), q)
+    return LaurentPoly(dict(enumerate(quot)))
 
 
 def staircase_steps(p: int, q: int) -> list[int]:
@@ -229,8 +188,6 @@ class Staircase:
 def build_staircase(p: int, q: int) -> Staircase:
     """Staircase of T(p,q); the unknot gives a single white at the origin."""
     if _is_unknot(p, q):
-        if gcd(p, q) != 1:
-            raise ValueError(f"invalid torus parameters ({p},{q})")
         return Staircase((), ((0, 0),), (), 0)
     rs = semigroup_runs(p, q)
     genus = (p - 1) * (q - 1) // 2

@@ -40,11 +40,9 @@ def _verdict(name: str, detail: str, label: str, bad: list) -> CheckResult:
                        detail + (f"; {label}: {bad}" if bad else ""))
 
 
-def _coprime_pairs(pmin: int, pmax: int, qmax: int,
-                   qmax_of_p: Callable[[int], int] | None = None):
+def _coprime_pairs(pmin: int, pmax: int, qmax: int):
     for p in range(pmin, pmax + 1):
-        hi = min(qmax, qmax_of_p(p)) if qmax_of_p else qmax
-        for q in range(p + 1, hi + 1):
+        for q in range(p + 1, qmax + 1):
             if gcd(p, q) == 1:
                 yield p, q
 
@@ -204,8 +202,9 @@ def check_non_jump(fast: bool = False) -> CheckResult:
     pmax = 7 if fast else 9
     bad = []
     count = 0
-    for p, q in _coprime_pairs(2, pmax, 2 * pmax,
-                               qmax_of_p=lambda p: 2 * p - 1):
+    for p, q in _coprime_pairs(2, pmax, 2 * pmax):
+        if q >= 2 * p:
+            continue
         count += 1
         if is_jump_value(_torus_complex(p, q), Fraction(4, q)):
             bad.append((p, q))

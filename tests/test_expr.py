@@ -157,6 +157,9 @@ class TestRealize:
         realize(parse_expr("T(7,8) # T(2,7) # -T(7,9)"))
         # once for the size check and once for the staircase, per factor
         assert len(sieved) <= 6
+        sieved.clear()
+        realize(parse_expr("3*T(2,5)"))
+        assert sieved == [(2, 5), (2, 5)]
 
     def test_size_lower_bound_never_refuses_a_fitting_knot(self):
         # The pre-sieve bound 2p - 1 must not exceed the exact count.

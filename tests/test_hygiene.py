@@ -1,6 +1,6 @@
 """Repository-level checks: no tracked build artefacts, no correctness
-check that `python -O` would strip, and no function name the benchmark
-tracer wraps missing from the package."""
+check that `python -O` would strip, no floating point in the package, and
+no function name the benchmark tracer wraps missing from the package."""
 
 import ast
 import importlib
@@ -26,14 +26,30 @@ def test_no_tracked_file_is_ignored():
     assert tracked.stdout == ""
 
 
-def test_no_assert_statements_in_src():
+def src_nodes_where(predicate) -> list[str]:
+    """path:line of every AST node in src/ that satisfies predicate."""
     modules = sorted((ROOT / "src").rglob("*.py"))
     assert modules
-    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
-             for path in modules
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Assert)]
-    assert found == []
+    return [f"{path.relative_to(ROOT)}:{node.lineno}"
+            for path in modules
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if predicate(node)]
+
+
+def test_no_assert_statements_in_src():
+    assert src_nodes_where(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def is_float_literal_or_call(node) -> bool:
+    # `isinstance(x, float)` names float without calling it, so it passes.
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float")
+
+
+def test_no_floats_in_src():
+    assert src_nodes_where(is_float_literal_or_call) == []
 
 
 def test_traced_names_exist():

@@ -8,8 +8,8 @@ from upsilonkit.staircase import (
     LaurentPoly,
     alexander_oracle,
     alexander_torus,
+    _divide_one_minus,
     build_staircase,
-    poly_divexact,
     semigroup_runs,
     staircase_steps,
     upsilon_staircase,
@@ -70,6 +70,13 @@ class TestSemigroup:
             assert rs.runs[-1][1] <= rs.tail_start - 2
             assert rs.tail_start == (p - 1) * (q - 1)
 
+    @pytest.mark.parametrize("build", [semigroup_runs, build_staircase,
+                                       alexander_torus, alexander_oracle])
+    @pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (1, -5), (-3, 1)])
+    def test_non_positive_parameters_rejected(self, build, p, q):
+        with pytest.raises(ValueError, match="positive"):
+            build(p, q)
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             semigroup_runs(4, 6)
@@ -97,7 +104,7 @@ class TestAlexander:
         assert alexander_oracle(1, 7) == LaurentPoly.one()
 
     def test_agreement_sweep(self):
-        for p, q in coprime_pairs(16):
+        for p, q in coprime_pairs(60):
             assert alexander_torus(p, q) == alexander_oracle(p, q), (p, q)
 
     def test_coefficients_alternate(self):
@@ -110,12 +117,16 @@ class TestAlexander:
 
     def test_divexact_rejects_inexact(self):
         with pytest.raises(ArithmeticError):
-            poly_divexact(LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 2: 1}))
+            _divide_one_minus([1, 1], 2)
+        with pytest.raises(ArithmeticError):
+            _divide_one_minus([1, 0, 1], 2)
+        assert _divide_one_minus([1, 0, 0, -1], 3) == [1]
 
     def test_poly_json_round_trip(self):
         poly = alexander_torus(3, 4)
-        assert LaurentPoly.from_json(poly.to_json()) == poly
-        assert poly.to_json()["terms"] == [
+        terms = poly.to_json()["terms"]
+        assert LaurentPoly({t["exp"]: t["coef"] for t in terms}) == poly
+        assert terms == [
             {"exp": 0, "coef": 1}, {"exp": 1, "coef": -1}, {"exp": 3, "coef": 1},
             {"exp": 5, "coef": -1}, {"exp": 6, "coef": 1}]
 
