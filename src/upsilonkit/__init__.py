@@ -20,7 +20,6 @@ from .plfun import (
     pl_scale,
     pl_to_json,
 )
-from .f2 import solve
 from .staircase import (
     LaurentPoly,
     SemigroupRuns,

@@ -10,7 +10,7 @@ filtration levels by 1.
 The whole module treats complexes as immutable values.  Connected sum of
 knots is tensor product of complexes, the mirror is the dual, and the
 grading-0 and grading-1 slices give the finite GF(2) picture (one
-U-translate per generator of matching parity) on which all the homology
+U-translate per generator of matching grading mod 2) on which all the homology
 computations run.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .f2 import Basis, span_basis
+from .f2 import Basis, reduce_pair, span_basis
 
 Entry = tuple[int, int]  # (source index, target index)
 
@@ -134,18 +134,20 @@ class Slices:
     """Finite GF(2) model of the complex: its grading-0 and grading-1 slices.
 
     A grading-m slice lists U^{(maslov - m)/2} x for every generator x whose
-    grading has the parity of m, with the induced bifiltration.  Slices two
-    gradings apart are U-translates of each other, so these two carry all
+    grading is congruent to m mod 2, with the induced bifiltration.  Slices
+    two gradings apart are U-translates of each other, so these two carry all
     the homology.  d0 maps grading 0 to grading -1 and d1 maps grading 1 to
     grading 0, both as columns: one bitset per source element over the
-    target slice.  d1span is a reduced basis of the grading-0 boundaries.
+    target slice.  phi is the essential functional, a bitset over the
+    grading-0 slice: phi(x), the number of common bits mod 2, is 0 on every
+    boundary and 1 on the cycles generating the homology.
     """
 
     basis0: tuple[SliceElement, ...]
     basis1: tuple[SliceElement, ...]
     d0: list[int]
     d1: list[int]
-    d1span: Basis
+    phi: int
 
 
 def _slice_basis(c: BifilteredComplex, m: int) -> tuple[SliceElement, ...]:
@@ -216,16 +218,24 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     if violations:
         return violations, None
 
-    # Homology: rank bookkeeping on the two parity slices.  Slices two
-    # gradings apart carry identical boundary matrices (a uniform U-shift),
-    # so rank(out of grading 2) = rank(out of grading 0) etc.
+    # Homology: rank bookkeeping on the two slices.  Slices two gradings
+    # apart carry identical boundary matrices (a uniform U-shift), so
+    # rank(out of grading 2) = rank(out of grading 0) etc.
     basis0 = _slice_basis(c, 0)
     basis1 = _slice_basis(c, 1)
     d0 = _boundary_columns(outgoing, basis0, _slice_basis(c, -1))
     d1 = _boundary_columns(outgoing, basis1, basis0)
-    d1span = span_basis(d1)
-    r0 = len(span_basis(d0))
-    r1 = len(d1span)
+    # Eliminating d0 with combination tags finds the grading-0 cycles; the
+    # first one outside the boundaries joins their basis tagged 1.
+    span = span_basis(d1)
+    r1 = len(span)
+    reducer: Basis = {}
+    essential = False
+    for j, col in enumerate(d0):
+        v, combo = reduce_pair(col, 1 << j, reducer)
+        if v == 0 and not essential:
+            essential = reduce_pair(combo, 1, span)[0] != 0
+    r0 = len(reducer)
     h0 = len(basis0) - r0 - r1
     h1 = len(basis1) - r1 - r0
     if h0 != 1:
@@ -234,7 +244,14 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
         violations.append(f"homology: grading-1 homology has rank {h1}, expected 0")
     if violations:
         return violations, None
-    return [], Slices(basis0, basis1, d0, d1, d1span)
+    # phi(row) must equal each row's tag: back-substitute in ascending pivot
+    # order, each row's other bits lying below its pivot.
+    phi = 0
+    for p in sorted(span):
+        row, tag = span[p]
+        if tag ^ ((row & phi).bit_count() & 1):
+            phi |= 1 << p
+    return [], Slices(basis0, basis1, d0, d1, phi)
 
 
 def validate(c: BifilteredComplex) -> list[str]:

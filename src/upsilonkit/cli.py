@@ -90,8 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _realize(args):
-    limit = None if args.max_generators <= 0 else args.max_generators
-    return realize(parse_expr(args.expr), max_generators=limit)
+    if args.max_generators < 0:
+        raise ValueError(f"--max-generators must be 0 (no limit) or "
+                         f"positive, got {args.max_generators}")
+    return realize(parse_expr(args.expr),
+                   max_generators=args.max_generators or None)
 
 
 def _cmd_alexander(args) -> int:

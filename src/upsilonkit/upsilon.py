@@ -8,20 +8,21 @@ For a parameter t in [0,2] the filtration functional
 cuts the grading-0 slice of the complex into sublevel subcomplexes, and
 gamma(t) is the least level s at which the sublevel set contains a cycle
 that survives to the generator of the homology of the full complex; upsilon
-is -2*gamma.  All minimisations are exact finite scans: a sublevel set only
-changes when s crosses f_t of a slice basis element, and gamma's breakpoints
-in t only occur at the finitely many parameters where two distinct grading-0
-bifiltration levels take the same f_t value (the collinearity candidates).
+is -2*gamma.  Two distinct grading-0 bifiltration levels take the same f_t
+value only at finitely many parameters, the collinearity candidates, which
+cut [0,2] into chambers.  Inside a chamber the f_t order of the slice
+elements is fixed, so one sweep at its midpoint gives the sweep of every
+point of it: the contact level L, the witness cycle and the sublevel mask.
+gamma is f_t(L) on the closed chamber, and is continuous across candidates.
 
-The cycles of a chamber (an open interval between candidates) are read off
-its sublevel mask M, the slice elements at or below gamma there: they are
-the essential cycles supported in M, since every grading-0 cycle is either
-essential or a boundary.  So both questions about a candidate t, with masks
-M- and M+ on the chambers below and above it, are column sweeps over masks.
-t is a jump when no essential cycle lies in M- and M+ at once.  The
-secondary invariant measures how far the support line must retreat, along
-a second direction s, before the cycles coming from just below t and just
-above t become homologous:
+The cycles of a chamber are read off its mask M, the slice elements at or
+below gamma there: they are the essential cycles supported in M, since
+every grading-0 cycle is either essential or a boundary.  So both questions
+about a candidate t, with masks M- and M+ on the chambers below and above
+it, are column sweeps over masks.  t is a jump when no essential cycle lies
+in M- and M+ at once.  The secondary invariant measures how far the support
+line must retreat, along a second direction s, before the cycles coming
+from just below t and just above t become homologous:
 
     gamma2_{t}(s) = min { r : some z+ and z- represent the same class in
                           H_0( C^t_{gamma(t)} + C^s_r ) }
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cfk import BifilteredComplex, tensor, validated_slices
-from .f2 import Basis, reduce_pair, reduce_vector, solve
+from .cfk import BifilteredComplex, validated_slices
+from .f2 import Basis, reduce_pair
 from .plfun import (NEG_INF, POS_INF, ExtRational, PLFunction, pl_from_samples,
                     _frac)
 
@@ -69,14 +70,6 @@ class JumpReport:
     upsilon2: ExtRational
 
 
-@dataclass(frozen=True)
-class _GammaResult:
-    value: Fraction
-    witness: int                      # essential cycle over the slice-0 basis
-    mask: int                         # slice-0 elements with f_t <= value
-    contact_levels: tuple[tuple[int, int], ...]
-
-
 def _keys(levels: list[tuple[int, int]], t: Fraction) -> tuple[list[int], int]:
     """Integer keys proportional to f_t on the given (alg, alex) levels.
 
@@ -86,6 +79,12 @@ def _keys(levels: list[tuple[int, int]], t: Fraction) -> tuple[list[int], int]:
     u, v = t.numerator, t.denominator
     wa = 2 * v - u
     return [u * A + wa * a for a, A in levels], 2 * v
+
+
+def _f(t: Fraction, level: tuple[int, int]) -> Fraction:
+    """f_t(level), exactly."""
+    alg, alex = level
+    return alg + t * (alex - alg) / 2
 
 
 def _collinearity_parameters(levels: list[tuple[int, int]]
@@ -110,12 +109,13 @@ def _collinearity_parameters(levels: list[tuple[int, int]]
 
 
 class _Engine:
-    """Per-complex caches for the invariant computations.
+    """Per-complex slice data and the chamber table.
 
-    Holds the grading-0/1 slice data as bitset columns, a reduced basis of
-    the grading-0 boundary space, and a linear functional phi vanishing on
-    boundaries but not on the essential class, so that "is this cycle
-    homologically essential" is a single popcount.
+    Holds the grading-0/1 slice data as bitset columns and the essential
+    functional phi from validation, which vanishes on boundaries but not on
+    the essential class, so "is this cycle homologically essential" is a
+    single popcount.  Chamber i is (ends[i], ends[i+1]); its entry in the
+    table is (level, witness, mask), filled by one sweep on first use.
     """
 
     def __init__(self, c: BifilteredComplex):
@@ -127,82 +127,65 @@ class _Engine:
         self.lev1 = [(e.alg, e.alex) for e in slices.basis1]
         self.d0cols = slices.d0
         self.d1cols = slices.d1
-        self.bspan = slices.d1span
-        self.phi = self._essential_functional()
+        self.phi = slices.phi
         self.candidates = _collinearity_parameters(self.lev0)
-        # The candidates cut [0,2] into chambers (ends[i], ends[i+1]).
         self.ends = (Fraction(0), *self.candidates, Fraction(2))
-        self._gamma_cache: dict[Fraction, _GammaResult] = {}
+        self._chambers: list[Optional[tuple[tuple[int, int], int, int]]] = (
+            [None] * (len(self.ends) - 1))
 
-    # -- construction helpers -------------------------------------------
+    def sides(self, t: Fraction) -> tuple[int, int]:
+        """The chambers below and above t in [0,2]: two neighbours for a
+        candidate, the same chamber twice for any other t (for 0 and 2, the
+        chamber they end)."""
+        e = self.ends
+        return (max(bisect_left(e, t) - 1, 0),
+                min(bisect_right(e, t) - 1, len(e) - 2))
 
-    def _essential_functional(self) -> int:
-        """A functional phi with phi(boundary) = 0 and phi(z*) = 1 for one
-        (hence every) grading-0 cycle generating the homology."""
-        zstar = None
-        reducer: Basis = {}
-        for j, col in enumerate(self.d0cols):
-            v, combo = reduce_pair(col, 1 << j, reducer)
-            if v == 0 and reduce_vector(combo, self.bspan):
-                zstar = combo
-                break
-        if zstar is None:
-            raise InvalidComplexError(["homology: no essential grading-0 cycle"])
-        # Solve <b, phi> = 0 for the boundary basis, <z*, phi> = 1.
-        rows = [b for b, _ in self.bspan.values()]
-        phi = solve(rows + [zstar], 1 << len(rows))
-        if phi is None:
-            raise AssertionError("essential functional system inconsistent")
-        return phi
+    def chamber(self, i: int) -> tuple[tuple[int, int], int, int]:
+        """(level, witness, mask) of chamber i, swept at its midpoint."""
+        hit = self._chambers[i]
+        if hit is None:
+            hit = self._chambers[i] = self._sweep(
+                (self.ends[i] + self.ends[i + 1]) / 2)
+        return hit
 
-    # -- scans ------------------------------------------------------------
-
-    def gamma(self, t: Fraction) -> _GammaResult:
-        """Minimal f_t level of an essential grading-0 cycle.
-
-        Processes slice elements in increasing f_t order while column-reducing
-        the grading-0 boundary map; every dependent column yields a cycle
-        supported in the current sublevel set, and phi tells in O(1) whether
-        it is essential.  The first essential cycle fixes gamma(t), and with
-        it the sublevel mask at gamma(t).
+    def _sweep(self, t: Fraction) -> tuple[tuple[int, int], int, int]:
+        """Processes slice elements in increasing f_t order while
+        column-reducing the grading-0 boundary map; every dependent column
+        yields a cycle supported in the current sublevel set, and phi tells
+        in O(1) whether it is essential.  The first essential cycle is the
+        witness, the level of the element that closed it the contact level,
+        and the elements at or below that level the mask.  t must lie inside a
+        chamber, where the support line meets exactly one level; that is
+        checked.
         """
-        cached = self._gamma_cache.get(t)
-        if cached is not None:
-            return cached
-        keys, scale = _keys(self.lev0, t)
-        order = sorted(range(self.dim0), key=keys.__getitem__)
+        keys, _ = _keys(self.lev0, t)
         reducer: Basis = {}
         phi = self.phi
-        result = None
-        for i in order:
+        for i in sorted(range(self.dim0), key=keys.__getitem__):
             v, combo = reduce_pair(self.d0cols[i], 1 << i, reducer)
             if v == 0 and ((combo & phi).bit_count() & 1):
-                key = keys[i]
-                mask, contacts = 0, set()
+                level, key = self.lev0[i], keys[i]
+                mask = 0
                 for j, k in enumerate(keys):
                     if k <= key:
                         mask |= 1 << j
-                        if k == key:
-                            contacts.add(self.lev0[j])
-                result = _GammaResult(Fraction(key, scale), combo, mask,
-                                      tuple(sorted(contacts)))
-                break
-        if result is None:
-            raise AssertionError("no essential cycle found; complex invalid")
-        self._gamma_cache[t] = result
-        return result
+                        if k == key and self.lev0[j] != level:
+                            raise AssertionError(
+                                f"support line at t={t} meets more than one "
+                                f"level; candidate set incomplete")
+                return level, combo, mask
+        raise AssertionError("no essential cycle found; complex invalid")
 
-    def beside(self, t: Fraction) -> tuple[Fraction, Fraction]:
-        """Halfway from t in (0,2) to the nearest chamber end below and above
-        it: the midpoints of the chambers either side of a candidate t.  Any
-        other t lies in one chamber (a, b), and tm + tp - t = (a + b) / 2."""
-        e = self.ends
-        return ((e[bisect_left(e, t) - 1] + t) / 2,
-                (t + e[bisect_right(e, t)]) / 2)
-
-    def is_candidate(self, t: Fraction) -> bool:
-        i = bisect_left(self.candidates, t)
-        return i < len(self.candidates) and self.candidates[i] == t
+    def gamma(self, t: Fraction) -> Fraction:
+        """f_t of the contact level of the chambers either side of t.  They
+        must agree at a candidate, where gamma is continuous; a disagreement
+        means a collinearity parameter is missing."""
+        lo, hi = (_f(t, self.chamber(i)[0]) for i in self.sides(t))
+        if lo != hi:
+            raise AssertionError(
+                f"gamma not continuous at t={t}: candidate set incomplete")
+        return lo
 
     def essential_sweep(self, inside: int, outside: int) -> Optional[Basis]:
         """Eliminate the column (d0 e_i, e_i & outside) for every slice
@@ -225,13 +208,17 @@ class _Engine:
         return reducer
 
     def is_jump(self, t: Fraction) -> bool:
-        """Whether no essential cycle lies in both masks beside the
-        candidate t.  A chamber witness inside the other mask is one;
-        otherwise one sweep over the meet of the masks looks for one."""
-        lo, hi = (self.gamma(x) for x in self.beside(t))
-        if not lo.witness & ~hi.mask or not hi.witness & ~lo.mask:
+        """Whether t is a candidate and no essential cycle lies in the masks
+        of both chambers either side of it.  A chamber witness inside the
+        other mask is one; otherwise one sweep over the meet of the masks
+        looks for one."""
+        i, j = self.sides(t)
+        if i == j:
             return False
-        return self.essential_sweep(lo.mask & hi.mask, 0) is not None
+        (_, zlo, mlo), (_, zhi, mhi) = self.chamber(i), self.chamber(j)
+        if not zlo & ~mhi or not zhi & ~mlo:
+            return False
+        return self.essential_sweep(mlo & mhi, 0) is not None
 
 
 _engines: "weakref.WeakKeyDictionary[BifilteredComplex, _Engine]" = (
@@ -258,54 +245,43 @@ def gamma_at(c: BifilteredComplex, t) -> Fraction:
     t = _frac(t)
     if not 0 <= t <= 2:
         raise ValueError(f"t={t} outside [0,2]")
-    return _engine(c).gamma(t).value
+    return _engine(c).gamma(t)
 
 
 def upsilon_pl(c: BifilteredComplex) -> PLFunction:
     """Upsilon of the complex as an exact piecewise-linear function.
 
-    gamma is sampled at every chamber end (the collinearity candidates plus
-    0 and 2), and linearity on each chamber is verified at its midpoint, so
-    the returned canonical function is exact.
+    gamma is linear on each chamber, so sampling it at every chamber end
+    (the collinearity candidates plus 0 and 2) gives the exact canonical
+    function.  Each sample checks that the lines of the two chambers at a
+    candidate meet there, which a missing candidate breaks.
     """
     eng = _engine(c)
-    ts = eng.ends
-    vals = [eng.gamma(t).value for t in ts]
-    for (t0, v0), (t1, v1) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
-        if eng.gamma((t0 + t1) / 2).value != (v0 + v1) / 2:
-            raise AssertionError(
-                f"gamma not linear on [{t0},{t1}]: candidate set incomplete")
-    return pl_from_samples([(t, -2 * v) for t, v in zip(ts, vals)])
+    return pl_from_samples([(t, -2 * eng.gamma(t)) for t in eng.ends])
 
 
 def pivot_points(c: BifilteredComplex, t) -> PivotPair:
     """The unique bifiltration levels on the support line just below and just
     above t.
 
-    The levels are read at the points beside t (for a candidate, the
-    midpoints of the chambers either side of it), and delta is the distance
-    from t to the nearer of them: half the gap to the nearest other candidate
-    parameter, 0 or 2.  There the support line meets exactly one grading-0
-    level, which is checked.
+    They are the contact levels of the chambers either side of t (the
+    chamber containing t, twice, when t is no candidate); each chamber's
+    sweep checks that its support line meets exactly one grading-0 level.
+    delta is half the distance from t to the nearest chamber end other than
+    t, so t +/- delta lie in those chambers.
     """
     t = _frac(t)
     if not 0 < t < 2:
         raise ValueError(f"pivot points need t in (0,2), got {t}")
     eng = _engine(c)
-    tm, tp = eng.beside(t)
-    neg = eng.gamma(tm).contact_levels
-    pos = eng.gamma(tp).contact_levels
-    delta = min(t - tm, tp - t)
-    if len(neg) != 1 or len(pos) != 1:
-        raise AssertionError(
-            f"support line at t={t}+/-{delta} meets more than one level; "
-            f"delta not small enough")
-    return PivotPair(negative=neg[0], positive=pos[0], delta=delta)
+    i, j = eng.sides(t)
+    return PivotPair(negative=eng.chamber(i)[0], positive=eng.chamber(j)[0],
+                     delta=min(t - eng.ends[i], eng.ends[j + 1] - t) / 2)
 
 
 def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     """The essential grading-0 cycles in the sublevel subcomplex at
-    gamma(t_side), as (base, directions): the gamma witness plus the span of
+    gamma(t_side), as (base, directions): the chamber witness plus the span of
     the boundaries supported there, a reduced basis in increasing pivot
     order.  t_side must avoid the candidate parameters; any point of a
     chamber gives the same space (for instance the t +/- delta of
@@ -314,21 +290,22 @@ def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     if not 0 < t_side < 2:
         raise ValueError(f"t_side={t_side} outside (0,2)")
     eng = _engine(c)
-    if eng.is_candidate(t_side):
+    i, j = eng.sides(t_side)
+    if i != j:
         raise ValueError(
             f"t_side={t_side} is a collinearity parameter; cycle spaces are "
             f"only defined off the candidate set")
-    res = eng.gamma(t_side)
+    _, witness, mask = eng.chamber(i)
     # A boundary combination is supported inside when its projection onto
     # the outside coordinates vanishes.
-    outside = ~res.mask
+    outside = ~mask
     reducer: Basis = {}
     inside: Basis = {}
     for col in eng.d1cols:
         o, v = reduce_pair(col & outside, col, reducer)
         if o == 0:
             reduce_pair(v, 0, inside)
-    return res.witness, [inside[p][0] for p in sorted(inside)]
+    return witness, [inside[p][0] for p in sorted(inside)]
 
 
 def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
@@ -344,17 +321,21 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     solvability is monotone along the scan, and the threshold at which the
     first one appears gives gamma2 (-infinity before the f_s scan).
     """
-    if not eng.is_candidate(t):
+    i, j = eng.sides(t)
+    if i == j:
         return NEG_INF
-    lo, hi = (eng.gamma(x) for x in eng.beside(t))
-    g = eng.gamma(t)
+    (_, zlo, mlo), (_, zhi, mhi) = eng.chamber(i), eng.chamber(j)
+    keys0, scale_t = _keys(eng.lev0, t)
+    top_t = math.floor(eng.gamma(t) * scale_t)
     # The cycles from just below and above t, which lie in their masks,
     # live inside the t-sublevel set.
-    if (lo.mask | hi.mask | lo.witness | hi.witness) & ~g.mask:
-        raise AssertionError("a cycle from beside t leaves the sublevel set at t")
+    mask_t = sum(1 << k for k, key in enumerate(keys0) if key <= top_t)
+    if (mlo | mhi | zlo | zhi) & ~mask_t:
+        raise AssertionError(
+            "a cycle from either side of t leaves the sublevel set at t")
 
-    outside = ~lo.mask
-    reducer = eng.essential_sweep(hi.mask, outside)
+    outside = ~mlo
+    reducer = eng.essential_sweep(mhi, outside)
     if reducer is None:
         return NEG_INF
 
@@ -362,8 +343,7 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
         v, odd = reduce_pair(col & outside, 0, reducer)
         return v == 0 and odd == 1
 
-    keys_t, scale_t = _keys(eng.lev1, t)
-    top_t = math.floor(g.value * scale_t)
+    keys_t, _ = _keys(eng.lev1, t)
     keys_s, scale_s = _keys(eng.lev1, s)
     rest: list[tuple[int, int]] = []
     for i, col in enumerate(eng.d1cols):
@@ -405,17 +385,16 @@ def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
     g2 = gamma2(c, t, s)
     if g2 == NEG_INF:
         return POS_INF
-    return -2 * (g2 - _engine(c).gamma(t).value)
+    return -2 * (g2 - _engine(c).gamma(t))
 
 
 def is_jump_value(c: BifilteredComplex, t) -> bool:
     """Whether the cycles just below and just above t are all distinct: no
-    essential cycle lies in both sublevel masks beside t."""
+    essential cycle lies in both sublevel masks either side of t."""
     t = _frac(t)
     if not 0 < t < 2:
         raise ValueError(f"jump test needs t in (0,2), got {t}")
-    eng = _engine(c)
-    return eng.is_candidate(t) and eng.is_jump(t)
+    return _engine(c).is_jump(t)
 
 
 def jump_values(c: BifilteredComplex,
@@ -435,15 +414,11 @@ def jump_values(c: BifilteredComplex,
 
 
 def check_subadditivity(a: BifilteredComplex, b: BifilteredComplex, t,
-                        tensor_complex: Optional[BifilteredComplex] = None) -> bool:
+                        tensor_complex: BifilteredComplex) -> bool:
     """Diagonal subadditivity of the secondary invariant under connected sum:
-    upsilon2 of the tensor is at least the minimum of the summands'.
-
-    Passing the precomputed tensor complex avoids rebuilding it when checking
-    many parameters.
-    """
+    upsilon2 of tensor_complex, the tensor of a and b, is at least the
+    minimum of the summands'."""
     t = _frac(t)
-    ab = tensor_complex if tensor_complex is not None else tensor(a, b)
-    lhs = upsilon2(ab, t)
+    lhs = upsilon2(tensor_complex, t)
     rhs = min(upsilon2(a, t), upsilon2(b, t))
     return lhs >= rhs

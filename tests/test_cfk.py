@@ -18,6 +18,7 @@ from upsilonkit.cfk import (
     validate,
     validated_slices,
 )
+from upsilonkit.f2 import span_basis
 from upsilonkit.plfun import pl_equal
 from upsilonkit.staircase import build_staircase
 from upsilonkit.upsilon import upsilon_pl
@@ -222,7 +223,8 @@ class TestNonzeroExponents:
         # x has grading -1, so its slice-1 translate is U^{-1} x at (6,6)
         x = [e for e in sl.basis1 if e.u_exp == -1]
         assert len(x) == 1 and (x[0].alg, x[0].alex) == (6, 6)
-        assert len(sl.d1span) == 2  # b0 and the translate of x hit slice 0
+        # b0 and the translate of x hit slice 0
+        assert len(span_basis(sl.d1)) == 2
 
 
 class TestGradingSlice:
@@ -231,7 +233,7 @@ class TestGradingSlice:
         assert len(sl.basis0) == 3
         assert all(e.u_exp == 0 for e in sl.basis0)
         assert len(sl.d1) == 2  # from the two blacks
-        assert len(sl.d1span) == 2
+        assert len(span_basis(sl.d1)) == 2
 
     def test_unknot_grading1_empty(self):
         sl = slices(unknot_complex())

@@ -307,6 +307,11 @@ class TestCLI:
     def test_size_guard_disable(self, capsys):
         assert main(["upsilon", "5*T(2,3)", "--max-generators", "0"]) == 0
 
+    def test_size_guard_negative_rejected(self, capsys):
+        # A negative bound must not turn the guard off.
+        assert main(["upsilon", "5*T(2,3)", "--max-generators", "-1"]) == 2
+        assert "--max-generators" in capsys.readouterr().err
+
     def test_verify_fast(self, capsys):
         assert main(["verify-paper", "--fast"]) == 0
         out = capsys.readouterr().out

@@ -1,8 +1,6 @@
 import random
 
-import pytest
-
-from upsilonkit.f2 import parity, reduce_pair, reduce_vector, solve, span_basis
+from upsilonkit.f2 import reduce_pair, span_basis
 
 
 def _random_rows(rng, nrows, ncols):
@@ -18,10 +16,6 @@ def _transpose(rows, ncols):
             for j in range(ncols)]
 
 
-def _matvec(rows, x):
-    return sum(parity(r & x) << i for i, r in enumerate(rows))
-
-
 def _rowspan_size(rows) -> int:
     """Rank oracle: enumerate the whole row span (fine up to 2^12)."""
     span = {0}
@@ -32,9 +26,10 @@ def _rowspan_size(rows) -> int:
 
 class TestReducePair:
     def test_residues_are_tagged_combinations(self):
-        # The contract gamma, the essential functional, the mask sweeps and
-        # cycle_space rely on: each residue is the XOR of the inputs its tag
-        # selects, and exactly input count - rank inputs reduce to zero.
+        # The contract the chamber sweeps, validation's essential functional,
+        # the mask sweeps and cycle_space rely on: each residue is the XOR
+        # of the inputs its tag selects, and exactly input count - rank
+        # inputs reduce to zero.
         rng = random.Random(19)
         for _ in range(60):
             n, dim = rng.randint(1, 12), rng.randint(1, 8)
@@ -51,13 +46,6 @@ class TestReducePair:
                 assert residue == selected
                 zeros += residue == 0
             assert zeros == n - (_rowspan_size(vecs).bit_length() - 1)
-
-    def test_reduce_vector_leaves_basis(self):
-        basis = span_basis([0b110, 0b011])
-        before = dict(basis)
-        assert reduce_vector(0b101, basis) == 0
-        assert reduce_vector(0b001, basis) != 0
-        assert basis == before
 
 
 class TestRank:
@@ -84,59 +72,11 @@ class TestRank:
             assert 2 ** _rank(rows) == _rowspan_size(rows)
 
 
-class TestSolve:
-    def test_identity(self):
-        assert solve([0b001, 0b010, 0b100], 0b101) == 0b101
-
-    def test_zero_inconsistent(self):
-        assert solve([0, 0], 0b01) is None
-
-    def test_underdetermined_any_solution(self):
-        x = solve([0b11], 0b1)
-        assert x in (0b01, 0b10)
-
-    def test_solution_is_exact(self):
-        rng = random.Random(31)
-        for _ in range(50):
-            nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
-            a = _random_rows(rng, nrows, ncols)
-            x0 = rng.getrandbits(ncols)
-            b = _matvec(a, x0)
-            x = solve(a, b)
-            assert x is not None
-            assert _matvec(a, x) == b
-
-    def test_inconsistent_detected(self):
-        rng = random.Random(37)
-        found_none = 0
-        for _ in range(50):
-            nrows, ncols = rng.randint(2, 8), rng.randint(1, 6)
-            a = _random_rows(rng, nrows, ncols)
-            b = rng.getrandbits(nrows)
-            x = solve(a, b)
-            if x is None:
-                found_none += 1
-                # b must genuinely lie outside the column space
-                cols = span_basis(_transpose(a, ncols))
-                assert reduce_vector(b, cols) != 0
-            else:
-                assert _matvec(a, x) == b
-        assert found_none > 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve([0b001, 0b010, 0b100], 0b1000)
-
-
 class TestMatrixOps:
     def test_transpose_involution(self):
-        # _transpose is the reference the rank and solve tests lean on.
+        # _transpose is the reference the rank tests lean on.
         rng = random.Random(41)
         for _ in range(20):
             nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
             rows = _random_rows(rng, nrows, ncols)
             assert _transpose(_transpose(rows, ncols), nrows) == rows
-
-    def test_parity(self):
-        assert parity(0b1011) == 1
-        assert parity(0b1001) == 0

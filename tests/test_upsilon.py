@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -8,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from reference import (apply, boundary, collinearity_parameters, cycle_spaces,
                        secondary, slice_levels)
+from upsilonkit import upsilon
 from upsilonkit.cfk import (dual, from_staircase, shift_filtration, tensor,
-                            unknot_complex)
-from upsilonkit.f2 import reduce_vector, span_basis
+                            unknot_complex, validated_slices)
+from upsilonkit.expr import parse_expr, realize
+from upsilonkit.f2 import span_basis
 from upsilonkit.plfun import (NEG_INF, POS_INF, pl_add, pl_constant, pl_equal,
                               pl_eval, pl_neg)
 from upsilonkit.staircase import build_staircase, upsilon_staircase
@@ -48,6 +49,16 @@ def _f(t, level):
     return (t / 2) * alex + (1 - t / 2) * a
 
 
+def _outside_span(x, span):
+    """Whether x is not in the span of the reduced basis span."""
+    while x:
+        row = span.get(x.bit_length() - 1)
+        if row is None:
+            return True
+        x ^= row[0]
+    return False
+
+
 def _essential_cycles_in(c, t, level_cap, d0, levels0, boundary_span):
     """All essential grading-0 cycles supported where f_t <= level_cap."""
     allowed = [i for i, lev in enumerate(levels0) if _f(t, lev) <= level_cap]
@@ -55,7 +66,7 @@ def _essential_cycles_in(c, t, level_cap, d0, levels0, boundary_span):
     out = []
     for bits in itertools.product((0, 1), repeat=len(allowed)):
         x = sum(1 << i for i, b in zip(allowed, bits) if b)
-        if x and apply(d0, x) == 0 and reduce_vector(x, boundary_span):
+        if x and apply(d0, x) == 0 and _outside_span(x, boundary_span):
             out.append(x)
     return out
 
@@ -237,6 +248,60 @@ class TestUpsilonPL:
             assert pl_eval(upsilon_pl(make()), 0) == 0
 
 
+class TestCandidateGuard:
+    """A candidate set missing a breakpoint of upsilon is refused (exit 3),
+    also under -O."""
+
+    @pytest.mark.parametrize("expr,breakpoints", [
+        ("T(3,4)", ["2/3", "4/3"]),
+        ("T(5,7)", ["2/5", "4/5", "1", "6/5", "8/5"]),
+        ("T(3,4) # T(2,5)", ["2/3", "1", "4/3"]),
+    ])
+    def test_each_dropped_breakpoint_raises(self, monkeypatch, capsys, expr,
+                                            breakpoints):
+        ups = upsilon_pl(realize(parse_expr(expr)))
+        assert [str(t) for t, _ in ups.breakpoints[1:-1]] == breakpoints
+        complete = upsilon._collinearity_parameters
+        for text in breakpoints:
+            dropped = F(text)
+            monkeypatch.setattr(
+                upsilon, "_collinearity_parameters",
+                lambda levels: tuple(t for t in complete(levels)
+                                     if t != dropped))
+            with pytest.raises(AssertionError,
+                               match="candidate set incomplete"):
+                upsilon_pl(realize(parse_expr(expr)))
+            assert main(["upsilon", expr]) == 3, (expr, text)
+            assert capsys.readouterr().err.startswith("internal error: ")
+
+
+class TestChamberTable:
+    @pytest.mark.parametrize("name,make,chambers", [
+        ("T(3,4)#T(2,5)",
+         lambda: tensor(torus_complex(3, 4), torus_complex(2, 5)), 8),
+        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5), 166),
+    ])
+    def test_one_sweep_per_chamber(self, monkeypatch, name, make, chambers):
+        # upsilon_pl and jump_values (jump tests, gamma2 and gamma at every
+        # candidate) sweep each chamber once, at its midpoint, and nowhere
+        # else.
+        swept = []
+        sweep = _Engine._sweep
+
+        def counted(self, t):
+            swept.append(t)
+            return sweep(self, t)
+
+        monkeypatch.setattr(_Engine, "_sweep", counted)
+        c = make()
+        upsilon_pl(c)
+        jump_values(c)
+        ends = _engine(c).ends
+        mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        assert len(mids) == chambers, name
+        assert sorted(swept) == mids, name
+
+
 class TestPivots:
     def test_t34_generic(self):
         pair = pivot_points(torus_complex(3, 4), 1)
@@ -322,11 +387,11 @@ class TestCycleSpace:
         mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
         assert len(mids) == chambers, name
         dirs_of_mask = {}
-        for m, expected in zip(mids, cycle_spaces(c, mids)):
+        for i, (m, expected) in enumerate(zip(mids, cycle_spaces(c, mids))):
             space = cycle_space(c, m)
             assert space == expected, (name, m)
-            assert space[0] == eng.gamma(m).witness, (name, m)
-            mask = eng.gamma(m).mask
+            _, witness, mask = eng.chamber(i)
+            assert space[0] == witness, (name, m)
             assert dirs_of_mask.setdefault(mask, space[1]) == space[1], (
                 name, m)
         assert len(dirs_of_mask) == masks, name
@@ -371,41 +436,58 @@ class TestSecondaryOracle:
             assert got == values, t
 
 
+class TestEssentialFunctional:
+    """The phi that validation back-substitutes is a certificate: even on
+    every boundary, odd on an essential cycle found by the reference
+    elimination, not the engine's."""
+
+    @pytest.mark.parametrize("name,make", SMALL_COMPLEXES + [
+        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5))])
+    def test_phi_certificate(self, name, make):
+        c = make()
+        phi = validated_slices(c)[1].phi
+        assert all((col & phi).bit_count() % 2 == 0
+                   for col in boundary(c, 1)), name
+        [(essential, _)] = cycle_spaces(c, [F(0)])
+        assert (essential & phi).bit_count() % 2 == 1, name
+
+
 class TestCertificates:
     """The consistency checks of gamma2 raise (exit 3), also under -O."""
 
     @pytest.fixture
-    def corrupt_beside(self, monkeypatch):
-        """Make gamma at the points beside t = 2/3 of T(3,4) report a
-        field grown by one slice element outside gamma(2/3)'s mask."""
+    def corrupt_chambers(self, monkeypatch):
+        """Make the chambers either side of t = 2/3 of T(3,4) report a
+        witness or mask grown by one slice element outside the sublevel
+        set at gamma(2/3)."""
         def corrupt(field):
             t = F(2, 3)
             c = torus_complex(3, 4)
             eng = _engine(c)
-            outside = ~eng.gamma(t).mask & ((1 << eng.dim0) - 1)
+            g = gamma_at(c, t)
+            outside = [k for k, lev in enumerate(eng.lev0) if _f(t, lev) > g]
             assert outside
-            extra = outside & -outside
-            gamma = _Engine.gamma
+            extra = 1 << outside[0]
+            chamber = _Engine.chamber
 
-            def patched(self, x):
-                res = gamma(self, x)
-                if x == t:
-                    return res
-                return dataclasses.replace(
-                    res, **{field: getattr(res, field) | extra})
+            def patched(self, i):
+                level, witness, mask = chamber(self, i)
+                if field == "witness":
+                    return level, witness | extra, mask
+                return level, witness, mask | extra
 
-            monkeypatch.setattr(_Engine, "gamma", patched)
+            monkeypatch.setattr(_Engine, "chamber", patched)
             return c, t
         return corrupt
 
     @pytest.mark.parametrize("field", ["mask", "witness"])
-    def test_cycle_outside_sublevel_set_raises(self, corrupt_beside, field):
-        c, t = corrupt_beside(field)
+    def test_cycle_outside_sublevel_set_raises(self, corrupt_chambers, field):
+        c, t = corrupt_chambers(field)
         with pytest.raises(AssertionError, match="leaves the sublevel set"):
             gamma2(c, t, t)
 
-    def test_cli_exit_code(self, corrupt_beside, capsys):
-        corrupt_beside("mask")
+    def test_cli_exit_code(self, corrupt_chambers, capsys):
+        corrupt_chambers("mask")
         assert main(["upsilon2", "T(3,4)", "--t", "2/3"]) == 3
         assert capsys.readouterr().err.startswith("internal error: ")
 
@@ -502,8 +584,8 @@ class TestSubadditivity:
         assert min(upsilon2(a, t), upsilon2(b, t)) == F(-12, 5)
 
     def test_unknot_trivial(self):
-        assert check_subadditivity(torus_complex(3, 4), unknot_complex(),
-                                   F(2, 3))
+        a, b = torus_complex(3, 4), unknot_complex()
+        assert check_subadditivity(a, b, F(2, 3), tensor_complex=tensor(a, b))
 
     def test_knot_minus_knot(self):
         a = torus_complex(5, 7)
