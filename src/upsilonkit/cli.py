@@ -54,9 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_expr_command(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("expr", help="knot expression, e.g. 'T(3,4) # -T(2,5)'")
-        p.add_argument("--max-generators", type=int, default=20000,
+        p.add_argument("--max-generators", type=int,
+                       default=DEFAULT_GENERATOR_LIMIT,
                        help="size guard for tensor products; 0 disables "
-                            "(default 20000)")
+                            f"(default {DEFAULT_GENERATOR_LIMIT})")
         return p
 
     p = sub.add_parser("alexander",

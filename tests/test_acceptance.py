@@ -2,6 +2,8 @@
 from first definitions at its stated runtime budget, one pass/fail line per
 criterion (run with -s to see them on success)."""
 
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -35,6 +37,10 @@ GOLDEN = {line.split(":")[0].removeprefix("PASS "): line
           for line in (Path(__file__).resolve().parents[1] / "perfbench"
                        / "golden" / "verify-paper.txt").read_text().splitlines()}
 
+# The pinned stdout of `verify-paper --fast`.
+FAST_GOLDEN = (Path(__file__).resolve().parent
+               / "verify-paper-fast.txt").read_text()
+
 
 @pytest.mark.parametrize("check,name",
                          zip(verify.ALL_CHECKS, BUDGETS, strict=True),
@@ -65,3 +71,15 @@ def test_full_suite_exit_status():
     results = verify.run_all(fast=True)
     assert all(r.ok for r in results)
     assert [r.name for r in results] == list(BUDGETS)
+    assert [f"PASS {r.name}: {r.detail}" for r in results] == \
+        FAST_GOLDEN.splitlines()[:-1]
+
+
+def test_fast_suite_under_optimize():
+    # python -O strips assert statements; the checks must not depend on them.
+    src = Path(verify.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "upsilonkit", "verify-paper", "--fast"],
+        cwd=src, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == FAST_GOLDEN

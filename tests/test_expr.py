@@ -312,6 +312,13 @@ class TestCLI:
         assert main(["upsilon", "5*T(2,3)", "--max-generators", "-1"]) == 2
         assert "--max-generators" in capsys.readouterr().err
 
+    def test_size_guard_default_from_expr(self, monkeypatch, capsys):
+        # The option's default is the library's limit, read when the parser
+        # is built: 2*T(2,3) has 9 generators, over a limit of 5.
+        monkeypatch.setattr("upsilonkit.cli.DEFAULT_GENERATOR_LIMIT", 5)
+        assert main(["upsilon", "2*T(2,3)"]) == 2
+        assert "generators" in capsys.readouterr().err
+
     def test_verify_fast(self, capsys):
         assert main(["verify-paper", "--fast"]) == 0
         out = capsys.readouterr().out
