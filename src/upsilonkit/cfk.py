@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .f2 import Basis, reduce_pair, span_basis
+from .f2 import Basis, functional, reduce_pair, span_basis
 
 Entry = tuple[int, int]  # (source index, target index)
 
@@ -244,14 +244,8 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
         violations.append(f"homology: grading-1 homology has rank {h1}, expected 0")
     if violations:
         return violations, None
-    # phi(row) must equal each row's tag: back-substitute in ascending pivot
-    # order, each row's other bits lying below its pivot.
-    phi = 0
-    for p in sorted(span):
-        row, tag = span[p]
-        if tag ^ ((row & phi).bit_count() & 1):
-            phi |= 1 << p
-    return [], Slices(basis0, basis1, d0, d1, phi)
+    # phi vanishes on the boundaries and is 1 on the essential cycle.
+    return [], Slices(basis0, basis1, d0, d1, functional(span))
 
 
 def validate(c: BifilteredComplex) -> list[str]:

@@ -2,10 +2,10 @@
 
 Vectors are Python ints, bit i being coordinate i, so addition is XOR and
 arbitrary dimensions cost nothing extra.  Everything the homology engine
-needs (ranks, the cycles of a column reduction over a sublevel mask, the
-essential class and the essential functional) is Gaussian elimination with
-the highest set bit as pivot, and `reduce_pair` is the only place that
-eliminates.
+needs (ranks, the cycles of a column reduction over a sublevel mask and the
+essential class) is Gaussian elimination with the highest set bit as pivot,
+and `reduce_pair` is the only place that eliminates; `functional`
+back-substitutes a functional with given values on a reduced basis.
 """
 
 from __future__ import annotations
@@ -34,6 +34,18 @@ def reduce_pair(v: int, tag: int, basis: Basis) -> tuple[int, int]:
         v ^= row[0]
         tag ^= row[1]
     return v, tag
+
+
+def functional(rows: Basis) -> int:
+    """A functional taking every row to the parity of its tag, zero off the
+    pivots: set by back-substitution in increasing pivot order, each row's
+    other bits lying below its pivot."""
+    lam = 0
+    for p in sorted(rows):
+        row, tag = rows[p]
+        if (tag ^ (row & lam).bit_count()) & 1:
+            lam |= 1 << p
+    return lam
 
 
 def span_basis(vectors: Iterable[int]) -> Basis:

@@ -10,19 +10,24 @@ gamma(t) is the least level s at which the sublevel set contains a cycle
 that survives to the generator of the homology of the full complex; upsilon
 is -2*gamma.  Two distinct grading-0 bifiltration levels take the same f_t
 value only at finitely many parameters, the collinearity candidates, which
-cut [0,2] into chambers.  Inside a chamber the f_t order of the slice
-elements is fixed, so one sweep at its midpoint gives the sweep of every
-point of it: the contact level L, the witness cycle and the sublevel mask.
-gamma is f_t(L) on the closed chamber, and is continuous across candidates.
+cut [0,2] into chambers.  One sweep at a point t gives the contact level L,
+a witness cycle z and a certificate that gamma = f(L) on a whole interval
+of chambers: a functional lam with phi = lam o d0 below L, where phi is the
+essential functional.  Every essential cycle meets the elements Q on which
+phi and lam o d0 differ, so f(L) bounds gamma from below while no element
+of Q falls below L, and from above while no element of z rises above it.
+A walk from t = 0 makes one sweep per linear piece of gamma, not one per
+chamber; gamma is continuous across candidates.
 
 The cycles of a chamber are read off its mask M, the slice elements at or
 below gamma there: they are the essential cycles supported in M, since
 every grading-0 cycle is either essential or a boundary.  So both questions
 about a candidate t, with masks M- and M+ on the chambers below and above
 it, are column sweeps over masks.  t is a jump when no essential cycle lies
-in M- and M+ at once.  The secondary invariant measures how far the support
-line must retreat, along a second direction s, before the cycles coming
-from just below t and just above t become homologous:
+in M- and M+ at once, which a witness of one interval does inside it.  The
+secondary invariant measures how far the support line must retreat, along
+a second direction s, before the cycles coming from just below t and just
+above t become homologous:
 
     gamma2_{t}(s) = min { r : some z+ and z- represent the same class in
                           H_0( C^t_{gamma(t)} + C^s_r ) }
@@ -42,7 +47,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cfk import BifilteredComplex, validated_slices
-from .f2 import Basis, reduce_pair
+from .f2 import Basis, functional, reduce_pair
 from .plfun import (NEG_INF, POS_INF, ExtRational, PLFunction, pl_from_samples,
                     _frac)
 
@@ -108,14 +113,21 @@ def _collinearity_parameters(levels: list[tuple[int, int]]
     return tuple(sorted(Fraction(2 * a, a + x) for a, x in keys))
 
 
+Level = tuple[int, int]
+# A certified interval: (contact level, witness cycle, lo, hi).
+Interval = tuple[Level, int, Fraction, Fraction]
+
+
 class _Engine:
-    """Per-complex slice data and the chamber table.
+    """Per-complex slice data and the table of certified gamma intervals.
 
     Holds the grading-0/1 slice data as bitset columns and the essential
     functional phi from validation, which vanishes on boundaries but not on
     the essential class, so "is this cycle homologically essential" is a
-    single popcount.  Chamber i is (ends[i], ends[i+1]); its entry in the
-    table is (level, witness, mask), filled by one sweep on first use.
+    single popcount.  Chamber k is (ends[k], ends[k+1]).  The table is
+    walked from t = 0: each entry comes from one sweep at the midpoint of
+    the chamber where the previous entry ends, and covers the chambers from
+    there to its hi.  A chamber's mask is built on first use.
     """
 
     def __init__(self, c: BifilteredComplex):
@@ -130,8 +142,8 @@ class _Engine:
         self.phi = slices.phi
         self.candidates = _collinearity_parameters(self.lev0)
         self.ends = (Fraction(0), *self.candidates, Fraction(2))
-        self._chambers: list[Optional[tuple[tuple[int, int], int, int]]] = (
-            [None] * (len(self.ends) - 1))
+        self._intervals: list[Interval] = []
+        self._masks: dict[int, int] = {}
 
     def sides(self, t: Fraction) -> tuple[int, int]:
         """The chambers below and above t in [0,2]: two neighbours for a
@@ -141,23 +153,45 @@ class _Engine:
         return (max(bisect_left(e, t) - 1, 0),
                 min(bisect_right(e, t) - 1, len(e) - 2))
 
-    def chamber(self, i: int) -> tuple[tuple[int, int], int, int]:
-        """(level, witness, mask) of chamber i, swept at its midpoint."""
-        hit = self._chambers[i]
-        if hit is None:
-            hit = self._chambers[i] = self._sweep(
-                (self.ends[i] + self.ends[i + 1]) / 2)
-        return hit
+    def interval(self, k: int) -> Interval:
+        """The certified interval covering chamber k."""
+        table, ends = self._intervals, self.ends
+        while not table or table[-1][3] <= ends[k]:
+            start = bisect_left(ends, table[-1][3]) if table else 0
+            table.append(self._certify((ends[start] + ends[start + 1]) / 2))
+        return table[bisect_right(table, ends[k], key=lambda e: e[3])]
 
-    def _sweep(self, t: Fraction) -> tuple[tuple[int, int], int, int]:
+    def chamber(self, k: int) -> tuple[Level, int, int]:
+        """(level, witness, mask) of chamber k: its interval's level and
+        witness, and the slice elements at or below that level there."""
+        level, witness, _, _ = self.interval(k)
+        if k not in self._masks:
+            self._masks[k] = self._sublevel(
+                (self.ends[k] + self.ends[k + 1]) / 2, level)[1]
+        return level, witness, self._masks[k]
+
+    def _sublevel(self, t: Fraction, level: Level) -> tuple[int, int]:
+        """The slice elements below level under f_t, and those at or below
+        it.  t must lie inside a chamber, where the support line meets
+        exactly one level; that is checked."""
+        keys, _ = _keys(self.lev0, t)
+        [key], _ = _keys([level], t)
+        if any(k == key and lev != level for k, lev in zip(keys, self.lev0)):
+            raise AssertionError(f"support line at t={t} meets more than one "
+                                 f"level; candidate set incomplete")
+        return (sum(1 << j for j, k in enumerate(keys) if k < key),
+                sum(1 << j for j, k in enumerate(keys) if k <= key))
+
+    def _sweep(self, t: Fraction) -> tuple[Level, int, int, int]:
         """Processes slice elements in increasing f_t order while
         column-reducing the grading-0 boundary map; every dependent column
         yields a cycle supported in the current sublevel set, and phi tells
         in O(1) whether it is essential.  The first essential cycle is the
-        witness, the level of the element that closed it the contact level,
-        and the elements at or below that level the mask.  t must lie inside a
-        chamber, where the support line meets exactly one level; that is
-        checked.
+        witness z, and the level of the element that closed it the contact
+        level L.  Returns (L, z, lam, S), S the elements below L and lam a
+        functional on the grading -1 slice with phi = lam o d0 on S,
+        back-substituted in increasing pivot order over the rows whose
+        combination lies in S.
         """
         keys, _ = _keys(self.lev0, t)
         reducer: Basis = {}
@@ -165,23 +199,60 @@ class _Engine:
         for i in sorted(range(self.dim0), key=keys.__getitem__):
             v, combo = reduce_pair(self.d0cols[i], 1 << i, reducer)
             if v == 0 and ((combo & phi).bit_count() & 1):
-                level, key = self.lev0[i], keys[i]
-                mask = 0
-                for j, k in enumerate(keys):
-                    if k <= key:
-                        mask |= 1 << j
-                        if k == key and self.lev0[j] != level:
-                            raise AssertionError(
-                                f"support line at t={t} meets more than one "
-                                f"level; candidate set incomplete")
-                return level, combo, mask
+                below = self._sublevel(t, self.lev0[i])[0]
+                lam = functional({p: (row, (rcombo & phi).bit_count())
+                                  for p, (row, rcombo) in reducer.items()
+                                  if not rcombo & ~below})
+                return self.lev0[i], combo, lam, below
         raise AssertionError("no essential cycle found; complex invalid")
+
+    def _certify(self, t: Fraction) -> Interval:
+        """(L, z, lo, hi) from the sweep at t, with gamma = f(L) on [lo, hi].
+
+        With Q the elements i where phi_i != lam(d0 e_i), a cycle z' has
+        phi(z') = |z' meet Q| mod 2, so every essential cycle meets Q, and
+        min over Q of f_t' <= gamma(t') <= max over z of f_t'.  Both bounds
+        are f_t'(L) while no element of z lies above L and none of Q below
+        it, one linear inequality in t' per element.  Checked: d0 z = 0,
+        phi(z) = 1, Q misses S, and [lo, hi] holds t and ends at chamber ends.
+        """
+        level, z, lam, below = self._sweep(t)
+        dz = q = 0
+        for i, col in enumerate(self.d0cols):
+            dz ^= col if z >> i & 1 else 0
+            q |= ((col & lam).bit_count() ^ self.phi >> i) % 2 << i
+        if dz or not (z & self.phi).bit_count() & 1:
+            raise AssertionError(f"witness at t={t} is not an essential cycle")
+        if q & below:
+            raise AssertionError(
+                f"lam o d0 differs from phi below the contact level at t={t}")
+        lo, hi = Fraction(0), Fraction(2)
+        a, x = level
+        for side, part in ((1, z), (-1, q)):
+            for b, y in {lev for i, lev in enumerate(self.lev0)
+                         if part >> i & 1}:
+                # side * (f_t'(b, y) - f_t'(L)) = c0 + c1 * t' / 2 <= 0
+                c0, c1 = side * (b - a), side * (y - b - x + a)
+                if c1 > 0:
+                    hi = min(hi, Fraction(-2 * c0, c1))
+                elif c1 < 0:
+                    lo = max(lo, Fraction(-2 * c0, c1))
+                elif c0 > 0:
+                    hi = lo
+        if not lo < t < hi:
+            raise AssertionError(
+                f"certified interval [{lo}, {hi}] misses t={t}")
+        for end in (lo, hi):
+            if self.ends[bisect_left(self.ends, end)] != end:
+                raise AssertionError(f"certified interval ends at {end}, no "
+                                     f"chamber end; candidate set incomplete")
+        return level, z, lo, hi
 
     def gamma(self, t: Fraction) -> Fraction:
         """f_t of the contact level of the chambers either side of t.  They
         must agree at a candidate, where gamma is continuous; a disagreement
         means a collinearity parameter is missing."""
-        lo, hi = (_f(t, self.chamber(i)[0]) for i in self.sides(t))
+        lo, hi = (_f(t, self.interval(i)[0]) for i in self.sides(t))
         if lo != hi:
             raise AssertionError(
                 f"gamma not continuous at t={t}: candidate set incomplete")
@@ -209,11 +280,12 @@ class _Engine:
 
     def is_jump(self, t: Fraction) -> bool:
         """Whether t is a candidate and no essential cycle lies in the masks
-        of both chambers either side of it.  A chamber witness inside the
-        other mask is one; otherwise one sweep over the meet of the masks
-        looks for one."""
+        of both chambers either side of it.  Inside one certified interval
+        its witness is one, so only a candidate at an interval end needs
+        the masks: a witness inside the other mask is one; otherwise one
+        sweep over the meet of the masks looks for one."""
         i, j = self.sides(t)
-        if i == j:
+        if i == j or self.interval(i) is self.interval(j):
             return False
         (_, zlo, mlo), (_, zhi, mhi) = self.chamber(i), self.chamber(j)
         if not zlo & ~mhi or not zhi & ~mlo:
@@ -251,22 +323,23 @@ def gamma_at(c: BifilteredComplex, t) -> Fraction:
 def upsilon_pl(c: BifilteredComplex) -> PLFunction:
     """Upsilon of the complex as an exact piecewise-linear function.
 
-    gamma is linear on each chamber, so sampling it at every chamber end
-    (the collinearity candidates plus 0 and 2) gives the exact canonical
-    function.  Each sample checks that the lines of the two chambers at a
-    candidate meet there, which a missing candidate breaks.
+    gamma is linear on each certified interval, so sampling it at 0 and at
+    the hi of every interval gives the exact canonical function.  Each
+    sample checks that the lines of the intervals either side meet there.
     """
     eng = _engine(c)
-    return pl_from_samples([(t, -2 * eng.gamma(t)) for t in eng.ends])
+    eng.interval(len(eng.ends) - 2)
+    return pl_from_samples([(t, -2 * eng.gamma(t)) for t in
+                            (eng.ends[0], *(hi for *_, hi in eng._intervals))])
 
 
 def pivot_points(c: BifilteredComplex, t) -> PivotPair:
     """The unique bifiltration levels on the support line just below and just
     above t.
 
-    They are the contact levels of the chambers either side of t (the
-    chamber containing t, twice, when t is no candidate); each chamber's
-    sweep checks that its support line meets exactly one grading-0 level.
+    They are the certified levels of the chambers either side of t (the
+    chamber containing t, twice, when t is no candidate); building each
+    chamber's mask checks that its support line meets exactly one level.
     delta is half the distance from t to the nearest chamber end other than
     t, so t +/- delta lie in those chambers.
     """
@@ -281,11 +354,12 @@ def pivot_points(c: BifilteredComplex, t) -> PivotPair:
 
 def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     """The essential grading-0 cycles in the sublevel subcomplex at
-    gamma(t_side), as (base, directions): the chamber witness plus the span of
-    the boundaries supported there, a reduced basis in increasing pivot
-    order.  t_side must avoid the candidate parameters; any point of a
-    chamber gives the same space (for instance the t +/- delta of
-    pivot_points).  Built on demand; the engine itself reads masks."""
+    gamma(t_side), as (base, directions): the witness of the certified
+    interval covering t_side plus the span of the boundaries supported
+    there, a reduced basis in increasing pivot order.  t_side must avoid
+    the candidate parameters; any point of a chamber gives the same space
+    (for instance the t +/- delta of pivot_points).  Built on demand; the
+    engine itself reads masks."""
     t_side = _frac(t_side)
     if not 0 < t_side < 2:
         raise ValueError(f"t_side={t_side} outside (0,2)")

@@ -1,16 +1,20 @@
 """Reference constructions for the tests, written from the definitions and
 sharing no code with upsilonkit: grading slices, boundary maps as bitset
 columns, the Euler characteristic, the lower envelope of a family of
-lines, the collinearity parameters of a level set, the cycle spaces of a
-complex, and the jump test and secondary invariant computed on them.
+lines, the collinearity parameters of a level set, one gamma sweep per
+chamber, the cycle spaces of a complex, and the jump test and secondary
+invariant computed on them.
 
 The brute-force oracles and the d^2 test use these, so they do not trust
 the slices the engine builds; the envelope tests use the all-pairs
 envelope, so they do not trust the hull sweep; the candidate and
 cycle-space tests build one Fraction per pair of levels and one
 elimination per parameter, so they do not trust the engine's dedupe and
-caches; the jump and secondary-invariant tests intersect affine cycle
-spaces, so they do not trust the engine's mask sweeps.
+caches; the interval tests sweep every chamber midpoint and test
+essential cycles against the boundaries, so they do not trust the
+engine's certified intervals or its essential functional; the jump and
+secondary-invariant tests intersect affine cycle spaces, so they do not
+trust the engine's mask sweeps.
 """
 
 from fractions import Fraction
@@ -135,17 +139,50 @@ def _f(t, level):
     return alg + t * (alex - alg) / 2
 
 
+def _scaled(t, levels):
+    """2v * f_t on each level, t = u/v: integers in the order of f_t."""
+    u, v = t.numerator, t.denominator
+    return [(2 * v - u) * alg + u * alex for alg, alex in levels]
+
+
 def _gamma(data, t):
     """(gamma(t), the first essential cycle of the column reduction of d0
-    in f_t order, ties by slice index); a cycle is essential when it is not
-    a boundary."""
+    in f_t order, ties by slice index, and the index of the element that
+    closed it); a cycle is essential when it is not a boundary."""
     d0, _, levels, _, boundaries = data
     columns = {}
-    for i in sorted(range(len(levels)), key=lambda j: _f(t, levels[j])):
+    for i in sorted(range(len(levels)), key=_scaled(t, levels).__getitem__):
         v, base = _reduce(d0[i], 1 << i, columns)
         if v == 0 and _reduce(base, 0, boundaries, insert=False)[0]:
-            return _f(t, levels[i]), base
+            return _f(t, levels[i]), base, i
     raise AssertionError("no essential cycle")
+
+
+def chamber_sweeps(c):
+    """(level, mask) at the midpoint t of every chamber, one sweep per
+    chamber: the level of the element that closes the first essential cycle
+    of the column reduction of d0 in f_t order, and the slice elements whose
+    f_t is at most gamma(t)."""
+    data = _data(c)
+    levels = data[2]
+    ends = [Fraction(0), *collinearity_parameters(levels), Fraction(2)]
+    out = []
+    for a, b in zip(ends, ends[1:]):
+        t = (a + b) / 2
+        i = _gamma(data, t)[2]
+        key = _scaled(t, levels)
+        out.append((levels[i], sum(1 << j for j, k in enumerate(key)
+                                   if k <= key[i])))
+    return out
+
+
+def is_essential(c, z):
+    """Whether the grading-0 chain z is a cycle and not a boundary."""
+    boundaries = {}
+    for col in boundary(c, 1):
+        _reduce(col, 0, boundaries)
+    return (apply(boundary(c, 0), z) == 0
+            and _reduce(z, 0, boundaries, insert=False)[0] != 0)
 
 
 def cycle_spaces(c, ts):
@@ -162,7 +199,7 @@ def cycle_spaces(c, ts):
     _, d1, levels, _, _ = data
     out = []
     for t in ts:
-        g, base = _gamma(data, t)
+        g, base, _ = _gamma(data, t)
         outside = ~sum(1 << j for j, lev in enumerate(levels)
                        if _f(t, lev) <= g)
         kernel, dirs = {}, []

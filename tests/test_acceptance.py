@@ -83,3 +83,17 @@ def test_fast_suite_under_optimize():
         cwd=src, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == FAST_GOLDEN
+
+
+def test_jumps_under_optimize():
+    # The certificate checks of the gamma intervals raise explicitly, so
+    # python -O, which strips assert statements, prints the same table.
+    src = Path(verify.__file__).resolve().parents[1]
+    runs = [subprocess.run(
+        [sys.executable, *flags, "-m", "upsilonkit", "jumps", "--",
+         "T(5,6) # T(2,5) # -T(5,7)"],
+        cwd=src, capture_output=True, text=True, timeout=120)
+        for flags in ([], ["-O"])]
+    assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    assert "4/5\tyes\t-12/5" in runs[0].stdout
+    assert runs[1].stdout == runs[0].stdout

@@ -1,6 +1,6 @@
 import random
 
-from upsilonkit.f2 import reduce_pair, span_basis
+from upsilonkit.f2 import functional, reduce_pair, span_basis
 
 
 def _random_rows(rng, nrows, ncols):
@@ -26,7 +26,7 @@ def _rowspan_size(rows) -> int:
 
 class TestReducePair:
     def test_residues_are_tagged_combinations(self):
-        # The contract the chamber sweeps, validation's essential functional,
+        # The contract the gamma sweeps, validation's essential functional,
         # the mask sweeps and cycle_space rely on: each residue is the XOR
         # of the inputs its tag selects, and exactly input count - rank
         # inputs reduce to zero.
@@ -46,6 +46,21 @@ class TestReducePair:
                 assert residue == selected
                 zeros += residue == 0
             assert zeros == n - (_rowspan_size(vecs).bit_length() - 1)
+
+
+class TestFunctional:
+    def test_takes_each_row_to_its_tag(self):
+        # Validation's phi and the sweeps' lam rest on this: lam(row) is the
+        # parity of the row's tag, on every row of a reduced basis.
+        rng = random.Random(23)
+        for _ in range(60):
+            basis = {}
+            for v in _random_rows(rng, rng.randint(1, 12), rng.randint(1, 10)):
+                reduce_pair(v, rng.randint(0, 5), basis)
+            lam = functional(basis)
+            assert all((row & lam).bit_count() % 2 == tag % 2
+                       for row, tag in basis.values())
+            assert lam & ~sum(1 << p for p in basis) == 0
 
 
 class TestRank:

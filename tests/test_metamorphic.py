@@ -1,24 +1,31 @@
-"""Metamorphic tests: filtered changes of basis and acyclic stabilisations
-leave upsilon, the jump set and the secondary invariant at every jump
-unchanged.
+"""Metamorphic tests: filtered changes of basis, acyclic stabilisations,
+filtration shifts and reordered tensor factors leave the jump set and the
+secondary invariant at every jump unchanged, and upsilon too, up to the
+linear term -2 f_t of a shift.
 
 The variants are complexes that `realize()` never builds: nonzero
 U-exponents, several generators at one level, and arrows that keep both
 filtrations.  Each is validated before its invariants are compared with
-those of the knot it came from.
+those of the knot it came from; a bounded sample is also compared with the
+affine cycle spaces of the reference at every candidate.
 """
 
+from fractions import Fraction
 from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
-from upsilonkit.cfk import BifilteredComplex, Generator, validate
+from reference import secondary
+from upsilonkit.cfk import (BifilteredComplex, Generator, shift_filtration,
+                            validate)
 from upsilonkit.expr import parse_expr, realize
-from upsilonkit.plfun import pl_equal
-from upsilonkit.upsilon import jump_values, upsilon_pl
+from upsilonkit.plfun import NEG_INF, pl_add, pl_equal, pl_from_samples
+from upsilonkit.upsilon import (candidate_parameters, gamma2, is_jump_value,
+                                jump_values, upsilon_pl)
 
 KNOTS = ["T(2,3)", "T(2,5)", "T(3,4)", "T(3,5)", "T(2,7)", "-T(2,3)",
-         "-T(3,4)", "T(2,3) # T(2,3)", "T(2,3) # -T(2,5)"]
+         "-T(3,4)", "T(2,3) # T(2,3)", "T(2,3) # -T(2,5)", "T(3,4) # -T(2,3)",
+         "T(2,3) # T(2,3) # -T(2,5)"]
 
 
 def invariants(c):
@@ -85,8 +92,12 @@ def stabilize(c, maslov, alg, alex, n):
 
 @st.composite
 def variants(draw):
+    """(expr, variant, shift): the knot of expr with its tensor factors in
+    a drawn order, basis changes and stabilisations, then every filtration
+    level moved by shift."""
     expr = draw(st.sampled_from(KNOTS))
-    c, _ = knot(expr)
+    c = realize(parse_expr(" # ".join(
+        draw(st.permutations(expr.split(" # "))))))
     small = st.integers(-2, 2)
     for _ in range(draw(st.integers(1, 6))):
         if draw(st.booleans()):
@@ -96,18 +107,36 @@ def variants(draw):
         partners = basis_partners(c, x)
         if partners:
             c = change_basis(c, x, *draw(st.sampled_from(partners)))
-    return expr, c
+    shift = (draw(small), draw(small))
+    return expr, shift_filtration(c, *shift), shift
 
 
 @settings(max_examples=300, deadline=None)
 @given(variants())
 def test_invariants_survive_basis_change_and_stabilisation(case):
-    expr, c = case
+    expr, c, (da, db) = case
     assert validate(c) == []
     ups, jumps = invariants(c)
     want_ups, want_jumps = knot(expr)[1]
-    assert pl_equal(ups, want_ups)
+    # gamma moves by f_t(da, db), linear from da at t = 0 to db at t = 2.
+    assert pl_equal(ups, pl_add(want_ups, pl_from_samples(
+        [(0, -2 * da), (2, -2 * db)])))
     assert jumps == want_jumps
+
+
+S_VALUES = (None, Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1),
+            Fraction(3, 2), Fraction(2))    # None stands for t
+
+
+@settings(max_examples=40, deadline=None)
+@given(variants())
+def test_variants_match_reference_at_every_candidate(case):
+    _, c, _ = case
+    cands = candidate_parameters(c)
+    for t, (jump, values) in zip(cands, secondary(c, cands, S_VALUES)):
+        assert is_jump_value(c, t) == jump, t
+        got = [gamma2(c, t, t if s is None else s) for s in S_VALUES]
+        assert [None if g == NEG_INF else g for g in got] == values, t
 
 
 def test_change_basis_by_hand():

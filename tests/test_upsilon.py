@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import (apply, boundary, collinearity_parameters, cycle_spaces,
+from reference import (apply, boundary, chamber_sweeps,
+                       collinearity_parameters, cycle_spaces, is_essential,
                        secondary, slice_levels)
 from upsilonkit import upsilon
 from upsilonkit.cfk import (dual, from_staircase, shift_filtration, tensor,
@@ -275,16 +276,19 @@ class TestCandidateGuard:
             assert capsys.readouterr().err.startswith("internal error: ")
 
 
-class TestChamberTable:
-    @pytest.mark.parametrize("name,make,chambers", [
+class TestIntervalTable:
+    @pytest.mark.parametrize("name,make,sweeps", [
         ("T(3,4)#T(2,5)",
-         lambda: tensor(torus_complex(3, 4), torus_complex(2, 5)), 8),
-        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5), 166),
+         lambda: tensor(torus_complex(3, 4), torus_complex(2, 5)), 4),
+        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5), 6),
+        ("T(7,8)#T(2,7)#-T(7,9)", lambda: _vanishing_family(7), 8),
     ])
-    def test_one_sweep_per_chamber(self, monkeypatch, name, make, chambers):
+    def test_one_sweep_per_interval(self, monkeypatch, name, make, sweeps):
         # upsilon_pl and jump_values (jump tests, gamma2 and gamma at every
-        # candidate) sweep each chamber once, at its midpoint, and nowhere
-        # else.
+        # candidate) sweep once per certified interval, walking from t = 0:
+        # each sweep is at the midpoint of the chamber where the previous
+        # interval ends.  Only the chambers beside an interval boundary
+        # build a mask.
         swept = []
         sweep = _Engine._sweep
 
@@ -297,9 +301,31 @@ class TestChamberTable:
         upsilon_pl(c)
         jump_values(c)
         ends = _engine(c).ends
-        mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
-        assert len(mids) == chambers, name
-        assert sorted(swept) == mids, name
+        table = _engine(c)._intervals
+        starts = [ends.index(hi) for *_, hi in table]
+        assert len(swept) == len(table) == sweeps, name
+        assert swept == [(ends[k] + ends[k + 1]) / 2
+                         for k in [0] + starts[:-1]], name
+        assert starts[-1] == len(ends) - 1, name
+        assert sorted(_engine(c)._masks) == sorted(
+            k + d for k in starts[:-1] for d in (-1, 0)), name
+
+    @pytest.mark.parametrize("name,make", SMALL_COMPLEXES + [
+        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5)),
+        ("T(7,8)#T(2,7)#-T(7,9)", lambda: _vanishing_family(7))])
+    def test_matches_chamber_sweeps(self, name, make):
+        # At every chamber midpoint the certified level is the level of a
+        # sweep there, and the witness an essential cycle inside its mask.
+        c = make()
+        eng = _engine(c)
+        sweeps = chamber_sweeps(c)
+        assert len(sweeps) == len(eng.ends) - 1, name
+        for k, (level, mask) in enumerate(sweeps):
+            got, witness, lo, hi = eng.interval(k)
+            assert got == level, (name, k)
+            assert not witness & ~mask, (name, k)
+            assert lo <= eng.ends[k] < eng.ends[k + 1] <= hi, (name, k)
+        assert all(is_essential(c, z) for _, z, _, _ in eng._intervals), name
 
 
 class TestPivots:
@@ -497,6 +523,114 @@ class TestCertificates:
         eng.d1cols = [0] * len(eng.d1cols)
         with pytest.raises(AssertionError, match="exhausted"):
             gamma2(c, F(2, 3), F(2, 3))
+
+
+def _refused(capsys, expr, match):
+    """upsilon of expr raises match, and the CLI exits 3."""
+    with pytest.raises(AssertionError, match=match):
+        upsilon_pl(realize(parse_expr(expr)))
+    assert main(["upsilon", expr]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ")
+
+
+class TestIntervalCertificate:
+    """A corrupt gamma certificate raises (exit 3), also under -O."""
+
+    @pytest.fixture
+    def corrupt_sweeps(self, monkeypatch):
+        def corrupt(change):
+            sweep = _Engine._sweep
+
+            def patched(self, t):
+                return change(self, t, *sweep(self, t))
+
+            monkeypatch.setattr(_Engine, "_sweep", patched)
+            return sweep
+        return corrupt
+
+    def test_functional_off_phi_below_level(self, corrupt_sweeps, capsys):
+        # Flip lam on the pivot of d0 e_j for an element j below the
+        # contact level, so j lands in Q.
+        def change(self, t, level, z, lam, below):
+            j = next(j for j in range(self.dim0)
+                     if below >> j & 1 and self.d0cols[j])
+            return level, z, lam ^ 1 << self.d0cols[j].bit_length() - 1, below
+
+        corrupt_sweeps(change)
+        _refused(capsys, "-T(3,4)", "differs from phi below the contact level")
+
+    def test_even_witness(self, corrupt_sweeps, capsys):
+        # A nonzero boundary in place of the witness: a cycle, but phi is
+        # even on it.
+        c = realize(parse_expr("T(2,3) # -T(2,5)"))
+        witnesses = []
+
+        def change(self, t, level, z, lam, below):
+            witnesses.append(next(col for col in self.d1cols if col))
+            return level, witnesses[-1], lam, below
+
+        corrupt_sweeps(change)
+        _refused(capsys, "T(2,3) # -T(2,5)", "not an essential cycle")
+        assert witnesses[0] and apply(boundary(c, 0), witnesses[0]) == 0
+        assert not is_essential(c, witnesses[0])
+
+    def test_witness_not_a_cycle(self, corrupt_sweeps, capsys):
+        # Add a slice element whose boundary is nonzero.
+        def change(self, t, level, z, lam, below):
+            j = next(j for j, col in enumerate(self.d0cols) if col)
+            return level, z ^ 1 << j, lam, below
+
+        corrupt_sweeps(change)
+        _refused(capsys, "-T(3,4)", "not an essential cycle")
+
+    def test_witness_above_contact_level(self, corrupt_sweeps):
+        # T(2,3) plus an acyclic pair w -> y at (1,2), on the line of slope
+        # 1 through the first contact level (0,1) and above it at every t.
+        # y is a boundary, so the witness plus y passes d0 z = 0 and
+        # phi(z) = 1, but bounds gamma from above by f(1,2) only.
+        base = torus_complex(2, 3)
+        k = len(base)
+        c = BifilteredComplex(
+            list(base.generators) + [Generator("w", 1, 1, 2),
+                                     Generator("y", 0, 1, 2)],
+            {**base.differential, (k, k + 1): {0}})
+        y = 1 << _engine(c).lev0.index((1, 2))
+        corrupt_sweeps(lambda self, t, level, z, lam, below:
+                       (level, z | y, lam, below))
+        with pytest.raises(AssertionError, match="misses t=1/2"):
+            upsilon_pl(c)
+
+    def test_interval_end_not_a_candidate(self, monkeypatch, capsys):
+        complete = upsilon._collinearity_parameters
+        monkeypatch.setattr(
+            upsilon, "_collinearity_parameters",
+            lambda levels: tuple(t for t in complete(levels) if t != F(2, 3)))
+        _refused(capsys, "T(3,4)", "certified interval ends at 2/3, no ")
+
+
+class TestOtherConsistencyChecks:
+    """The checks the certificates make redundant still raise (exit 3)."""
+
+    def test_support_line_through_two_levels(self, monkeypatch, capsys):
+        # Without 2/3 and 1, the sweep lands on 2/3, where the support line
+        # meets (0,3) and (1,1).
+        complete = upsilon._collinearity_parameters
+        monkeypatch.setattr(
+            upsilon, "_collinearity_parameters",
+            lambda levels: tuple(t for t in complete(levels)
+                                 if t not in (F(2, 3), F(1))))
+        _refused(capsys, "T(3,4)", "support line at t=2/3 meets more than one")
+
+    def test_table_entry_off_gamma(self, monkeypatch, capsys):
+        # An entry whose level is not gamma's breaks continuity at its end.
+        certify = _Engine._certify
+
+        def patched(self, t):
+            level, z, lo, hi = certify(self, t)
+            return ((1, 2) if level == (1, 1) else level), z, lo, hi
+
+        monkeypatch.setattr(_Engine, "_certify", patched)
+        _refused(capsys, "T(3,4)", "gamma not continuous at t=2/3")
 
 
 class TestSecondary:
