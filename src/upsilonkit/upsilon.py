@@ -9,25 +9,27 @@ cuts the grading-0 slice of the complex into sublevel subcomplexes, and
 gamma(t) is the least level s at which the sublevel set contains a cycle
 that survives to the generator of the homology of the full complex; upsilon
 is -2*gamma.  Two distinct grading-0 bifiltration levels take the same f_t
-value only at finitely many parameters, the collinearity candidates, which
-cut [0,2] into chambers.  One sweep at a point t gives the contact level L,
-a witness cycle z and a certificate that gamma = f(L) on a whole interval
-of chambers: a functional lam with phi = lam o d0 below L, where phi is the
-essential functional.  Every essential cycle meets the elements Q on which
-phi and lam o d0 differ, so f(L) bounds gamma from below while no element
-of Q falls below L, and from above while no element of z rises above it.
-A walk from t = 0 makes one sweep per linear piece of gamma, not one per
-chamber; gamma is continuous across candidates.
+value only at finitely many parameters, the collinearity candidates.  Just
+above (below) t, f orders the levels by f_t with ties broken by (minus)
+the slope alex - alg: the symbolic perturbation of Edelsbrunner and Muecke,
+"Simulation of Simplicity", ACM Trans. Graphics 9(1), 1990.  One sweep in
+that order gives the contact level L, a witness cycle z and a certificate
+that gamma = f(L) on a whole interval: a functional lam with phi = lam o d0
+below L, where phi is the essential functional.  Every essential cycle
+meets the elements Q on which phi and lam o d0 differ, so f(L) bounds
+gamma from below while no element of Q falls below L, and from above while
+no element of z rises above it.  A walk 0+, hi+, ... makes one sweep per
+linear piece of gamma, and a query at one t sweeps at t- and t+ at most.
 
-The cycles of a chamber are read off its mask M, the slice elements at or
-below gamma there: they are the essential cycles supported in M, since
-every grading-0 cycle is either essential or a boundary.  So both questions
-about a candidate t, with masks M- and M+ on the chambers below and above
-it, are column sweeps over masks.  t is a jump when no essential cycle lies
-in M- and M+ at once, which a witness of one interval does inside it.  The
-secondary invariant measures how far the support line must retreat, along
-a second direction s, before the cycles coming from just below t and just
-above t become homologous:
+The cycles just below or above t are read off the mask M there, the slice
+elements at or below L in that order: they are the essential cycles
+supported in M, since every grading-0 cycle is either essential or a
+boundary.  So both questions about a candidate t, with masks M- and M+
+just below and above it, are column sweeps over masks.  t is a jump when
+no essential cycle lies in M- and M+ at once, which the witness of an
+interval covering both sides does.  The secondary invariant measures how
+far the support line must retreat, along a second direction s, before the
+cycles coming from just below t and just above t become homologous:
 
     gamma2_{t}(s) = min { r : some z+ and z- represent the same class in
                           H_0( C^t_{gamma(t)} + C^s_r ) }
@@ -44,6 +46,8 @@ import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .cfk import BifilteredComplex, validated_slices
@@ -75,25 +79,37 @@ class JumpReport:
     upsilon2: ExtRational
 
 
-def _keys(levels: list[tuple[int, int]], t: Fraction) -> tuple[list[int], int]:
-    """Integer keys proportional to f_t on the given (alg, alex) levels.
+Level = tuple[int, int]
+# A certified interval: (contact level, witness cycle, lo, hi).
+Interval = tuple[Level, int, Fraction, Fraction]
+_LO, _HI = itemgetter(2), itemgetter(3)
 
-    For t = u/v, f_t(a, A) = (u*A + (2v-u)*a) / (2v); the scale 2v is
-    returned so callers can recover exact values.
+
+def _keys(levels: list[Level], t: Fraction, side: int = 0) -> list[int]:
+    """Integer keys that order the (alg, alex) levels as f_t does (side 0),
+    as f does just above t (side +1) or just below t (side -1).
+
+    For t = u/v the side-0 key is 2v*f_t(a, A) = u*A + (2v-u)*a.  Otherwise
+    it is scaled by w = 2*max|A - a| + 1 and side*(A - a) is added, which
+    shifts no key past another of different f_t: the keys order by f_t,
+    then by side times the slope, as f_{t+e} = f_t + e*(A - a)/2 does for
+    every small e of the sign of side.  Equal keys mean equal f_t and equal
+    slope A - a, hence equal a = f_t - t*(A - a)/2 and equal A: just below
+    or above t the support line meets exactly one level.
     """
     u, v = t.numerator, t.denominator
     wa = 2 * v - u
-    return [u * A + wa * a for a, A in levels], 2 * v
+    w = 2 * max((abs(A - a) for a, A in levels), default=0) + 1 if side else 1
+    return [(u * A + wa * a) * w + side * (A - a) for a, A in levels]
 
 
-def _f(t: Fraction, level: tuple[int, int]) -> Fraction:
+def _f(t: Fraction, level: Level) -> Fraction:
     """f_t(level), exactly."""
     alg, alex = level
     return alg + t * (alex - alg) / 2
 
 
-def _collinearity_parameters(levels: list[tuple[int, int]]
-                             ) -> tuple[Fraction, ...]:
+def _collinearity_parameters(levels: list[Level]) -> tuple[Fraction, ...]:
     """All t in (0,2) where two distinct (alg, alex) levels agree under f_t.
 
     f_t(P) = f_t(Q) is linear in t, so each unordered pair of distinct
@@ -113,21 +129,15 @@ def _collinearity_parameters(levels: list[tuple[int, int]]
     return tuple(sorted(Fraction(2 * a, a + x) for a, x in keys))
 
 
-Level = tuple[int, int]
-# A certified interval: (contact level, witness cycle, lo, hi).
-Interval = tuple[Level, int, Fraction, Fraction]
-
-
 class _Engine:
     """Per-complex slice data and the table of certified gamma intervals.
 
     Holds the grading-0/1 slice data as bitset columns and the essential
     functional phi from validation, which vanishes on boundaries but not on
     the essential class, so "is this cycle homologically essential" is a
-    single popcount.  Chamber k is (ends[k], ends[k+1]).  The table is
-    walked from t = 0: each entry comes from one sweep at the midpoint of
-    the chamber where the previous entry ends, and covers the chambers from
-    there to its hi.  A chamber's mask is built on first use.
+    single popcount.  Each table entry comes from one sweep just above or
+    below some t; no entry contains another, so lo and hi increase
+    together.  The collinearity candidates are listed on first use.
     """
 
     def __init__(self, c: BifilteredComplex):
@@ -140,83 +150,72 @@ class _Engine:
         self.d0cols = slices.d0
         self.d1cols = slices.d1
         self.phi = slices.phi
-        self.candidates = _collinearity_parameters(self.lev0)
-        self.ends = (Fraction(0), *self.candidates, Fraction(2))
         self._intervals: list[Interval] = []
-        self._masks: dict[int, int] = {}
 
-    def sides(self, t: Fraction) -> tuple[int, int]:
-        """The chambers below and above t in [0,2]: two neighbours for a
-        candidate, the same chamber twice for any other t (for 0 and 2, the
-        chamber they end)."""
-        e = self.ends
-        return (max(bisect_left(e, t) - 1, 0),
-                min(bisect_right(e, t) - 1, len(e) - 2))
+    @cached_property
+    def candidates(self) -> tuple[Fraction, ...]:
+        return _collinearity_parameters(self.lev0)
 
-    def interval(self, k: int) -> Interval:
-        """The certified interval covering chamber k."""
-        table, ends = self._intervals, self.ends
-        while not table or table[-1][3] <= ends[k]:
-            start = bisect_left(ends, table[-1][3]) if table else 0
-            table.append(self._certify((ends[start] + ends[start + 1]) / 2))
-        return table[bisect_right(table, ends[k], key=lambda e: e[3])]
+    def interval(self, t: Fraction, side: int) -> Interval:
+        """The certified interval just above t (side +1: lo <= t < hi) or
+        just below it (side -1: lo < t <= hi): the entry with the largest lo
+        short of t if it covers t, else a new one from a sweep, which
+        replaces the entries it contains."""
+        table = self._intervals
+        k = (bisect_right if side > 0 else bisect_left)(table, t, key=_LO)
+        if k and (t < table[k - 1][3] or side < 0 and t == table[k - 1][3]):
+            return table[k - 1]
+        entry = self._certify(t, side)
+        table[bisect_left(table, entry[2], key=_LO):
+              bisect_right(table, entry[3], key=_HI)] = [entry]
+        return entry
 
-    def chamber(self, k: int) -> tuple[Level, int, int]:
-        """(level, witness, mask) of chamber k: its interval's level and
-        witness, and the slice elements at or below that level there."""
-        level, witness, _, _ = self.interval(k)
-        if k not in self._masks:
-            self._masks[k] = self._sublevel(
-                (self.ends[k] + self.ends[k + 1]) / 2, level)[1]
-        return level, witness, self._masks[k]
+    def one_sided(self, t: Fraction, side: int) -> tuple[int, int]:
+        """(witness, mask) just above (side +1) or just below (side -1) t:
+        the witness of the certified interval there, and the slice elements
+        at or below its contact level in the order there."""
+        level, witness, _, _ = self.interval(t, side)
+        keys = _keys(self.lev0, t, side)
+        top = keys[self.lev0.index(level)]
+        return witness, sum(1 << j for j, k in enumerate(keys) if k <= top)
 
-    def _sublevel(self, t: Fraction, level: Level) -> tuple[int, int]:
-        """The slice elements below level under f_t, and those at or below
-        it.  t must lie inside a chamber, where the support line meets
-        exactly one level; that is checked."""
-        keys, _ = _keys(self.lev0, t)
-        [key], _ = _keys([level], t)
-        if any(k == key and lev != level for k, lev in zip(keys, self.lev0)):
-            raise AssertionError(f"support line at t={t} meets more than one "
-                                 f"level; candidate set incomplete")
-        return (sum(1 << j for j, k in enumerate(keys) if k < key),
-                sum(1 << j for j, k in enumerate(keys) if k <= key))
-
-    def _sweep(self, t: Fraction) -> tuple[Level, int, int, int]:
-        """Processes slice elements in increasing f_t order while
-        column-reducing the grading-0 boundary map; every dependent column
-        yields a cycle supported in the current sublevel set, and phi tells
-        in O(1) whether it is essential.  The first essential cycle is the
-        witness z, and the level of the element that closed it the contact
-        level L.  Returns (L, z, lam, S), S the elements below L and lam a
-        functional on the grading -1 slice with phi = lam o d0 on S,
-        back-substituted in increasing pivot order over the rows whose
-        combination lies in S.
+    def _sweep(self, t: Fraction, side: int) -> tuple[Level, int, int, int]:
+        """Processes slice elements in increasing order just above (side +1)
+        or just below (side -1) t while column-reducing the grading-0
+        boundary map; every dependent column yields a cycle supported in the
+        current sublevel set, and phi tells in O(1) whether it is essential.
+        The first essential cycle is the witness z, and the level of the
+        element that closed it the contact level L.  Returns (L, z, lam, S),
+        S the elements below L in that order and lam a functional on the
+        grading -1 slice with phi = lam o d0 on S, back-substituted in
+        increasing pivot order over the rows whose combination lies in S.
         """
-        keys, _ = _keys(self.lev0, t)
+        keys = _keys(self.lev0, t, side)
         reducer: Basis = {}
         phi = self.phi
         for i in sorted(range(self.dim0), key=keys.__getitem__):
             v, combo = reduce_pair(self.d0cols[i], 1 << i, reducer)
             if v == 0 and ((combo & phi).bit_count() & 1):
-                below = self._sublevel(t, self.lev0[i])[0]
+                below = sum(1 << j for j, k in enumerate(keys) if k < keys[i])
                 lam = functional({p: (row, (rcombo & phi).bit_count())
                                   for p, (row, rcombo) in reducer.items()
                                   if not rcombo & ~below})
                 return self.lev0[i], combo, lam, below
         raise AssertionError("no essential cycle found; complex invalid")
 
-    def _certify(self, t: Fraction) -> Interval:
-        """(L, z, lo, hi) from the sweep at t, with gamma = f(L) on [lo, hi].
+    def _certify(self, t: Fraction, side: int) -> Interval:
+        """(L, z, lo, hi) from the sweep at t+ or t-, with gamma = f(L) on
+        [lo, hi].
 
         With Q the elements i where phi_i != lam(d0 e_i), a cycle z' has
         phi(z') = |z' meet Q| mod 2, so every essential cycle meets Q, and
         min over Q of f_t' <= gamma(t') <= max over z of f_t'.  Both bounds
         are f_t'(L) while no element of z lies above L and none of Q below
         it, one linear inequality in t' per element.  Checked: d0 z = 0,
-        phi(z) = 1, Q misses S, and [lo, hi] holds t and ends at chamber ends.
+        phi(z) = 1, Q misses S, and [lo, hi] holds t+ (lo <= t < hi) or
+        t- (lo < t <= hi).
         """
-        level, z, lam, below = self._sweep(t)
+        level, z, lam, below = self._sweep(t, side)
         dz = q = 0
         for i, col in enumerate(self.d0cols):
             dz ^= col if z >> i & 1 else 0
@@ -228,34 +227,30 @@ class _Engine:
                 f"lam o d0 differs from phi below the contact level at t={t}")
         lo, hi = Fraction(0), Fraction(2)
         a, x = level
-        for side, part in ((1, z), (-1, q)):
+        for sign, part in ((1, z), (-1, q)):
             for b, y in {lev for i, lev in enumerate(self.lev0)
                          if part >> i & 1}:
-                # side * (f_t'(b, y) - f_t'(L)) = c0 + c1 * t' / 2 <= 0
-                c0, c1 = side * (b - a), side * (y - b - x + a)
+                # sign * (f_t'(b, y) - f_t'(L)) = c0 + c1 * t' / 2 <= 0
+                c0, c1 = sign * (b - a), sign * (y - b - x + a)
                 if c1 > 0:
                     hi = min(hi, Fraction(-2 * c0, c1))
                 elif c1 < 0:
                     lo = max(lo, Fraction(-2 * c0, c1))
                 elif c0 > 0:
                     hi = lo
-        if not lo < t < hi:
+        if not (lo <= t < hi if side > 0 else lo < t <= hi):
             raise AssertionError(
                 f"certified interval [{lo}, {hi}] misses t={t}")
-        for end in (lo, hi):
-            if self.ends[bisect_left(self.ends, end)] != end:
-                raise AssertionError(f"certified interval ends at {end}, no "
-                                     f"chamber end; candidate set incomplete")
         return level, z, lo, hi
 
     def gamma(self, t: Fraction) -> Fraction:
-        """f_t of the contact level of the chambers either side of t.  They
-        must agree at a candidate, where gamma is continuous; a disagreement
-        means a collinearity parameter is missing."""
-        lo, hi = (_f(t, self.interval(i)[0]) for i in self.sides(t))
+        """f_t of the contact levels just below and just above t (the one
+        side inside [0,2] at 0 and 2).  They must agree, since gamma is
+        continuous; a disagreement means a wrong certified interval."""
+        lo, hi = (_f(t, self.interval(t, side)[0])
+                  for side in (-1 if t else 1, 1 if t < 2 else -1))
         if lo != hi:
-            raise AssertionError(
-                f"gamma not continuous at t={t}: candidate set incomplete")
+            raise AssertionError(f"gamma not continuous at t={t}")
         return lo
 
     def essential_sweep(self, inside: int, outside: int) -> Optional[Basis]:
@@ -279,15 +274,12 @@ class _Engine:
         return reducer
 
     def is_jump(self, t: Fraction) -> bool:
-        """Whether t is a candidate and no essential cycle lies in the masks
-        of both chambers either side of it.  Inside one certified interval
-        its witness is one, so only a candidate at an interval end needs
-        the masks: a witness inside the other mask is one; otherwise one
-        sweep over the meet of the masks looks for one."""
-        i, j = self.sides(t)
-        if i == j or self.interval(i) is self.interval(j):
+        """Whether no essential cycle lies in the masks just below and above
+        t: the witness of an interval covering both sides is one, else a
+        witness inside the other mask, else one a sweep of the meet finds."""
+        if self.interval(t, -1)[3] > t:
             return False
-        (_, zlo, mlo), (_, zhi, mhi) = self.chamber(i), self.chamber(j)
+        (zlo, mlo), (zhi, mhi) = self.one_sided(t, -1), self.one_sided(t, 1)
         if not zlo & ~mhi or not zhi & ~mlo:
             return False
         return self.essential_sweep(mlo & mhi, 0) is not None
@@ -323,33 +315,36 @@ def gamma_at(c: BifilteredComplex, t) -> Fraction:
 def upsilon_pl(c: BifilteredComplex) -> PLFunction:
     """Upsilon of the complex as an exact piecewise-linear function.
 
-    gamma is linear on each certified interval, so sampling it at 0 and at
-    the hi of every interval gives the exact canonical function.  Each
-    sample checks that the lines of the intervals either side meet there.
+    gamma is linear on each certified interval, so a walk 0+, hi+, ...
+    that samples it at 0 and at the hi of every interval it meets gives
+    the exact canonical function.  Each sample checks that the levels
+    just below and just above it agree.
     """
     eng = _engine(c)
-    eng.interval(len(eng.ends) - 2)
-    return pl_from_samples([(t, -2 * eng.gamma(t)) for t in
-                            (eng.ends[0], *(hi for *_, hi in eng._intervals))])
+    ts = [Fraction(0)]
+    while ts[-1] < 2:
+        ts.append(eng.interval(ts[-1], 1)[3])
+    return pl_from_samples([(t, -2 * eng.gamma(t)) for t in ts])
 
 
 def pivot_points(c: BifilteredComplex, t) -> PivotPair:
     """The unique bifiltration levels on the support line just below and just
     above t.
 
-    They are the certified levels of the chambers either side of t (the
-    chamber containing t, twice, when t is no candidate); building each
-    chamber's mask checks that its support line meets exactly one level.
-    delta is half the distance from t to the nearest chamber end other than
-    t, so t +/- delta lie in those chambers.
+    They are the contact levels of the certified intervals just below and
+    just above t (the same level twice when t is no candidate).  delta is
+    half the distance from t to the nearest candidate, 0 or 2 other than t,
+    so no candidate lies strictly between t and t +/- delta.
     """
     t = _frac(t)
     if not 0 < t < 2:
         raise ValueError(f"pivot points need t in (0,2), got {t}")
     eng = _engine(c)
-    i, j = eng.sides(t)
-    return PivotPair(negative=eng.chamber(i)[0], positive=eng.chamber(j)[0],
-                     delta=min(t - eng.ends[i], eng.ends[j + 1] - t) / 2)
+    below = max((x for x in eng.candidates if x < t), default=Fraction(0))
+    above = min((x for x in eng.candidates if x > t), default=Fraction(2))
+    return PivotPair(negative=eng.interval(t, -1)[0],
+                     positive=eng.interval(t, 1)[0],
+                     delta=min(t - below, above - t) / 2)
 
 
 def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
@@ -357,26 +352,24 @@ def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     gamma(t_side), as (base, directions): the witness of the certified
     interval covering t_side plus the span of the boundaries supported
     there, a reduced basis in increasing pivot order.  t_side must avoid
-    the candidate parameters; any point of a chamber gives the same space
-    (for instance the t +/- delta of pivot_points).  Built on demand; the
-    engine itself reads masks."""
+    the candidate parameters; the points between two consecutive
+    candidates share one space (for instance the t +/- delta of
+    pivot_points).  Built on demand; the engine itself reads masks."""
     t_side = _frac(t_side)
     if not 0 < t_side < 2:
         raise ValueError(f"t_side={t_side} outside (0,2)")
     eng = _engine(c)
-    i, j = eng.sides(t_side)
-    if i != j:
+    if t_side in eng.candidates:
         raise ValueError(
             f"t_side={t_side} is a collinearity parameter; cycle spaces are "
             f"only defined off the candidate set")
-    _, witness, mask = eng.chamber(i)
+    witness, mask = eng.one_sided(t_side, 1)
     # A boundary combination is supported inside when its projection onto
     # the outside coordinates vanishes.
-    outside = ~mask
     reducer: Basis = {}
     inside: Basis = {}
     for col in eng.d1cols:
-        o, v = reduce_pair(col & outside, col, reducer)
+        o, v = reduce_pair(col & ~mask, col, reducer)
         if o == 0:
             reduce_pair(v, 0, inside)
     return witness, [inside[p][0] for p in sorted(inside)]
@@ -393,14 +386,15 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     grading-1 elements inside C^t_{gamma(t)} and then the others in
     increasing f_s order.  A dependency with an odd tag is such a pair;
     solvability is monotone along the scan, and the threshold at which the
-    first one appears gives gamma2 (-infinity before the f_s scan).
+    first one appears gives gamma2 (-infinity before the f_s scan, and at
+    once when the interval just below t also covers t+, as its witness lies
+    in both masks).
     """
-    i, j = eng.sides(t)
-    if i == j:
+    if eng.interval(t, -1)[3] > t:
         return NEG_INF
-    (_, zlo, mlo), (_, zhi, mhi) = eng.chamber(i), eng.chamber(j)
-    keys0, scale_t = _keys(eng.lev0, t)
-    top_t = math.floor(eng.gamma(t) * scale_t)
+    (zlo, mlo), (zhi, mhi) = eng.one_sided(t, -1), eng.one_sided(t, 1)
+    keys0 = _keys(eng.lev0, t)
+    top_t = math.floor(eng.gamma(t) * 2 * t.denominator)
     # The cycles from just below and above t, which lie in their masks,
     # live inside the t-sublevel set.
     mask_t = sum(1 << k for k, key in enumerate(keys0) if key <= top_t)
@@ -417,8 +411,7 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
         v, odd = reduce_pair(col & outside, 0, reducer)
         return v == 0 and odd == 1
 
-    keys_t, _ = _keys(eng.lev1, t)
-    keys_s, scale_s = _keys(eng.lev1, s)
+    keys_t, keys_s = _keys(eng.lev1, t), _keys(eng.lev1, s)
     rest: list[tuple[int, int]] = []
     for i, col in enumerate(eng.d1cols):
         if keys_t[i] <= top_t:
@@ -429,7 +422,7 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     rest.sort(key=lambda kv: kv[0])
     for key, col in rest:
         if closes(col):
-            return Fraction(key, scale_s)
+            return Fraction(key, 2 * s.denominator)
     raise AssertionError(
         "secondary invariant scan exhausted all grading-1 thresholds without "
         "solving; complex invalid")
@@ -475,7 +468,8 @@ def jump_values(c: BifilteredComplex,
                 max_t: Optional[Fraction] = None) -> list[JumpReport]:
     """Scan every candidate parameter, reporting jump status and the diagonal
     secondary invariant; parameters outside the candidate set are never
-    jumps."""
+    jumps.  No jump lies inside a certified interval, so an interval end in
+    (0,2) that is no candidate would be a lost jump: that raises."""
     eng = _engine(c)
     out = []
     for t in eng.candidates:
@@ -484,6 +478,11 @@ def jump_values(c: BifilteredComplex,
         jump = is_jump_value(c, t)
         u2 = upsilon2(c, t) if jump else POS_INF
         out.append(JumpReport(t=t, is_jump=jump, upsilon2=u2))
+    lost = sorted({end for *_, lo, hi in eng._intervals for end in (lo, hi)
+                   if 0 < end < 2}.difference(eng.candidates))
+    if lost:
+        raise AssertionError(f"certified interval ends at {lost[0]}, no "
+                             f"candidate parameter; candidate set incomplete")
     return out
 
 

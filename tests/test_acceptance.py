@@ -85,15 +85,28 @@ def test_fast_suite_under_optimize():
     assert run.stdout == FAST_GOLDEN
 
 
-def test_jumps_under_optimize():
-    # The certificate checks of the gamma intervals raise explicitly, so
-    # python -O, which strips assert statements, prints the same table.
+def _plain_and_optimized(*args):
+    """The CLI run on args without and with python -O."""
     src = Path(verify.__file__).resolve().parents[1]
     runs = [subprocess.run(
-        [sys.executable, *flags, "-m", "upsilonkit", "jumps", "--",
-         "T(5,6) # T(2,5) # -T(5,7)"],
+        [sys.executable, *flags, "-m", "upsilonkit", *args],
         cwd=src, capture_output=True, text=True, timeout=120)
         for flags in ([], ["-O"])]
     assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    return runs
+
+
+def test_jumps_under_optimize():
+    # The certificate checks of the gamma intervals raise explicitly, so
+    # python -O, which strips assert statements, prints the same table.
+    runs = _plain_and_optimized("jumps", "--", "T(5,6) # T(2,5) # -T(5,7)")
     assert "4/5\tyes\t-12/5" in runs[0].stdout
+    assert runs[1].stdout == runs[0].stdout
+
+
+def test_one_t_upsilon2_under_optimize():
+    # A query at one t certifies only the intervals just below and above it.
+    runs = _plain_and_optimized("upsilon2", "--t", "4/7", "--",
+                                "-T(7,8) # -T(2,7) # T(7,9)")
+    assert runs[0].stdout == "inf\n"
     assert runs[1].stdout == runs[0].stdout

@@ -29,6 +29,26 @@ def torus_complex(p, q):
     return from_staircase(build_staircase(p, q))
 
 
+def _reference_ends(c):
+    """0, the reference collinearity parameters of c, and 2."""
+    levels = [(alg, alex) for _, _, alg, alex in slice_levels(c, 0)]
+    return [F(0), *collinearity_parameters(levels), F(2)]
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The (t, side) of every engine sweep, in order."""
+    points = []
+    sweep = _Engine._sweep
+
+    def counted(self, t, side):
+        points.append((t, side))
+        return sweep(self, t, side)
+
+    monkeypatch.setattr(_Engine, "_sweep", counted)
+    return points
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles, written against the reference slices in
 # tests/reference.py, not the engine's.  They enumerate whole GF(2)
@@ -250,8 +270,8 @@ class TestUpsilonPL:
 
 
 class TestCandidateGuard:
-    """A candidate set missing a breakpoint of upsilon is refused (exit 3),
-    also under -O."""
+    """A jump scan over a candidate set missing a breakpoint of upsilon is
+    refused (exit 3), also under -O."""
 
     @pytest.mark.parametrize("expr,breakpoints", [
         ("T(3,4)", ["2/3", "4/3"]),
@@ -271,8 +291,8 @@ class TestCandidateGuard:
                                      if t != dropped))
             with pytest.raises(AssertionError,
                                match="candidate set incomplete"):
-                upsilon_pl(realize(parse_expr(expr)))
-            assert main(["upsilon", expr]) == 3, (expr, text)
+                jump_values(realize(parse_expr(expr)))
+            assert main(["jumps", expr]) == 3, (expr, text)
             assert capsys.readouterr().err.startswith("internal error: ")
 
 
@@ -283,48 +303,62 @@ class TestIntervalTable:
         ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5), 6),
         ("T(7,8)#T(2,7)#-T(7,9)", lambda: _vanishing_family(7), 8),
     ])
-    def test_one_sweep_per_interval(self, monkeypatch, name, make, sweeps):
+    def test_one_sweep_per_interval(self, swept, name, make, sweeps):
         # upsilon_pl and jump_values (jump tests, gamma2 and gamma at every
-        # candidate) sweep once per certified interval, walking from t = 0:
-        # each sweep is at the midpoint of the chamber where the previous
-        # interval ends.  Only the chambers beside an interval boundary
-        # build a mask.
-        swept = []
-        sweep = _Engine._sweep
-
-        def counted(self, t):
-            swept.append(t)
-            return sweep(self, t)
-
-        monkeypatch.setattr(_Engine, "_sweep", counted)
+        # candidate) sweep once per certified interval, walking from t = 0
+        # just above each point: 0+, then the hi of the previous interval.
         c = make()
         upsilon_pl(c)
         jump_values(c)
-        ends = _engine(c).ends
-        table = _engine(c)._intervals
-        starts = [ends.index(hi) for *_, hi in table]
-        assert len(swept) == len(table) == sweeps, name
-        assert swept == [(ends[k] + ends[k + 1]) / 2
-                         for k in [0] + starts[:-1]], name
-        assert starts[-1] == len(ends) - 1, name
-        assert sorted(_engine(c)._masks) == sorted(
-            k + d for k in starts[:-1] for d in (-1, 0)), name
+        his = [hi for *_, hi in _engine(c)._intervals]
+        assert len(swept) == len(his) == sweeps, name
+        assert swept == [(0, 1)] + [(hi, 1) for hi in his[:-1]], name
+        assert his[-1] == 2, name
+
+    def test_one_t_query_sweeps_twice(self, swept):
+        # The mirror of the p = 7 family at its jump 4/7: one sweep just
+        # below t and one just above, and no candidate list.
+        c = realize(parse_expr("-T(7,8) # -T(2,7) # T(7,9)"))
+        assert upsilon2(c, F(4, 7)) is POS_INF
+        assert swept == [(F(4, 7), -1), (F(4, 7), 1)]
+        assert "candidates" not in vars(_engine(c))
+
+    def test_inside_one_interval_builds_no_mask(self, monkeypatch):
+        # A candidate inside one certified interval is no jump: gamma2
+        # answers -infinity before it builds a mask or sweeps one.
+        c = _vanishing_family(7)
+        upsilon_pl(c)
+        ends = {end for *_, lo, hi in _engine(c)._intervals
+                for end in (lo, hi)}
+        inside = [t for t in candidate_parameters(c) if t not in ends][:10]
+        assert len(inside) == 10
+        built = []
+        for name in ("one_sided", "essential_sweep"):
+            method = getattr(_Engine, name)
+            monkeypatch.setattr(_Engine, name, lambda self, *args, m=method:
+                                built.append(args) or m(self, *args))
+        assert [upsilon2(c, t) for t in inside] == [POS_INF] * 10
+        assert built == []
 
     @pytest.mark.parametrize("name,make", SMALL_COMPLEXES + [
         ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5)),
         ("T(7,8)#T(2,7)#-T(7,9)", lambda: _vanishing_family(7))])
     def test_matches_chamber_sweeps(self, name, make):
-        # At every chamber midpoint the certified level is the level of a
-        # sweep there, and the witness an essential cycle inside its mask.
+        # At the midpoint m of every reference chamber the certified level
+        # is the level of a sweep there, the mask its mask and the witness
+        # an essential cycle inside it.
         c = make()
         eng = _engine(c)
+        ends = _reference_ends(c)
         sweeps = chamber_sweeps(c)
-        assert len(sweeps) == len(eng.ends) - 1, name
-        for k, (level, mask) in enumerate(sweeps):
-            got, witness, lo, hi = eng.interval(k)
-            assert got == level, (name, k)
-            assert not witness & ~mask, (name, k)
-            assert lo <= eng.ends[k] < eng.ends[k + 1] <= hi, (name, k)
+        assert len(sweeps) == len(ends) - 1, name
+        for a, b, (level, mask) in zip(ends, ends[1:], sweeps):
+            m = (a + b) / 2
+            got, witness, lo, hi = eng.interval(m, 1)
+            assert got == level, (name, m)
+            assert eng.one_sided(m, 1) == (witness, mask), (name, m)
+            assert not witness & ~mask, (name, m)
+            assert lo <= a < b <= hi, (name, m)
         assert all(is_essential(c, z) for _, z, _, _ in eng._intervals), name
 
 
@@ -409,14 +443,14 @@ class TestCycleSpace:
         # with one mask share them.
         c = make()
         eng = _engine(c)
-        ends = eng.ends
+        ends = _reference_ends(c)
         mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
         assert len(mids) == chambers, name
         dirs_of_mask = {}
-        for i, (m, expected) in enumerate(zip(mids, cycle_spaces(c, mids))):
+        for m, expected in zip(mids, cycle_spaces(c, mids)):
             space = cycle_space(c, m)
             assert space == expected, (name, m)
-            _, witness, mask = eng.chamber(i)
+            witness, mask = eng.one_sided(m, 1)
             assert space[0] == witness, (name, m)
             assert dirs_of_mask.setdefault(mask, space[1]) == space[1], (
                 name, m)
@@ -482,10 +516,10 @@ class TestCertificates:
     """The consistency checks of gamma2 raise (exit 3), also under -O."""
 
     @pytest.fixture
-    def corrupt_chambers(self, monkeypatch):
-        """Make the chambers either side of t = 2/3 of T(3,4) report a
-        witness or mask grown by one slice element outside the sublevel
-        set at gamma(2/3)."""
+    def corrupt_sides(self, monkeypatch):
+        """Make both sides of t = 2/3 of T(3,4) report a witness or mask
+        grown by one slice element outside the sublevel set at
+        gamma(2/3)."""
         def corrupt(field):
             t = F(2, 3)
             c = torus_complex(3, 4)
@@ -494,26 +528,26 @@ class TestCertificates:
             outside = [k for k, lev in enumerate(eng.lev0) if _f(t, lev) > g]
             assert outside
             extra = 1 << outside[0]
-            chamber = _Engine.chamber
+            one_sided = _Engine.one_sided
 
-            def patched(self, i):
-                level, witness, mask = chamber(self, i)
+            def patched(self, t, side):
+                witness, mask = one_sided(self, t, side)
                 if field == "witness":
-                    return level, witness | extra, mask
-                return level, witness, mask | extra
+                    return witness | extra, mask
+                return witness, mask | extra
 
-            monkeypatch.setattr(_Engine, "chamber", patched)
+            monkeypatch.setattr(_Engine, "one_sided", patched)
             return c, t
         return corrupt
 
     @pytest.mark.parametrize("field", ["mask", "witness"])
-    def test_cycle_outside_sublevel_set_raises(self, corrupt_chambers, field):
-        c, t = corrupt_chambers(field)
+    def test_cycle_outside_sublevel_set_raises(self, corrupt_sides, field):
+        c, t = corrupt_sides(field)
         with pytest.raises(AssertionError, match="leaves the sublevel set"):
             gamma2(c, t, t)
 
-    def test_cli_exit_code(self, corrupt_chambers, capsys):
-        corrupt_chambers("mask")
+    def test_cli_exit_code(self, corrupt_sides, capsys):
+        corrupt_sides("mask")
         assert main(["upsilon2", "T(3,4)", "--t", "2/3"]) == 3
         assert capsys.readouterr().err.startswith("internal error: ")
 
@@ -541,8 +575,8 @@ class TestIntervalCertificate:
         def corrupt(change):
             sweep = _Engine._sweep
 
-            def patched(self, t):
-                return change(self, t, *sweep(self, t))
+            def patched(self, t, side):
+                return change(self, t, *sweep(self, t, side))
 
             monkeypatch.setattr(_Engine, "_sweep", patched)
             return sweep
@@ -597,7 +631,7 @@ class TestIntervalCertificate:
         y = 1 << _engine(c).lev0.index((1, 2))
         corrupt_sweeps(lambda self, t, level, z, lam, below:
                        (level, z | y, lam, below))
-        with pytest.raises(AssertionError, match="misses t=1/2"):
+        with pytest.raises(AssertionError, match=r"\[0, 0\] misses t=0$"):
             upsilon_pl(c)
 
     def test_interval_end_not_a_candidate(self, monkeypatch, capsys):
@@ -605,28 +639,22 @@ class TestIntervalCertificate:
         monkeypatch.setattr(
             upsilon, "_collinearity_parameters",
             lambda levels: tuple(t for t in complete(levels) if t != F(2, 3)))
-        _refused(capsys, "T(3,4)", "certified interval ends at 2/3, no ")
+        with pytest.raises(AssertionError,
+                           match="certified interval ends at 2/3, no "):
+            jump_values(torus_complex(3, 4))
+        assert main(["jumps", "T(3,4)"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
 
 
 class TestOtherConsistencyChecks:
     """The checks the certificates make redundant still raise (exit 3)."""
 
-    def test_support_line_through_two_levels(self, monkeypatch, capsys):
-        # Without 2/3 and 1, the sweep lands on 2/3, where the support line
-        # meets (0,3) and (1,1).
-        complete = upsilon._collinearity_parameters
-        monkeypatch.setattr(
-            upsilon, "_collinearity_parameters",
-            lambda levels: tuple(t for t in complete(levels)
-                                 if t not in (F(2, 3), F(1))))
-        _refused(capsys, "T(3,4)", "support line at t=2/3 meets more than one")
-
     def test_table_entry_off_gamma(self, monkeypatch, capsys):
         # An entry whose level is not gamma's breaks continuity at its end.
         certify = _Engine._certify
 
-        def patched(self, t):
-            level, z, lo, hi = certify(self, t)
+        def patched(self, t, side):
+            level, z, lo, hi = certify(self, t, side)
             return ((1, 2) if level == (1, 1) else level), z, lo, hi
 
         monkeypatch.setattr(_Engine, "_certify", patched)
