@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -23,8 +24,14 @@ from .upsilon import jump_values, upsilon2, upsilon_pl
 from .cfk import complex_to_json
 from . import verify
 
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
 
 def _rational(text: str) -> Fraction:
+    """a/b or a, with an optional sign.  Fraction alone would also expand
+    exponent notation such as 1e10000000, digit by digit."""
+    if not _RATIONAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

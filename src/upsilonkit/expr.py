@@ -192,21 +192,28 @@ def expr_to_str(e: KnotExpr) -> str:
     return term_str(e)
 
 
-def _product_over_tori(e: KnotExpr, torus: Callable[[int, int], int]) -> int:
+def _product_over_tori(e: KnotExpr, torus: Callable[[int, int], int],
+                       stop: int | None = None) -> int:
     """Product of torus(p, q) over the torus factors of e, counted with
-    multiplicity (generator counts multiply under tensor products)."""
+    multiplicity (generator counts multiply under tensor products).  With
+    stop set, it may return a partial product above stop instead, which
+    keeps the numbers small: n copies of a factor of at least 2 exceed stop
+    once n reaches stop.bit_length()."""
     if isinstance(e, Unknot):
         return 1
     if isinstance(e, Torus):
         return torus(e.p, e.q)
     if isinstance(e, Mirror):
-        return _product_over_tori(e.expr, torus)
+        return _product_over_tori(e.expr, torus, stop)
     if isinstance(e, Multiple):
-        return _product_over_tori(e.expr, torus) ** e.n
+        n = e.n if stop is None else min(e.n, stop.bit_length())
+        return _product_over_tori(e.expr, torus, stop) ** n
     if isinstance(e, Sum):
         total = 1
         for part in e.parts:
-            total *= _product_over_tori(part, torus)
+            total *= _product_over_tori(part, torus, stop)
+            if stop is not None and total > stop:
+                break
         return total
     raise TypeError(f"not a knot expression: {e!r}")
 
@@ -217,11 +224,23 @@ def expected_generators(e: KnotExpr) -> int:
                               2 * len(semigroup_runs(p, q).runs) + 1)
 
 
-def generator_lower_bound(e: KnotExpr) -> int:
-    """A lower bound on expected_generators(e) that sieves nothing: T(p,q)
-    with p < q has at least 2p - 1 generators (checked on every coprime
-    pair with p < 70, q < 120)."""
-    return _product_over_tori(e, lambda p, q: 2 * min(p, q) - 1)
+def _torus_lower_bound(p: int, q: int) -> int:
+    """A lower bound on the 2*runs + 1 generators of T(p,q), p < q.
+
+    A run of S = <p,q> below the conductor 2g = (p-1)(q-1) holds at most
+    p - 1 integers, since p consecutive members put every larger integer in
+    S.  S is symmetric, so g of the integers below 2g are in S: at least
+    (q-1)/2 runs, hence at least q generators.  2p - 1 is a bound too
+    (checked, like q, on every coprime pair with p < 70, q < 160).
+    """
+    p, q = sorted((p, q))
+    return 1 if p == 1 else max(2 * p - 1, q)
+
+
+def generator_lower_bound(e: KnotExpr, stop: int | None = None) -> int:
+    """A lower bound on expected_generators(e) that sieves nothing; with
+    stop given it may be a partial product, which then exceeds stop."""
+    return _product_over_tori(e, _torus_lower_bound, stop)
 
 
 DEFAULT_GENERATOR_LIMIT = 20000
@@ -236,7 +255,7 @@ def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
     """
     if max_generators is not None:
         # Refuse on the lower bound before sieving any semigroup.
-        size = generator_lower_bound(e)
+        size = generator_lower_bound(e, stop=max_generators)
         need = f"at least {size}"
         if size <= max_generators:
             size = expected_generators(e)

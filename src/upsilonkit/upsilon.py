@@ -24,12 +24,12 @@ linear piece of gamma, and a query at one t sweeps at t- and t+ at most.
 The cycles just below or above t are read off the mask M there, the slice
 elements at or below L in that order: they are the essential cycles
 supported in M, since every grading-0 cycle is either essential or a
-boundary.  So both questions about a candidate t, with masks M- and M+
-just below and above it, are column sweeps over masks.  t is a jump when
-no essential cycle lies in M- and M+ at once, which the witness of an
-interval covering both sides does.  The secondary invariant measures how
-far the support line must retreat, along a second direction s, before the
-cycles coming from just below t and just above t become homologous:
+boundary.  t is a jump when no essential cycle lies in the masks M- and
+M+ just below and above it at once; one column sweep, the meet, decides
+this for the jump test and for the secondary invariant, which measures
+how far the support line must retreat, along a second direction s,
+before the cycles coming from just below t and just above t become
+homologous:
 
     gamma2_{t}(s) = min { r : some z+ and z- represent the same class in
                           H_0( C^t_{gamma(t)} + C^s_r ) }
@@ -253,36 +253,33 @@ class _Engine:
             raise AssertionError(f"gamma not continuous at t={t}")
         return lo
 
-    def essential_sweep(self, inside: int, outside: int) -> Optional[Basis]:
-        """Eliminate the column (d0 e_i, e_i & outside) for every slice
-        element i in inside, tagged phi_i.  A zero residue with an odd tag
-        is a chain x in inside with d0 x = 0, phi(x) = 1 and no element
-        outside: an essential cycle.  Returns None at the first one, else
-        the basis, for the caller to eliminate further columns against.
-
-        The d0 part sits above the slice-0 coordinates, so a further column
-        with no d0 part is a plain slice-0 vector.
-        """
-        phi = self.phi
-        reducer: Basis = {}
+    def meet(self, t: Fraction) -> Optional[tuple[int, Basis]]:
+        """The one jump test: None when t is no jump, an essential cycle
+        lying in both masks M- and M+ just below and above t (such as the
+        witness of an interval covering both sides).  Else (M-, basis):
+        after checking that the witnesses and masks lie in the sublevel set
+        at gamma(t), it eliminates the columns (d0 e_i, e_i outside M-) for
+        i in M+, tagged phi_i, where a zero residue with an odd tag is an
+        essential cycle in M- and M+.  The d0 part sits above the slice-0
+        coordinates, so a further column with no d0 part is a plain slice-0
+        vector."""
+        if self.interval(t, -1)[3] > t:
+            return None
+        (zlo, mlo), (zhi, mhi) = self.one_sided(t, -1), self.one_sided(t, 1)
+        top = math.floor(self.gamma(t) * 2 * t.denominator)
+        above = sum(1 << i for i, key in enumerate(_keys(self.lev0, t))
+                    if key > top)
+        if (mlo | mhi | zlo | zhi) & above:
+            raise AssertionError(
+                "a cycle from either side of t leaves the sublevel set at t")
+        phi, reducer = self.phi, {}
         for i, col in enumerate(self.d0cols):
-            if inside >> i & 1:
-                v, odd = reduce_pair(col << self.dim0 | ((1 << i) & outside),
+            if mhi >> i & 1:
+                v, odd = reduce_pair(col << self.dim0 | ((1 << i) & ~mlo),
                                      phi >> i & 1, reducer)
                 if v == 0 and odd:
                     return None
-        return reducer
-
-    def is_jump(self, t: Fraction) -> bool:
-        """Whether no essential cycle lies in the masks just below and above
-        t: the witness of an interval covering both sides is one, else a
-        witness inside the other mask, else one a sweep of the meet finds."""
-        if self.interval(t, -1)[3] > t:
-            return False
-        (zlo, mlo), (zhi, mhi) = self.one_sided(t, -1), self.one_sided(t, 1)
-        if not zlo & ~mhi or not zhi & ~mlo:
-            return False
-        return self.essential_sweep(mlo & mhi, 0) is not None
+        return mlo, reducer
 
 
 _engines: "weakref.WeakKeyDictionary[BifilteredComplex, _Engine]" = (
@@ -381,34 +378,33 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     The question is whether some chain x in M+ with d0 x = 0 and
     phi(x) = 1 (an essential cycle z+) and some allowed grading-1 chain w
     leave x + d1 w inside M- (an essential cycle z-, homologous to z+).
-    One elimination answers it: the columns (d0 e_i, e_i outside M-) for i
-    in M+, tagged phi_i, then (d1 w outside M-), tagged 0, for the
-    grading-1 elements inside C^t_{gamma(t)} and then the others in
-    increasing f_s order.  A dependency with an odd tag is such a pair;
-    solvability is monotone along the scan, and the threshold at which the
-    first one appears gives gamma2 (-infinity before the f_s scan, and at
-    once when the interval just below t also covers t+, as its witness lies
-    in both masks).
-    """
-    if eng.interval(t, -1)[3] > t:
-        return NEG_INF
-    (zlo, mlo), (zhi, mhi) = eng.one_sided(t, -1), eng.one_sided(t, 1)
-    keys0 = _keys(eng.lev0, t)
-    top_t = math.floor(eng.gamma(t) * 2 * t.denominator)
-    # The cycles from just below and above t, which lie in their masks,
-    # live inside the t-sublevel set.
-    mask_t = sum(1 << k for k, key in enumerate(keys0) if key <= top_t)
-    if (mlo | mhi | zlo | zhi) & ~mask_t:
-        raise AssertionError(
-            "a cycle from either side of t leaves the sublevel set at t")
+    One elimination answers it: the columns of eng.meet(t), then (d1 w
+    outside M-), tagged 0, for the grading-1 elements inside
+    C^t_{gamma(t)} and then the others in increasing f_s order.  A
+    dependency with an odd tag is such a pair; solvability is monotone
+    along the scan, and gamma2 is the threshold at which the first one
+    appears, -infinity when meet finds one (t is no jump).
 
-    outside = ~mlo
-    reducer = eng.essential_sweep(mhi, outside)
-    if reducer is None:
+    At a jump the first phase closes nothing, so a close there raises.  d1
+    raises neither filtration, so each element of d1 w, for w at
+    f_t <= gamma(t), lies strictly below the support line, hence in M- and
+    M+, or at w's own level on the line; elements at one level share their
+    mask.  Say x + d1 W lies in M-, for x an essential cycle in M+ and W
+    such elements, and W+ are those of W on the line at levels in M+.  Then
+    x' = x + d1 W+ is an essential cycle in M+, and d1 of W minus W+ misses
+    M+ minus M-, so x' lies in M- and M+ at once: t is no jump.  So gamma2 is -infinity exactly off the jumps, and upsilon2 is
+    finite exactly at them.  At s = t the grading-1 elements on the line
+    have the least key of the f_s scan, so moving them into it changes no
+    value there; off the diagonal that is open.
+    """
+    found = eng.meet(t)
+    if found is None:
         return NEG_INF
+    mlo, reducer = found
+    top_t = math.floor(eng.gamma(t) * 2 * t.denominator)
 
     def closes(col: int) -> bool:
-        v, odd = reduce_pair(col & outside, 0, reducer)
+        v, odd = reduce_pair(col & ~mlo, 0, reducer)
         return v == 0 and odd == 1
 
     keys_t, keys_s = _keys(eng.lev1, t), _keys(eng.lev1, s)
@@ -416,7 +412,9 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     for i, col in enumerate(eng.d1cols):
         if keys_t[i] <= top_t:
             if closes(col):
-                return NEG_INF
+                raise AssertionError(
+                    f"a grading-1 element at or below gamma(t) closes the "
+                    f"secondary scan at the jump t={t}")
         else:
             rest.append((keys_s[i], col))
     rest.sort(key=lambda kv: kv[0])
@@ -431,8 +429,8 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
 def gamma2(c: BifilteredComplex, t, s) -> ExtRational:
     """Minimal r at which some essential cycles in the sublevel masks just
     below and just above t become homologous in C^t_{gamma(t)} + C^s_r;
-    -infinity when they already are at r -> -oo (in particular whenever one
-    essential cycle lies in both masks, that is when t is not a jump)."""
+    -infinity exactly when one essential cycle lies in both masks, that is
+    when t is no jump."""
     t, s = _frac(t), _frac(s)
     if not 0 < t < 2:
         raise ValueError(f"gamma2 needs t in (0,2), got {t}")
@@ -456,20 +454,21 @@ def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
 
 
 def is_jump_value(c: BifilteredComplex, t) -> bool:
-    """Whether the cycles just below and just above t are all distinct: no
-    essential cycle lies in both sublevel masks either side of t."""
+    """Whether no essential cycle lies in both sublevel masks either side of
+    t: the meet that gamma2 starts with, so upsilon2 is finite exactly here."""
     t = _frac(t)
     if not 0 < t < 2:
         raise ValueError(f"jump test needs t in (0,2), got {t}")
-    return _engine(c).is_jump(t)
+    return _engine(c).meet(t) is not None
 
 
 def jump_values(c: BifilteredComplex,
                 max_t: Optional[Fraction] = None) -> list[JumpReport]:
     """Scan every candidate parameter, reporting jump status and the diagonal
-    secondary invariant; parameters outside the candidate set are never
-    jumps.  No jump lies inside a certified interval, so an interval end in
-    (0,2) that is no candidate would be a lost jump: that raises."""
+    secondary invariant, computed at the jumps only (+infinity at the
+    others); parameters outside the candidate set are never jumps.  No jump
+    lies inside a certified interval, so an interval end in (0,2) that is
+    no candidate would be a lost jump: that raises."""
     eng = _engine(c)
     out = []
     for t in eng.candidates:

@@ -142,8 +142,13 @@ class TestRealize:
             raise AssertionError(f"semigroup of T({p},{q}) sieved")
         monkeypatch.setattr("upsilonkit.expr.semigroup_runs", no_sieve)
         monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", no_sieve)
-        with pytest.raises(ComplexTooLargeError, match="at least 20001"):
-            realize(parse_expr("T(10001,10002)"))
+        # T(p,q) has at least max(2p - 1, q) generators, and a multiple's
+        # bound stops growing once it passes the limit.
+        for text, match in (("T(10001,10002)", "at least 20001"),
+                            ("T(2,100000001)", "at least 100000001"),
+                            ("1000000*T(2,3)", "above the limit of 20000")):
+            with pytest.raises(ComplexTooLargeError, match=match):
+                realize(parse_expr(text))
 
     def test_one_sieve_per_factor_when_building(self, monkeypatch):
         sieved = []
@@ -303,6 +308,14 @@ class TestCLI:
     def test_size_guard_exit_code(self, capsys):
         assert main(["upsilon", "10*T(2,3)"]) == 2
         assert "generators" in capsys.readouterr().err
+
+    def test_rational_forms_only(self, capsys):
+        # Exponent notation is refused before Fraction expands it.
+        with pytest.raises(SystemExit) as exc:
+            main(["upsilon2", "T(3,4)", "--t", "1e5000"])
+        assert exc.value.code == 2
+        assert "not a rational: '1e5000'" in capsys.readouterr().err
+        assert main(["upsilon2", "T(3,4)", "--t", "+2/3", "--s", "2"]) == 0
 
     def test_size_guard_disable(self, capsys):
         assert main(["upsilon", "5*T(2,3)", "--max-generators", "0"]) == 0

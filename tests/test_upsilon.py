@@ -13,8 +13,8 @@ from upsilonkit.cfk import (dual, from_staircase, shift_filtration, tensor,
                             unknot_complex, validated_slices)
 from upsilonkit.expr import parse_expr, realize
 from upsilonkit.f2 import span_basis
-from upsilonkit.plfun import (NEG_INF, POS_INF, pl_add, pl_constant, pl_equal,
-                              pl_eval, pl_neg)
+from upsilonkit.plfun import (NEG_INF, POS_INF, is_finite, pl_add,
+                              pl_constant, pl_equal, pl_eval, pl_neg)
 from upsilonkit.staircase import build_staircase, upsilon_staircase
 from upsilonkit.upsilon import (InvalidComplexError, candidate_parameters,
                                 check_subadditivity, cycle_space, gamma2,
@@ -324,8 +324,8 @@ class TestIntervalTable:
         assert "candidates" not in vars(_engine(c))
 
     def test_inside_one_interval_builds_no_mask(self, monkeypatch):
-        # A candidate inside one certified interval is no jump: gamma2
-        # answers -infinity before it builds a mask or sweeps one.
+        # A candidate inside one certified interval is no jump: the meet
+        # answers before it builds a mask, so gamma2 is -infinity.
         c = _vanishing_family(7)
         upsilon_pl(c)
         ends = {end for *_, lo, hi in _engine(c)._intervals
@@ -333,10 +333,9 @@ class TestIntervalTable:
         inside = [t for t in candidate_parameters(c) if t not in ends][:10]
         assert len(inside) == 10
         built = []
-        for name in ("one_sided", "essential_sweep"):
-            method = getattr(_Engine, name)
-            monkeypatch.setattr(_Engine, name, lambda self, *args, m=method:
-                                built.append(args) or m(self, *args))
+        one_sided = _Engine.one_sided
+        monkeypatch.setattr(_Engine, "one_sided", lambda self, *args:
+                            built.append(args) or one_sided(self, *args))
         assert [upsilon2(c, t) for t in inside] == [POS_INF] * 10
         assert built == []
 
@@ -481,6 +480,7 @@ class TestSecondaryOracle:
         expected = secondary(c, cands, S_VALUES)
         for t, (jump, values) in zip(cands, expected):
             assert is_jump_value(c, t) == jump, (name, t)
+            assert is_finite(upsilon2(c, t)) == jump, (name, t)
             got = [_engine_gamma2(gamma2(c, t, t if s is None else s))
                    for s in S_VALUES]
             assert got == values, (name, t)
@@ -550,6 +550,27 @@ class TestCertificates:
         corrupt_sides("mask")
         assert main(["upsilon2", "T(3,4)", "--t", "2/3"]) == 3
         assert capsys.readouterr().err.startswith("internal error: ")
+
+    def test_jump_test_checks_sublevel_set(self, corrupt_sides, capsys):
+        # The jump test and gamma2 share one check, so a corrupt mask
+        # cannot pass as a jump verdict either.
+        c, t = corrupt_sides("mask")
+        with pytest.raises(AssertionError, match="leaves the sublevel set"):
+            is_jump_value(c, t)
+        assert main(["jumps", "T(3,4)"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
+
+    def test_first_phase_closing_raises(self):
+        # Moving a grading-1 level of T(3,4) below the support line at 2/3,
+        # under levels of its own boundary, lets it close the first phase
+        # at a jump, which a filtered d1 never does (see _gamma2_engine):
+        # gamma2 raises, not -infinity.
+        c, t = torus_complex(3, 4), F(2, 3)
+        eng = _engine(c)
+        eng.lev1[eng.lev1.index((1, 3))] = (0, 1)
+        assert is_jump_value(c, t)
+        with pytest.raises(AssertionError, match="closes the secondary scan"):
+            gamma2(c, t, t)
 
     def test_exhausted_scan_raises(self):
         c = torus_complex(3, 4)
