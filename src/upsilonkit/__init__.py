@@ -62,9 +62,7 @@ from .expr import (
     ComplexTooLargeError,
     ExprSyntaxError,
     KnotExpr,
-    Mirror,
-    Multiple,
-    Sum,
+    Term,
     Torus,
     Unknot,
     expected_generators,

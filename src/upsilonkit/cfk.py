@@ -159,26 +159,23 @@ def _slice_basis(c: BifilteredComplex, m: int) -> tuple[SliceElement, ...]:
     return tuple(out)
 
 
-def _boundary_columns(outgoing: dict[int, list[tuple[int, frozenset[int]]]],
-                      src: tuple[SliceElement, ...],
-                      dst: tuple[SliceElement, ...]) -> list[int]:
-    """One bitset per src element: bit k set iff its boundary hits dst[k]."""
-    dst_at = {e.gen_index: (k, e.u_exp) for k, e in enumerate(dst)}
-    cols = []
-    for e in src:
-        col = 0
-        for tgt, exps in outgoing.get(e.gen_index, ()):
-            hit = dst_at.get(tgt)
-            if hit is None:
-                continue
-            # U^{e.u_exp} x maps to U^{e.u_exp + n} tgt; it lands on the dst
-            # translate exactly when the exponents line up (odd multiplicity
-            # over F2).
-            k, exp = hit
-            if sum(1 for n in exps if e.u_exp + n == exp) % 2:
-                col ^= 1 << k
-        cols.append(col)
-    return cols
+def _boundary_columns(c: BifilteredComplex, basis0: tuple[SliceElement, ...],
+                      basis1: tuple[SliceElement, ...]
+                      ) -> tuple[list[int], list[int]]:
+    """d0 and d1 of a complex whose every entry drops the grading by 1.
+
+    Such an entry x -> U^n y maps each translate of x in a slice onto the
+    translate of y in the slice one grading below.  Slice -1 lists the same
+    generators as slice 1 in the same order, so a generator's position in
+    the basis of its parity is its bit in either slice.
+    """
+    pos = {e.gen_index: k for basis in (basis0, basis1)
+           for k, e in enumerate(basis)}
+    d0, d1 = [0] * len(basis0), [0] * len(basis1)
+    for i, j in c.differential:
+        cols = d1 if c.generators[i].maslov % 2 else d0
+        cols[pos[i]] |= 1 << pos[j]
+    return d0, d1
 
 
 def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]:
@@ -186,12 +183,12 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     there are none, the slices the homology check ran on."""
     violations: list[str] = []
     gens = c.generators
-    outgoing: dict[int, list[tuple[int, frozenset[int]]]] = {}
+    graded = True
     for (i, j), exps in c.differential.items():
-        outgoing.setdefault(i, []).append((j, exps))
         gi, gj = gens[i], gens[j]
         for n in exps:
             if gj.maslov - 2 * n != gi.maslov - 1:
+                graded = False
                 violations.append(
                     f"grading: entry {gi.name}->U^{n}.{gj.name} does not drop "
                     f"the Maslov grading by 1")
@@ -199,32 +196,37 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
                 violations.append(
                     f"filtration: entry {gi.name}->U^{n}.{gj.name} increases "
                     f"a filtration level")
+    if not graded:
+        return violations, None
 
-    # d^2 = 0: compose entries and count U-exponent multiplicities mod 2.
-    for i in outgoing:
-        acc: dict[tuple[int, int], int] = {}
-        for j, exps1 in outgoing[i]:
-            for k, exps2 in outgoing.get(j, []):
-                for n1 in exps1:
-                    for n2 in exps2:
-                        key = (k, n1 + n2)
-                        acc[key] = acc.get(key, 0) + 1
-        for (k, n), count in acc.items():
-            if count % 2:
+    basis0 = _slice_basis(c, 0)
+    basis1 = _slice_basis(c, 1)
+    d0, d1 = _boundary_columns(c, basis0, basis1)
+    # d^2 = 0: slices -1 and -2 are the U-translates of slices 1 and 0 with
+    # the same columns, so d^2 vanishes iff d1 d0 and d0 d1 do.  Both land in
+    # the basis of the source's parity, one U-translate down: the component
+    # at bit k is U^n.z with n = u_exp(z) + 1 - u_exp(x).
+    for basis, first, second in ((basis0, d0, d1), (basis1, d1, d0)):
+        for x, col in zip(basis, first):
+            dd = 0
+            while col:
+                k = col.bit_length() - 1
+                col ^= 1 << k
+                dd ^= second[k]
+            while dd:
+                k = dd.bit_length() - 1
+                dd ^= 1 << k
+                z = basis[k]
                 violations.append(
-                    f"d^2: component U^{n}.{gens[k].name} of d^2({gens[i].name}) "
-                    f"is nonzero")
-
+                    f"d^2: component U^{z.u_exp + 1 - x.u_exp}."
+                    f"{gens[z.gen_index].name} of "
+                    f"d^2({gens[x.gen_index].name}) is nonzero")
     if violations:
         return violations, None
 
     # Homology: rank bookkeeping on the two slices.  Slices two gradings
     # apart carry identical boundary matrices (a uniform U-shift), so
     # rank(out of grading 2) = rank(out of grading 0) etc.
-    basis0 = _slice_basis(c, 0)
-    basis1 = _slice_basis(c, 1)
-    d0 = _boundary_columns(outgoing, basis0, _slice_basis(c, -1))
-    d1 = _boundary_columns(outgoing, basis1, basis0)
     # Eliminating d0 with combination tags finds the grading-0 cycles; the
     # first one outside the boundaries joins their basis tagged 1.
     span = span_basis(d1)

@@ -15,9 +15,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .expr import (DEFAULT_GENERATOR_LIMIT, ComplexTooLargeError, Torus,
-                   Unknot, expr_to_str, generator_lower_bound, parse_expr,
-                   realize)
+from .expr import (DEFAULT_GENERATOR_LIMIT, ComplexTooLargeError, Unknot,
+                   expr_to_str, generator_lower_bound, parse_expr, realize)
 from .plfun import ext_to_json, format_ext, pl_to_json, rational_to_json
 from .staircase import LaurentPoly, alexander_torus
 from .upsilon import jump_values, upsilon2, upsilon_pl
@@ -107,20 +106,19 @@ def _realize(args):
 
 def _cmd_alexander(args) -> int:
     e = parse_expr(args.expr)
-    if isinstance(e, Torus):
-        # The polynomial has as many terms as the staircase has generators.
-        terms = generator_lower_bound(e)
-        if terms > DEFAULT_GENERATOR_LIMIT:
-            raise ComplexTooLargeError(
-                f"{expr_to_str(e)} has at least {terms} Alexander terms, "
-                f"above the limit of {DEFAULT_GENERATOR_LIMIT}")
-        poly = alexander_torus(e.p, e.q)
-    elif isinstance(e, Unknot):
-        poly = LaurentPoly.one()
-    else:
+    if len(e) != 1 or e[0].n != 1 or e[0].mirror:
         print("alexander: only certified for torus knots, got "
               f"{expr_to_str(e)}", file=sys.stderr)
         return 2
+    # The polynomial has as many terms as the staircase has generators.
+    terms = generator_lower_bound(e)
+    if terms > DEFAULT_GENERATOR_LIMIT:
+        raise ComplexTooLargeError(
+            f"{expr_to_str(e)} has at least {terms} Alexander terms, "
+            f"above the limit of {DEFAULT_GENERATOR_LIMIT}")
+    atom = e[0].atom
+    poly = (LaurentPoly.one() if isinstance(atom, Unknot)
+            else alexander_torus(atom.p, atom.q))
     if args.json:
         print(json.dumps(poly.to_json()))
     else:

@@ -7,8 +7,9 @@ Grammar (whitespace insensitive):
     ATOM := 'T(' INT ',' INT ')' | 'U'
 
 'U' is the unknot, '-' mirrors, 'n*K' is the n-fold connected sum and '#'
-the connected sum.  Realization turns an expression into its bifiltered
-complex: torus knots become staircases, mirrors dualize, sums tensor.
+the connected sum.  The grammar has no nesting, so an expression is the
+flat tuple of its terms.  Realization turns it into its bifiltered complex:
+torus knots become staircases, mirrors dualize, sums tensor.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class ComplexTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class Unknot:
-    pass
+    def __str__(self) -> str:
+        return "U"
 
 
 @dataclass(frozen=True)
@@ -43,24 +45,23 @@ class Torus:
     p: int
     q: int
 
-
-@dataclass(frozen=True)
-class Mirror:
-    expr: "KnotExpr"
+    def __str__(self) -> str:
+        return f"T({self.p},{self.q})"
 
 
 @dataclass(frozen=True)
-class Multiple:
-    n: int
-    expr: "KnotExpr"
+class Term:
+    """n >= 1 copies of atom, each mirrored when mirror is set."""
+    atom: Union[Unknot, Torus]
+    n: int = 1
+    mirror: bool = False
+
+    def __str__(self) -> str:
+        count = f"{self.n}*" if self.n != 1 else ""
+        return f"{'-' if self.mirror else ''}{count}{self.atom}"
 
 
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple["KnotExpr", ...]
-
-
-KnotExpr = Union[Unknot, Torus, Mirror, Multiple, Sum]
+KnotExpr = tuple[Term, ...]  # nonempty; the connected sum of its terms
 
 
 def make_torus(p: int, q: int) -> Torus:
@@ -116,6 +117,14 @@ class _Parser:
         self.i += 1
         return tok
 
+    def number(self) -> int:
+        _, digits, pos = self.take("int")
+        try:
+            return int(digits)
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            raise ExprSyntaxError(f"integer literal of {len(digits)} digits "
+                                  "is too long", pos) from None
+
     def parse(self) -> KnotExpr:
         terms = [self.term()]
         while self.peek()[0] == "#":
@@ -124,27 +133,20 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2])
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+        return tuple(terms)
 
-    def term(self) -> KnotExpr:
-        mirrored = False
-        if self.peek()[0] == "-":
+    def term(self) -> Term:
+        mirror = self.peek()[0] == "-"
+        if mirror:
             self.take("-")
-            mirrored = True
-        count = None
+        n = 1
         if self.peek()[0] == "int":
-            count = int(self.take("int")[1])
+            n = self.number()
             self.take("*")
         atom = self.atom()
-        if mirrored:
-            atom = Mirror(atom)
-        if count is not None:
-            if count == 0:
-                return Unknot()
-            return Multiple(count, atom)
-        return atom
+        return Term(atom, n, mirror) if n else Term(Unknot())
 
-    def atom(self) -> KnotExpr:
+    def atom(self) -> Union[Unknot, Torus]:
         tok = self.peek()
         if tok[0] == "U":
             self.take("U")
@@ -152,9 +154,9 @@ class _Parser:
         if tok[0] == "T":
             self.take("T")
             self.take("(")
-            p = int(self.take("int")[1])
+            p = self.number()
             self.take(",")
-            q = int(self.take("int")[1])
+            q = self.number()
             self.take(")")
             return make_torus(p, q)
         raise ExprSyntaxError(
@@ -168,28 +170,9 @@ def parse_expr(text: str) -> KnotExpr:
     return _Parser(text).parse()
 
 
-def _atom_str(e: KnotExpr) -> str:
-    if isinstance(e, Unknot):
-        return "U"
-    if isinstance(e, Torus):
-        return f"T({e.p},{e.q})"
-    raise ValueError(f"not a printable atom: {e!r}")
-
-
 def expr_to_str(e: KnotExpr) -> str:
-    """Inverse of parse_expr on grammar-shaped trees."""
-    def term_str(tm: KnotExpr) -> str:
-        if isinstance(tm, Multiple):
-            if isinstance(tm.expr, Mirror):
-                return f"-{tm.n}*{_atom_str(tm.expr.expr)}"
-            return f"{tm.n}*{_atom_str(tm.expr)}"
-        if isinstance(tm, Mirror):
-            return f"-{_atom_str(tm.expr)}"
-        return _atom_str(tm)
-
-    if isinstance(e, Sum):
-        return " # ".join(term_str(p) for p in e.parts)
-    return term_str(e)
+    """Inverse of parse_expr."""
+    return " # ".join(map(str, e))
 
 
 def _product_over_tori(e: KnotExpr, torus: Callable[[int, int], int],
@@ -199,29 +182,20 @@ def _product_over_tori(e: KnotExpr, torus: Callable[[int, int], int],
     stop set, it may return a partial product above stop instead, which
     keeps the numbers small: n copies of a factor of at least 2 exceed stop
     once n reaches stop.bit_length()."""
-    if isinstance(e, Unknot):
-        return 1
-    if isinstance(e, Torus):
-        return torus(e.p, e.q)
-    if isinstance(e, Mirror):
-        return _product_over_tori(e.expr, torus, stop)
-    if isinstance(e, Multiple):
-        n = e.n if stop is None else min(e.n, stop.bit_length())
-        return _product_over_tori(e.expr, torus, stop) ** n
-    if isinstance(e, Sum):
-        total = 1
-        for part in e.parts:
-            total *= _product_over_tori(part, torus, stop)
+    total = 1
+    for t in e:
+        if isinstance(t.atom, Torus):
+            n = t.n if stop is None else min(t.n, stop.bit_length())
+            total *= torus(t.atom.p, t.atom.q) ** n
             if stop is not None and total > stop:
                 break
-        return total
-    raise TypeError(f"not a knot expression: {e!r}")
+    return total
 
 
 def expected_generators(e: KnotExpr) -> int:
     """Generator count of realize(e), computed without building anything."""
-    return _product_over_tori(e, lambda p, q: 1 if p == 1 or q == 1 else
-                              2 * len(semigroup_runs(p, q).runs) + 1)
+    return _product_over_tori(
+        e, lambda p, q: 2 * len(semigroup_runs(p, q).runs) + 1)
 
 
 def _torus_lower_bound(p: int, q: int) -> int:
@@ -248,40 +222,34 @@ DEFAULT_GENERATOR_LIMIT = 20000
 
 def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
             ) -> BifilteredComplex:
-    """Bifiltered complex of a knot expression.
+    """Bifiltered complex of a knot expression, tensoring its summands
+    (every copy of every term) from left to right.
 
-    Refuses to build complexes beyond max_generators generators (tensor
+    Refuses complexes beyond max_generators generators, or summands (tensor
     products grow multiplicatively); pass None to lift the limit.
     """
     if max_generators is not None:
-        # Refuse on the lower bound before sieving any semigroup.
-        size = generator_lower_bound(e, stop=max_generators)
-        need = f"at least {size}"
+        # n copies cost n - 1 tensor products even when each has one
+        # generator.  The lower bound refuses before sieving any semigroup.
+        size = sum(t.n for t in e)
+        need = f"has {size} summands"
+        if size <= max_generators:
+            size = generator_lower_bound(e, stop=max_generators)
+            need = f"needs at least {size} generators"
         if size <= max_generators:
             size = expected_generators(e)
-            need = str(size)
+            need = f"needs {size} generators"
         if size > max_generators:
             raise ComplexTooLargeError(
-                f"{expr_to_str(e)} needs {need} generators, above the limit "
-                f"of {max_generators}; raise or disable the limit to proceed")
+                f"{expr_to_str(e)} {need}, above the limit of "
+                f"{max_generators}; raise or disable the limit to proceed")
 
-    def build(node: KnotExpr) -> BifilteredComplex:
-        if isinstance(node, Unknot):
-            return unknot_complex()
-        if isinstance(node, Torus):
-            return from_staircase(build_staircase(node.p, node.q))
-        if isinstance(node, Mirror):
-            return dual(build(node.expr))
-        if isinstance(node, Multiple):
-            summand = out = build(node.expr)
-            for _ in range(node.n - 1):
-                out = tensor(out, summand)
-            return out
-        if isinstance(node, Sum):
-            out = build(node.parts[0])
-            for part in node.parts[1:]:
-                out = tensor(out, build(part))
-            return out
-        raise TypeError(f"not a knot expression: {node!r}")
-
-    return build(e)
+    out = None
+    for t in e:
+        summand = (unknot_complex() if isinstance(t.atom, Unknot) else
+                   from_staircase(build_staircase(t.atom.p, t.atom.q)))
+        if t.mirror:
+            summand = dual(summand)
+        for _ in range(t.n):
+            out = summand if out is None else tensor(out, summand)
+    return out

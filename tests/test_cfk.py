@@ -99,6 +99,23 @@ class TestValidateViolations:
             {(1, 0): {0}, (2, 1): {0}})
         assert any("d^2" in v for v in validate(c))
 
+    def test_violation_lists(self):
+        # c -> b -> U^n.a: one line per nonzero d^2 component, and a
+        # filtration violation still gets the d^2 check.
+        def chain(levels, n):
+            return BifilteredComplex(
+                [Generator(name, *lv) for name, lv in zip("abc", levels)],
+                {(1, 0): {n}, (2, 1): {0}})
+
+        d2 = "d^2: component U^{}.a of d^2(c) is nonzero"
+        assert validate(chain([(0, 0, 0), (1, 0, 0), (2, 0, 0)], 0)) == \
+            [d2.format(0)]
+        assert validate(chain([(1, 0, 0), (0, 0, 0), (1, 0, 0)], 1)) == \
+            [d2.format(1)]
+        assert validate(chain([(0, 5, 5), (1, 0, 0), (2, 0, 0)], 0)) == [
+            "filtration: entry b->U^0.a increases a filtration level",
+            d2.format(0)]
+
     def test_homology_violation_extra_generator(self):
         # two essential grading-0 classes
         c = BifilteredComplex(

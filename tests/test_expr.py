@@ -4,14 +4,12 @@ from math import gcd
 
 import pytest
 
-from upsilonkit.cfk import complex_from_json, validate
+from upsilonkit.cfk import complex_from_json, tensor, validate
 from upsilonkit.cli import main
 from upsilonkit.expr import (
     ComplexTooLargeError,
     ExprSyntaxError,
-    Mirror,
-    Multiple,
-    Sum,
+    Term,
     Torus,
     Unknot,
     expected_generators,
@@ -24,32 +22,37 @@ from upsilonkit.staircase import semigroup_runs
 
 class TestParse:
     def test_torus(self):
-        assert parse_expr("T(3,4)") == Torus(3, 4)
+        assert parse_expr("T(3,4)") == (Term(Torus(3, 4)),)
 
     def test_unknot(self):
-        assert parse_expr("U") == Unknot()
+        assert parse_expr("U") == (Term(Unknot()),)
 
     def test_vanishing_family_expression(self):
         e = parse_expr("T(5,6) # T(2,5) # -T(5,7)")
-        assert e == Sum((Torus(5, 6), Torus(2, 5), Mirror(Torus(5, 7))))
+        assert e == (Term(Torus(5, 6)), Term(Torus(2, 5)),
+                     Term(Torus(5, 7), mirror=True))
 
     def test_multiple_and_unknot(self):
         e = parse_expr("2*T(2,3) # U")
-        assert e == Sum((Multiple(2, Torus(2, 3)), Unknot()))
+        assert e == (Term(Torus(2, 3), 2), Term(Unknot()))
 
     def test_whitespace_insensitive(self):
         assert parse_expr(" T( 2 , 3 )#-T(2,5) ") == \
             parse_expr("T(2,3)#-T(2,5)")
 
     def test_negative_multiple_normalizes(self):
-        assert parse_expr("-2*T(2,3)") == Multiple(2, Mirror(Torus(2, 3)))
+        assert parse_expr("-2*T(2,3)") == (Term(Torus(2, 3), 2, True),)
+
+    def test_one_copy_is_the_knot(self):
+        assert parse_expr("1*T(2,3)") == parse_expr("T(2,3)")
 
     def test_zero_multiple_is_unknot(self):
-        assert parse_expr("0*T(2,3)") == Unknot()
+        assert parse_expr("0*T(2,3)") == (Term(Unknot()),)
+        assert parse_expr("-0*T(3,4)") == (Term(Unknot()),)
 
     def test_swap_warns(self):
         with pytest.warns(UserWarning, match="reordered"):
-            assert parse_expr("T(4,3)") == Torus(3, 4)
+            assert parse_expr("T(4,3)") == (Term(Torus(3, 4)),)
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError, match="coprime"):
@@ -78,22 +81,27 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse_expr("")
 
+    def test_literal_too_long_for_int(self):
+        # int() refuses strings beyond sys.get_int_max_str_digits() digits.
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("1" * 5000 + "*U")
+        assert info.value.position == 0
+
 
 def _random_expr(rng: random.Random):
     tori = [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (2, 7)]
 
     def term():
-        mirrored = rng.random() < 0.4
-        count = rng.choice([None, None, 1, 2, 3])
+        mirror = rng.random() < 0.4
+        n = rng.choice([1, 1, 1, 2, 3])
         if rng.random() < 0.15:
             atom = Unknot()
         else:
             atom = Torus(*rng.choice(tori))
-        e = Mirror(atom) if mirrored else atom
-        return Multiple(count, e) if count else e
+        return Term(atom, n, mirror)
 
-    return Sum(tuple(term() for _ in range(rng.randint(2, 4)))) \
-        if rng.random() < 0.7 else term()
+    return tuple(term() for _ in range(rng.randint(2, 4) if rng.random() < 0.7
+                                       else 1))
 
 
 class TestRoundTrip:
@@ -137,6 +145,25 @@ class TestRealize:
         with pytest.raises(ComplexTooLargeError, match="59049"):
             realize(e)
 
+    def test_copies_tensor_left_to_right(self):
+        c = realize(parse_expr("T(2,5) # 2*T(2,3)"))
+        t25, t23 = realize(parse_expr("T(2,5)")), realize(parse_expr("T(2,3)"))
+        ref = tensor(tensor(t25, t23), t23)
+        assert c.generators == ref.generators
+        assert c.differential == ref.differential
+
+    def test_size_guard_counts_one_generator_summands(self):
+        # n copies of U or T(1,q) have one generator but cost n - 1 tensor
+        # products.
+        for text in ("100000000*U", "1000000*T(1,3)"):
+            with pytest.raises(ComplexTooLargeError,
+                               match="above the limit of 20000"):
+                realize(parse_expr(text))
+        e = parse_expr("3*U # 2*T(1,3)")
+        assert len(realize(e, max_generators=5)) == 1
+        with pytest.raises(ComplexTooLargeError, match="has 5 summands"):
+            realize(e, max_generators=4)
+
     def test_size_guard_refuses_before_sieving(self, monkeypatch):
         def no_sieve(p, q):
             raise AssertionError(f"semigroup of T({p},{q}) sieved")
@@ -171,7 +198,7 @@ class TestRealize:
         for p in range(1, 20):
             for q in range(p + 1, 30):
                 if gcd(p, q) == 1:
-                    e = Torus(p, q)
+                    e = (Term(Torus(p, q)),)
                     n = expected_generators(e)
                     assert len(realize(e, max_generators=n)) == n, (p, q)
 
@@ -225,6 +252,10 @@ class TestCLI:
 
     def test_alexander_text(self, capsys):
         assert main(["alexander", "T(3,4)"]) == 0
+        assert capsys.readouterr().out.strip() == "1 - t + t^3 - t^5 + t^6"
+
+    def test_alexander_one_copy(self, capsys):
+        assert main(["alexander", "1*T(3,4)"]) == 0
         assert capsys.readouterr().out.strip() == "1 - t + t^3 - t^5 + t^6"
 
     def test_alexander_rejects_sums(self, capsys):
@@ -308,6 +339,8 @@ class TestCLI:
     def test_size_guard_exit_code(self, capsys):
         assert main(["upsilon", "10*T(2,3)"]) == 2
         assert "generators" in capsys.readouterr().err
+        assert main(["upsilon", "100000000*U"]) == 2
+        assert "100000000 summands, above the limit" in capsys.readouterr().err
 
     def test_rational_forms_only(self, capsys):
         # Exponent notation is refused before Fraction expands it.
