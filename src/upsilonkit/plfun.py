@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -204,42 +205,54 @@ def pl_equal(f: PLFunction, g: PLFunction) -> bool:
 def pl_lower_envelope(lines: Sequence[tuple[Rational, Rational]]) -> PLFunction:
     """Pointwise minimum over [0,2] of the lines t -> slope*t + intercept.
 
-    An exact O(n log n) convex-hull sweep (Andrew's monotone chain): keep the
-    lowest intercept for each slope, take the lines by decreasing slope, and
-    keep a stack of the lines on the envelope, each with the parameter where
-    it takes over from the one below it.  A new line pops the top while it
-    crosses the top at or before the top's own takeover.  The envelope over
-    [0,2] is then read off at 0, at the takeovers inside (0,2) and at 2.
+    An exact O(n log n) convex-hull sweep (Andrew's monotone chain) on
+    integers: scale every line by the lcm D of the denominators (1 for
+    integer lines), keep the lowest intercept for each slope, take the lines
+    by decreasing slope, and keep a stack of the lines on the envelope, each
+    with the parameter num/den (den > 0) where it takes over from the one
+    below it; scaling changes no takeover.  A new line pops the top while it
+    crosses the top at or before the top's own takeover, compared by
+    cross-multiplying.  The envelope over [0,2] is read off at 0, at the
+    takeovers inside (0,2) and at 2, with values divided by D.  Consecutive
+    hull lines differ in slope, so these points are already canonical.  For
+    int and Fraction input they are the only Fractions built.
     """
     if not lines:
         raise ValueError("empty family of lines")
-    lowest: dict[Fraction, Fraction] = {}
-    for m, b in lines:
-        m, b = _frac(m), _frac(b)
+    exact = [(m if isinstance(m, int) else _frac(m),
+              b if isinstance(b, int) else _frac(b)) for m, b in lines]
+    scale = lcm(*(x.denominator for line in exact for x in line))
+    lowest: dict[int, int] = {}
+    for m, b in exact:
+        m = m.numerator * (scale // m.denominator)
+        b = b.numerator * (scale // b.denominator)
         if m not in lowest or b < lowest[m]:
             lowest[m] = b
-    # (takeover parameter, slope, intercept).  The steepest line holds from
-    # -inf and is never popped, so every later line gets a takeover.
-    hull: list[tuple[Fraction | None, Fraction, Fraction]] = []
+    # (takeover num, den, slope, intercept).  The steepest line holds from
+    # -inf, written (-1, 0): it compares below every takeover with den > 0,
+    # so it is never popped and every later line gets a takeover.
+    hull: list[tuple[int, int, int, int]] = []
     for m in sorted(lowest, reverse=True):
         b = lowest[m]
-        takeover = None
+        num, den = -1, 0
         while hull:
-            start, m0, b0 = hull[-1]
-            takeover = (b - b0) / (m0 - m)
-            if start is None or takeover > start:
+            start, start_den, m0, b0 = hull[-1]
+            num, den = b - b0, m0 - m
+            if num * start_den > start * den:
                 break
             hull.pop()
-        hull.append((takeover, m, b))
-    first = bisect_right(hull, T_MIN, lo=1, key=_param) - 1
-    stop = bisect_left(hull, T_MAX, lo=1, key=_param)
-    on_domain = hull[first:stop]
-    _, m, b = on_domain[0]
-    samples = [(T_MIN, b)]
-    samples += [(t, m * t + b) for t, m, b in on_domain[1:]]
-    _, m, b = on_domain[-1]
-    samples.append((T_MAX, m * T_MAX + b))
-    return _canonicalize(samples)
+        hull.append((num, den, m, b))
+    # takeovers increase along the hull: the lines on [0,2] run from the
+    # last one taking over at or before 0 to the last one before 2
+    first = bisect_left(hull, True, key=lambda h: h[0] > 0) - 1
+    stop = bisect_left(hull, True, key=lambda h: h[0] >= 2 * h[1])
+    _, _, m, b = hull[first]
+    samples = [(T_MIN, Fraction(b, scale))]
+    samples += [(Fraction(num, den), Fraction(m * num + b * den, den * scale))
+                for num, den, m, b in hull[first + 1:stop]]
+    _, _, m, b = hull[stop - 1]
+    samples.append((T_MAX, Fraction(2 * m + b, scale)))
+    return PLFunction(tuple(samples))
 
 
 def pl_to_json(f: PLFunction) -> dict:

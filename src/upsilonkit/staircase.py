@@ -27,10 +27,9 @@ identities over torus-knot families terminate uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .plfun import PLFunction, pl_lower_envelope, pl_scale
+from .plfun import PLFunction, pl_lower_envelope, pl_neg
 
 
 class LaurentPoly:
@@ -212,7 +211,9 @@ def upsilon_staircase(p: int, q: int) -> PLFunction:
     On a staircase every single white dot is a cycle generating H_0, so the
     minimal filtration level gamma(t) is the lower envelope over whites of
     t -> (t/2)*alex + (1-t/2)*alg, and upsilon is -2 times that envelope.
+    The envelope is taken of the integer lines t -> (alex-alg)*t + 2*alg,
+    which give 2*gamma, so upsilon is -1 times it.
     """
     st = build_staircase(p, q)
-    lines = [(Fraction(alex - alg, 2), Fraction(alg)) for alg, alex in st.whites]
-    return pl_scale(pl_lower_envelope(lines), -2)
+    lines = [(alex - alg, 2 * alg) for alg, alex in st.whites]
+    return pl_neg(pl_lower_envelope(lines))

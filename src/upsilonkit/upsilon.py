@@ -80,7 +80,8 @@ class JumpReport:
 
 
 Level = tuple[int, int]
-# A certified interval: (contact level, witness cycle, lo, hi).
+# A certified interval: (contact level, witness cycle, lo, hi), lo and hi
+# Fractions built once per sweep from the integer bounds of _certify.
 Interval = tuple[Level, int, Fraction, Fraction]
 _LO, _HI = itemgetter(2), itemgetter(3)
 
@@ -211,7 +212,9 @@ class _Engine:
         phi(z') = |z' meet Q| mod 2, so every essential cycle meets Q, and
         min over Q of f_t' <= gamma(t') <= max over z of f_t'.  Both bounds
         are f_t'(L) while no element of z lies above L and none of Q below
-        it, one linear inequality in t' per element.  Checked: d0 z = 0,
+        it, one linear inequality in t' per element.  Each bound is kept as
+        an integer pair (num, den > 0) and tightened by cross-multiplying;
+        lo and hi become Fractions once, at the end.  Checked: d0 z = 0,
         phi(z) = 1, Q misses S, and [lo, hi] holds t+ (lo <= t < hi) or
         t- (lo < t <= hi).
         """
@@ -225,7 +228,7 @@ class _Engine:
         if q & below:
             raise AssertionError(
                 f"lam o d0 differs from phi below the contact level at t={t}")
-        lo, hi = Fraction(0), Fraction(2)
+        (lo, lo_den), (hi, hi_den) = (0, 1), (2, 1)
         a, x = level
         for sign, part in ((1, z), (-1, q)):
             for b, y in {lev for i, lev in enumerate(self.lev0)
@@ -233,11 +236,14 @@ class _Engine:
                 # sign * (f_t'(b, y) - f_t'(L)) = c0 + c1 * t' / 2 <= 0
                 c0, c1 = sign * (b - a), sign * (y - b - x + a)
                 if c1 > 0:
-                    hi = min(hi, Fraction(-2 * c0, c1))
+                    if -2 * c0 * hi_den < hi * c1:
+                        hi, hi_den = -2 * c0, c1
                 elif c1 < 0:
-                    lo = max(lo, Fraction(-2 * c0, c1))
+                    if 2 * c0 * lo_den > lo * -c1:
+                        lo, lo_den = 2 * c0, -c1
                 elif c0 > 0:
-                    hi = lo
+                    hi, hi_den = lo, lo_den
+        lo, hi = Fraction(lo, lo_den), Fraction(hi, hi_den)
         if not (lo <= t < hi if side > 0 else lo < t <= hi):
             raise AssertionError(
                 f"certified interval [{lo}, {hi}] misses t={t}")
@@ -372,13 +378,15 @@ def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     return witness, [inside[p][0] for p in sorted(inside)]
 
 
-def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
-    """Incremental minimal-r scan for the secondary invariant.
+def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction,
+                   found: Optional[tuple[int, Basis]]) -> ExtRational:
+    """Incremental minimal-r scan for the secondary invariant, from found,
+    the result of eng.meet(t).
 
     The question is whether some chain x in M+ with d0 x = 0 and
     phi(x) = 1 (an essential cycle z+) and some allowed grading-1 chain w
     leave x + d1 w inside M- (an essential cycle z-, homologous to z+).
-    One elimination answers it: the columns of eng.meet(t), then (d1 w
+    One elimination answers it: the columns of the meet, then (d1 w
     outside M-), tagged 0, for the grading-1 elements inside
     C^t_{gamma(t)} and then the others in increasing f_s order.  A
     dependency with an odd tag is such a pair; solvability is monotone
@@ -397,7 +405,6 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     have the least key of the f_s scan, so moving them into it changes no
     value there; off the diagonal that is open.
     """
-    found = eng.meet(t)
     if found is None:
         return NEG_INF
     mlo, reducer = found
@@ -436,7 +443,8 @@ def gamma2(c: BifilteredComplex, t, s) -> ExtRational:
         raise ValueError(f"gamma2 needs t in (0,2), got {t}")
     if not 0 <= s <= 2:
         raise ValueError(f"gamma2 needs s in [0,2], got {s}")
-    return _gamma2_engine(_engine(c), t, s)
+    eng = _engine(c)
+    return _gamma2_engine(eng, t, s, eng.meet(t))
 
 
 def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
@@ -466,17 +474,20 @@ def jump_values(c: BifilteredComplex,
                 max_t: Optional[Fraction] = None) -> list[JumpReport]:
     """Scan every candidate parameter, reporting jump status and the diagonal
     secondary invariant, computed at the jumps only (+infinity at the
-    others); parameters outside the candidate set are never jumps.  No jump
-    lies inside a certified interval, so an interval end in (0,2) that is
-    no candidate would be a lost jump: that raises."""
+    others); parameters outside the candidate set are never jumps.  One
+    meet per candidate decides the jump, and at a jump the gamma2 scan goes
+    on from its elimination.  No jump lies inside a certified interval, so
+    an interval end in (0,2) that is no candidate would be a lost jump:
+    that raises."""
     eng = _engine(c)
     out = []
     for t in eng.candidates:
         if max_t is not None and t > max_t:
             break
-        jump = is_jump_value(c, t)
-        u2 = upsilon2(c, t) if jump else POS_INF
-        out.append(JumpReport(t=t, is_jump=jump, upsilon2=u2))
+        found = eng.meet(t)
+        u2 = (POS_INF if found is None else
+              -2 * (_gamma2_engine(eng, t, t, found) - eng.gamma(t)))
+        out.append(JumpReport(t=t, is_jump=found is not None, upsilon2=u2))
     lost = sorted({end for *_, lo, hi in eng._intervals for end in (lo, hi)
                    if 0 < end < 2}.difference(eng.candidates))
     if lost:

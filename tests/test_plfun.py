@@ -212,27 +212,31 @@ class TestLowerEnvelope:
 
 
 SMALL = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
-# where a pencil of lines crosses: an end of [0,2], outside it, or anywhere
-PENCIL_POINTS = st.sampled_from([F(0), F(2), F(-1), F(3)]) | SMALL
+INTS = st.integers(-12, 12)
+# where a pencil of lines crosses: an end of [0,2] or outside it; a drawn
+# coefficient puts it anywhere
+PENCIL_POINTS = st.sampled_from([0, 2, -1, 3])
 
 
 @st.composite
-def line_families(draw):
-    """1-12 lines with small rational coefficients, with duplicates, equal
-    slopes and pencils of three or more lines through one point put in."""
-    lines = draw(st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=6))
+def line_families(draw, coefficients=SMALL):
+    """1-12 lines with small coefficients drawn from coefficients, with
+    duplicates, equal slopes and pencils of three or more lines through one
+    point put in; integer coefficients give integer pencils."""
+    lines = draw(st.lists(st.tuples(coefficients, coefficients), min_size=1,
+                          max_size=6))
     kinds = st.sampled_from(["duplicate", "same slope", "pencil"])
     for kind in draw(st.lists(kinds, max_size=3)):
         m, b = draw(st.sampled_from(lines))
         if kind == "duplicate":
             lines.append((m, b))
         elif kind == "same slope":
-            lines.append((m, b + draw(SMALL.filter(bool))))
+            lines.append((m, b + draw(coefficients.filter(bool))))
         else:
-            t = draw(PENCIL_POINTS)
+            t = draw(PENCIL_POINTS | coefficients)
             v = m * t + b
-            slopes = st.lists(SMALL.filter(lambda s: s != m), min_size=2,
-                              max_size=2, unique=True)
+            slopes = st.lists(coefficients.filter(lambda s: s != m),
+                              min_size=2, max_size=2, unique=True)
             lines += [(s, v - s * t) for s in draw(slopes)]
     return lines
 
@@ -272,6 +276,32 @@ class TestEnvelopeOracle:
         assert env.breakpoints == lower_envelope(lines)
         assert_canonical(env)
 
+    @settings(max_examples=300, deadline=None)
+    @given(line_families(INTS))
+    def test_integer_families(self, lines):
+        env = pl_lower_envelope(lines)
+        assert env.breakpoints == lower_envelope(lines)
+        assert_canonical(env)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_families(INTS | SMALL))
+    def test_mixed_families(self, lines):
+        env = pl_lower_envelope(lines)
+        assert env.breakpoints == lower_envelope(lines)
+        assert_canonical(env)
+
+    @pytest.mark.parametrize("p,q", STAIRCASE_PAIRS)
+    def test_integer_staircase_lines(self, p, q):
+        # The lines of 2*gamma have integer coefficients; -1 times their
+        # envelope is upsilon, and -2 times the envelope of gamma's lines,
+        # which test_staircase_whites checks against the reference.
+        whites = build_staircase(p, q).whites
+        doubled = [(alex - alg, 2 * alg) for alg, alex in whites]
+        halved = [(F(alex - alg, 2), F(alg)) for alg, alex in whites]
+        ups = pl_scale(pl_lower_envelope(doubled), -1)
+        assert pl_equal(ups, upsilon_staircase(p, q))
+        assert pl_equal(ups, pl_scale(pl_lower_envelope(halved), -2))
+
 
 @settings(max_examples=200, deadline=None)
 @given(pl_functions(), pl_functions())
@@ -297,3 +327,7 @@ def test_json_round_trip():
 def test_float_inputs_rejected():
     with pytest.raises(TypeError):
         pl_eval(UPS34, 0.5)
+    # a float in either coordinate of a line, next to int and Fraction lines
+    for line in [(0.5, 1), (1, 0.5), (F(1, 2), 2.0)]:
+        with pytest.raises(TypeError, match="floating point"):
+            pl_lower_envelope([(1, 0), line])

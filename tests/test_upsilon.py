@@ -16,7 +16,8 @@ from upsilonkit.f2 import span_basis
 from upsilonkit.plfun import (NEG_INF, POS_INF, is_finite, pl_add,
                               pl_constant, pl_equal, pl_eval, pl_neg)
 from upsilonkit.staircase import build_staircase, upsilon_staircase
-from upsilonkit.upsilon import (InvalidComplexError, candidate_parameters,
+from upsilonkit.upsilon import (InvalidComplexError, JumpReport,
+                                candidate_parameters,
                                 check_subadditivity, cycle_space, gamma2,
                                 gamma_at, is_jump_value, jump_values,
                                 pivot_points, upsilon2, upsilon_pl,
@@ -264,6 +265,14 @@ class TestUpsilonPL:
             t = F(rng.randint(0, 64), 32)
             assert pl_eval(f, t) == -2 * gamma_at(c, t)
 
+    @pytest.mark.parametrize("p", range(1, 41))
+    def test_adjacent_torus_closed_form(self, p):
+        # Upsilon of T(p,p+1) has a kink at every 2i/p, with value
+        # -i(i+1) - i(p-1-2i) there (arXiv:1407.1795).
+        assert upsilon_pl(torus_complex(p, p + 1)).breakpoints == tuple(
+            (F(2 * i, p), -i * (i + 1) - i * (p - 1 - 2 * i))
+            for i in range(p + 1))
+
     def test_endpoint_zero(self):
         for _, make in SMALL_COMPLEXES:
             assert pl_eval(upsilon_pl(make()), 0) == 0
@@ -322,6 +331,16 @@ class TestIntervalTable:
         assert upsilon2(c, F(4, 7)) is POS_INF
         assert swept == [(F(4, 7), -1), (F(4, 7), 1)]
         assert "candidates" not in vars(_engine(c))
+
+    def test_bounds_are_fractions(self):
+        # _certify keeps its bounds as integer pairs and returns Fractions.
+        for c in (torus_complex(3, 4), dual(torus_complex(2, 5)),
+                  _vanishing_family(5)):
+            upsilon_pl(c)
+            jump_values(c)
+            ends = [end for *_, lo, hi in _engine(c)._intervals
+                    for end in (lo, hi)]
+            assert ends and all(type(end) is F for end in ends)
 
     def test_inside_one_interval_builds_no_mask(self, monkeypatch):
         # A candidate inside one certified interval is no jump: the meet
@@ -750,6 +769,24 @@ class TestJumps:
         assert by_t[F(2, 3)].is_jump and by_t[F(2, 3)].upsilon2 == F(-4, 3)
         assert not by_t[F(1)].is_jump and by_t[F(1)].upsilon2 is POS_INF
         assert by_t[F(4, 3)].is_jump and by_t[F(4, 3)].upsilon2 == F(-4, 3)
+
+    def test_one_meet_per_candidate(self, monkeypatch):
+        # jump_values runs the meet once per candidate and hands it to the
+        # gamma2 scan; the reports agree with the public jump test and
+        # upsilon2 at every candidate, and Upsilon2 at the jumps 4/5 and 6/5
+        # is -4(p-2)/p.
+        c = _vanishing_family(5)
+        met = []
+        meet = _Engine.meet
+        monkeypatch.setattr(_Engine, "meet",
+                            lambda self, t: met.append(t) or meet(self, t))
+        reports = jump_values(c)
+        assert met == list(candidate_parameters(c))
+        monkeypatch.undo()
+        assert reports == [JumpReport(t, is_jump_value(c, t), upsilon2(c, t))
+                           for t in candidate_parameters(c)]
+        assert [(r.t, r.upsilon2) for r in reports if r.is_jump] == [
+            (F(4, 5), F(-12, 5)), (F(6, 5), F(-12, 5))]
 
     def test_noncandidates_never_jump(self):
         c = torus_complex(3, 4)
