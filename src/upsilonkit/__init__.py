@@ -7,7 +7,6 @@ from .plfun import (
     NEG_INF,
     POS_INF,
     PLFunction,
-    Rational,
     format_ext,
     is_finite,
     pl_add,
@@ -17,7 +16,6 @@ from .plfun import (
     pl_from_samples,
     pl_lower_envelope,
     pl_neg,
-    pl_scale,
     pl_to_json,
 )
 from .staircase import (

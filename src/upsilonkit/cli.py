@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .expr import (DEFAULT_GENERATOR_LIMIT, ComplexTooLargeError, Unknot,
-                   expr_to_str, generator_lower_bound, parse_expr, realize)
+                   expected_generators, expr_to_str, parse_expr, realize)
 from .plfun import ext_to_json, format_ext, pl_to_json, rational_to_json
 from .staircase import LaurentPoly, alexander_torus
 from .upsilon import jump_values, upsilon2, upsilon_pl
@@ -111,10 +111,10 @@ def _cmd_alexander(args) -> int:
               f"{expr_to_str(e)}", file=sys.stderr)
         return 2
     # The polynomial has as many terms as the staircase has generators.
-    terms = generator_lower_bound(e)
+    terms = expected_generators(e)
     if terms > DEFAULT_GENERATOR_LIMIT:
         raise ComplexTooLargeError(
-            f"{expr_to_str(e)} has at least {terms} Alexander terms, "
+            f"{expr_to_str(e)} has {terms} Alexander terms, "
             f"above the limit of {DEFAULT_GENERATOR_LIMIT}")
     atom = e[0].atom
     poly = (LaurentPoly.one() if isinstance(atom, Unknot)

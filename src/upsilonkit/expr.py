@@ -18,10 +18,10 @@ import re
 import warnings
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Union
+from typing import Union
 
 from .cfk import BifilteredComplex, dual, from_staircase, tensor, unknot_complex
-from .staircase import build_staircase, semigroup_runs
+from .staircase import build_staircase
 
 
 class ExprSyntaxError(ValueError):
@@ -175,46 +175,43 @@ def expr_to_str(e: KnotExpr) -> str:
     return " # ".join(map(str, e))
 
 
-def _product_over_tori(e: KnotExpr, torus: Callable[[int, int], int],
-                       stop: int | None = None) -> int:
-    """Product of torus(p, q) over the torus factors of e, counted with
-    multiplicity (generator counts multiply under tensor products).  With
-    stop set, it may return a partial product above stop instead, which
-    keeps the numbers small: n copies of a factor of at least 2 exceed stop
-    once n reaches stop.bit_length()."""
+def _torus_generators(p: int, q: int) -> int:
+    """Generator count of the staircase of T(p,q), gcd(p, q) = 1, without
+    sieving: 2(r+1)(s+1) - 1 for the conductor c = (p-1)(q-1) = rp + sq.
+
+    The staircase has one generator per term of the Alexander polynomial
+    (1 - t) * sum over S = <p,q> of t^x, whose positive terms are the x in
+    S with x - 1 not in S: the run starts and the tail's.  An integer
+    ip + jq with 0 <= j < p lies in S exactly when i >= 0.  For x = ip + jq
+    in S, 0 <= j < p, c = rp + sq gives x - 1 = (i-r-1)p + (j-s-1)q + pq.
+    If j > s, that is (i-r-1+q)p + (j-s-1)q with r < q, in S; if j <= s,
+    it is (i-r-1)p + (j-s-1+p)q, in S exactly when i > r.  So the positive
+    terms are the (r+1)(s+1) integers ip + jq with i <= r, j <= s; one
+    starts the tail, and each run also ends in a negative term.  s < p
+    since sq <= c < pq, so s is c/q mod p and (r, s) is unique; T(1,q)
+    gives 1.  Lam and Leung, "On the cyclotomic polynomial Phi_pq(X)",
+    Amer. Math. Monthly 103 (1996).
+    """
+    c = (p - 1) * (q - 1)
+    s = c * pow(q, -1, p) % p
+    r = (c - s * q) // p
+    return 2 * (r + 1) * (s + 1) - 1
+
+
+def expected_generators(e: KnotExpr, stop: int | None = None) -> int:
+    """Generator count of realize(e), computed without building or sieving
+    anything: counts multiply under tensor products.  With stop set, it may
+    return a partial product above stop instead, which keeps the numbers
+    small: n copies of a factor of at least 3 exceed stop once n reaches
+    stop.bit_length()."""
     total = 1
     for t in e:
         if isinstance(t.atom, Torus):
             n = t.n if stop is None else min(t.n, stop.bit_length())
-            total *= torus(t.atom.p, t.atom.q) ** n
+            total *= _torus_generators(t.atom.p, t.atom.q) ** n
             if stop is not None and total > stop:
                 break
     return total
-
-
-def expected_generators(e: KnotExpr) -> int:
-    """Generator count of realize(e), computed without building anything."""
-    return _product_over_tori(
-        e, lambda p, q: 2 * len(semigroup_runs(p, q).runs) + 1)
-
-
-def _torus_lower_bound(p: int, q: int) -> int:
-    """A lower bound on the 2*runs + 1 generators of T(p,q), p < q.
-
-    A run of S = <p,q> below the conductor 2g = (p-1)(q-1) holds at most
-    p - 1 integers, since p consecutive members put every larger integer in
-    S.  S is symmetric, so g of the integers below 2g are in S: at least
-    (q-1)/2 runs, hence at least q generators.  2p - 1 is a bound too
-    (checked, like q, on every coprime pair with p < 70, q < 160).
-    """
-    p, q = sorted((p, q))
-    return 1 if p == 1 else max(2 * p - 1, q)
-
-
-def generator_lower_bound(e: KnotExpr, stop: int | None = None) -> int:
-    """A lower bound on expected_generators(e) that sieves nothing; with
-    stop given it may be a partial product, which then exceeds stop."""
-    return _product_over_tori(e, _torus_lower_bound, stop)
 
 
 DEFAULT_GENERATOR_LIMIT = 20000
@@ -230,15 +227,13 @@ def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
     """
     if max_generators is not None:
         # n copies cost n - 1 tensor products even when each has one
-        # generator.  The lower bound refuses before sieving any semigroup.
+        # generator.  Neither count sieves a semigroup.
         size = sum(t.n for t in e)
         need = f"has {size} summands"
         if size <= max_generators:
-            size = generator_lower_bound(e, stop=max_generators)
-            need = f"needs at least {size} generators"
-        if size <= max_generators:
-            size = expected_generators(e)
-            need = f"needs {size} generators"
+            size = expected_generators(e, stop=max_generators)
+            capped = any(t.n > max_generators.bit_length() for t in e)
+            need = f"needs {'at least ' if capped else ''}{size} generators"
         if size > max_generators:
             raise ComplexTooLargeError(
                 f"{expr_to_str(e)} {need}, above the limit of "

@@ -19,8 +19,6 @@ from functools import total_ordering
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 
 def _frac(x) -> Fraction:
     """Coerce ints/strings like '4/7' to Fraction; reject floats."""
@@ -116,7 +114,7 @@ def _canonicalize(points: Sequence[tuple[Fraction, Fraction]]) -> PLFunction:
     return PLFunction(tuple(kept))
 
 
-def pl_from_samples(samples: Iterable[tuple[Rational, Rational]]) -> PLFunction:
+def pl_from_samples(samples: Iterable[tuple[Fraction, Fraction]]) -> PLFunction:
     """Canonical PLFunction interpolating the samples.
 
     The samples must be sorted with strictly increasing t in [0,2] and must
@@ -137,7 +135,7 @@ def pl_from_samples(samples: Iterable[tuple[Rational, Rational]]) -> PLFunction:
     return _canonicalize(pts)
 
 
-def pl_constant(value: Rational) -> PLFunction:
+def pl_constant(value: Fraction) -> PLFunction:
     v = _frac(value)
     return PLFunction(((T_MIN, v), (T_MAX, v)))
 
@@ -152,7 +150,7 @@ def _interpolate(p0, p1, t: Fraction) -> Fraction:
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
-def pl_eval(f: PLFunction, t: Rational) -> Fraction:
+def pl_eval(f: PLFunction, t: Fraction) -> Fraction:
     """Exact value of f at t by linear interpolation."""
     t = _frac(t)
     if t < T_MIN or t > T_MAX:
@@ -192,17 +190,11 @@ def pl_neg(f: PLFunction) -> PLFunction:
     return PLFunction(tuple((t, -v) for t, v in f.breakpoints))
 
 
-def pl_scale(f: PLFunction, n: int) -> PLFunction:
-    if n == 0:
-        return pl_constant(0)
-    return PLFunction(tuple((t, n * v) for t, v in f.breakpoints))
-
-
 def pl_equal(f: PLFunction, g: PLFunction) -> bool:
     return f.breakpoints == g.breakpoints
 
 
-def pl_lower_envelope(lines: Sequence[tuple[Rational, Rational]]) -> PLFunction:
+def pl_lower_envelope(lines: Sequence[tuple[Fraction, Fraction]]) -> PLFunction:
     """Pointwise minimum over [0,2] of the lines t -> slope*t + intercept.
 
     An exact O(n log n) convex-hull sweep (Andrew's monotone chain) on

@@ -52,8 +52,8 @@ from typing import Optional
 
 from .cfk import BifilteredComplex, validated_slices
 from .f2 import Basis, functional, reduce_pair
-from .plfun import (NEG_INF, POS_INF, ExtRational, PLFunction, pl_from_samples,
-                    _frac)
+from .plfun import (NEG_INF, POS_INF, ExtRational, PLFunction, is_finite,
+                    pl_from_samples, _frac)
 
 
 class InvalidComplexError(ValueError):
@@ -102,12 +102,6 @@ def _keys(levels: list[Level], t: Fraction, side: int = 0) -> list[int]:
     wa = 2 * v - u
     w = 2 * max((abs(A - a) for a, A in levels), default=0) + 1 if side else 1
     return [(u * A + wa * a) * w + side * (A - a) for a, A in levels]
-
-
-def _f(t: Fraction, level: Level) -> Fraction:
-    """f_t(level), exactly."""
-    alg, alex = level
-    return alg + t * (alex - alg) / 2
 
 
 def _collinearity_parameters(levels: list[Level]) -> tuple[Fraction, ...]:
@@ -249,15 +243,19 @@ class _Engine:
                 f"certified interval [{lo}, {hi}] misses t={t}")
         return level, z, lo, hi
 
-    def gamma(self, t: Fraction) -> Fraction:
-        """f_t of the contact levels just below and just above t (the one
-        side inside [0,2] at 0 and 2).  They must agree, since gamma is
-        continuous; a disagreement means a wrong certified interval."""
-        lo, hi = (_f(t, self.interval(t, side)[0])
-                  for side in (-1 if t else 1, 1 if t < 2 else -1))
+    def top(self, t: Fraction) -> int:
+        """The side-0 key 2v*gamma(t), t = u/v: that of the contact levels
+        just below and just above t (the one side inside [0,2] at 0 and 2).
+        They must agree, since gamma is continuous; a disagreement means a
+        wrong certified interval."""
+        lo, hi = _keys([self.interval(t, side)[0]
+                        for side in (-1 if t else 1, 1 if t < 2 else -1)], t)
         if lo != hi:
             raise AssertionError(f"gamma not continuous at t={t}")
         return lo
+
+    def gamma(self, t: Fraction) -> Fraction:
+        return Fraction(self.top(t), 2 * t.denominator)
 
     def meet(self, t: Fraction) -> Optional[tuple[int, Basis]]:
         """The one jump test: None when t is no jump, an essential cycle
@@ -272,7 +270,7 @@ class _Engine:
         if self.interval(t, -1)[3] > t:
             return None
         (zlo, mlo), (zhi, mhi) = self.one_sided(t, -1), self.one_sided(t, 1)
-        top = math.floor(self.gamma(t) * 2 * t.denominator)
+        top = self.top(t)
         above = sum(1 << i for i, key in enumerate(_keys(self.lev0, t))
                     if key > top)
         if (mlo | mhi | zlo | zhi) & above:
@@ -300,6 +298,15 @@ def _engine(c: BifilteredComplex) -> _Engine:
     return eng
 
 
+def _parameter(x, name: str, closed: bool) -> Fraction:
+    """x as a Fraction in [0,2] (closed) or in (0,2); floats are refused."""
+    x = _frac(x)
+    if not (0 <= x <= 2 if closed else 0 < x < 2):
+        raise ValueError(
+            f"{name}={x} outside {'[0,2]' if closed else '(0,2)'}")
+    return x
+
+
 def candidate_parameters(c: BifilteredComplex) -> tuple[Fraction, ...]:
     """Parameters in (0,2) where upsilon can have a breakpoint and where the
     secondary invariant can be finite."""
@@ -309,10 +316,7 @@ def candidate_parameters(c: BifilteredComplex) -> tuple[Fraction, ...]:
 def gamma_at(c: BifilteredComplex, t) -> Fraction:
     """Minimal level s with an essential grading-0 cycle in the f_t sublevel
     subcomplex at level s."""
-    t = _frac(t)
-    if not 0 <= t <= 2:
-        raise ValueError(f"t={t} outside [0,2]")
-    return _engine(c).gamma(t)
+    return _engine(c).gamma(_parameter(t, "t", closed=True))
 
 
 def upsilon_pl(c: BifilteredComplex) -> PLFunction:
@@ -339,9 +343,7 @@ def pivot_points(c: BifilteredComplex, t) -> PivotPair:
     half the distance from t to the nearest candidate, 0 or 2 other than t,
     so no candidate lies strictly between t and t +/- delta.
     """
-    t = _frac(t)
-    if not 0 < t < 2:
-        raise ValueError(f"pivot points need t in (0,2), got {t}")
+    t = _parameter(t, "t", closed=False)
     eng = _engine(c)
     below = max((x for x in eng.candidates if x < t), default=Fraction(0))
     above = min((x for x in eng.candidates if x > t), default=Fraction(2))
@@ -358,9 +360,7 @@ def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     the candidate parameters; the points between two consecutive
     candidates share one space (for instance the t +/- delta of
     pivot_points).  Built on demand; the engine itself reads masks."""
-    t_side = _frac(t_side)
-    if not 0 < t_side < 2:
-        raise ValueError(f"t_side={t_side} outside (0,2)")
+    t_side = _parameter(t_side, "t_side", closed=False)
     eng = _engine(c)
     if t_side in eng.candidates:
         raise ValueError(
@@ -378,10 +378,9 @@ def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     return witness, [inside[p][0] for p in sorted(inside)]
 
 
-def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction,
-                   found: Optional[tuple[int, Basis]]) -> ExtRational:
-    """Incremental minimal-r scan for the secondary invariant, from found,
-    the result of eng.meet(t).
+def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
+    """Incremental minimal-r scan for the secondary invariant, going on from
+    the elimination of eng.meet(t).
 
     The question is whether some chain x in M+ with d0 x = 0 and
     phi(x) = 1 (an essential cycle z+) and some allowed grading-1 chain w
@@ -400,15 +399,17 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction,
     mask.  Say x + d1 W lies in M-, for x an essential cycle in M+ and W
     such elements, and W+ are those of W on the line at levels in M+.  Then
     x' = x + d1 W+ is an essential cycle in M+, and d1 of W minus W+ misses
-    M+ minus M-, so x' lies in M- and M+ at once: t is no jump.  So gamma2 is -infinity exactly off the jumps, and upsilon2 is
-    finite exactly at them.  At s = t the grading-1 elements on the line
-    have the least key of the f_s scan, so moving them into it changes no
-    value there; off the diagonal that is open.
+    M+ minus M-, so x' lies in M- and M+ at once: t is no jump.  So gamma2
+    is -infinity exactly off the jumps, and upsilon2 is finite exactly at
+    them.  At s = t the grading-1 elements on the line have the least key
+    of the f_s scan, so moving them into it changes no value there; off the
+    diagonal that is open.
     """
+    found = eng.meet(t)
     if found is None:
         return NEG_INF
     mlo, reducer = found
-    top_t = math.floor(eng.gamma(t) * 2 * t.denominator)
+    top_t = eng.top(t)
 
     def closes(col: int) -> bool:
         v, odd = reduce_pair(col & ~mlo, 0, reducer)
@@ -438,13 +439,13 @@ def gamma2(c: BifilteredComplex, t, s) -> ExtRational:
     below and just above t become homologous in C^t_{gamma(t)} + C^s_r;
     -infinity exactly when one essential cycle lies in both masks, that is
     when t is no jump."""
-    t, s = _frac(t), _frac(s)
-    if not 0 < t < 2:
-        raise ValueError(f"gamma2 needs t in (0,2), got {t}")
-    if not 0 <= s <= 2:
-        raise ValueError(f"gamma2 needs s in [0,2], got {s}")
-    eng = _engine(c)
-    return _gamma2_engine(eng, t, s, eng.meet(t))
+    return _gamma2_engine(_engine(c), _parameter(t, "t", closed=False),
+                          _parameter(s, "s", closed=True))
+
+
+def _upsilon2(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
+    g2 = _gamma2_engine(eng, t, s)
+    return POS_INF if g2 == NEG_INF else -2 * (g2 - eng.gamma(t))
 
 
 def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
@@ -453,21 +454,15 @@ def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
     Defaults to the diagonal s = t.  Invariant under uniform filtration
     shifts, since gamma and gamma2 shift by the same amount.
     """
-    t = _frac(t)
-    s = t if s is None else _frac(s)
-    g2 = gamma2(c, t, s)
-    if g2 == NEG_INF:
-        return POS_INF
-    return -2 * (g2 - _engine(c).gamma(t))
+    t = _parameter(t, "t", closed=False)
+    s = t if s is None else _parameter(s, "s", closed=True)
+    return _upsilon2(_engine(c), t, s)
 
 
 def is_jump_value(c: BifilteredComplex, t) -> bool:
     """Whether no essential cycle lies in both sublevel masks either side of
     t: the meet that gamma2 starts with, so upsilon2 is finite exactly here."""
-    t = _frac(t)
-    if not 0 < t < 2:
-        raise ValueError(f"jump test needs t in (0,2), got {t}")
-    return _engine(c).meet(t) is not None
+    return _engine(c).meet(_parameter(t, "t", closed=False)) is not None
 
 
 def jump_values(c: BifilteredComplex,
@@ -476,18 +471,17 @@ def jump_values(c: BifilteredComplex,
     secondary invariant, computed at the jumps only (+infinity at the
     others); parameters outside the candidate set are never jumps.  One
     meet per candidate decides the jump, and at a jump the gamma2 scan goes
-    on from its elimination.  No jump lies inside a certified interval, so
-    an interval end in (0,2) that is no candidate would be a lost jump:
+    on from its elimination, so t is a jump exactly when its value is
+    finite (see _gamma2_engine).  No jump lies inside a certified interval,
+    so an interval end in (0,2) that is no candidate would be a lost jump:
     that raises."""
     eng = _engine(c)
     out = []
     for t in eng.candidates:
         if max_t is not None and t > max_t:
             break
-        found = eng.meet(t)
-        u2 = (POS_INF if found is None else
-              -2 * (_gamma2_engine(eng, t, t, found) - eng.gamma(t)))
-        out.append(JumpReport(t=t, is_jump=found is not None, upsilon2=u2))
+        u2 = _upsilon2(eng, t, t)
+        out.append(JumpReport(t=t, is_jump=is_finite(u2), upsilon2=u2))
     lost = sorted({end for *_, lo, hi in eng._intervals for end in (lo, hi)
                    if 0 < end < 2}.difference(eng.candidates))
     if lost:
@@ -501,7 +495,6 @@ def check_subadditivity(a: BifilteredComplex, b: BifilteredComplex, t,
     """Diagonal subadditivity of the secondary invariant under connected sum:
     upsilon2 of tensor_complex, the tensor of a and b, is at least the
     minimum of the summands'."""
-    t = _frac(t)
     lhs = upsilon2(tensor_complex, t)
     rhs = min(upsilon2(a, t), upsilon2(b, t))
     return lhs >= rhs

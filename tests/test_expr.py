@@ -117,6 +117,10 @@ class TestRoundTrip:
         assert expr_to_str(parse_expr("-2*T(2,3)")) == "-2*T(2,3)"
 
 
+def _no_sieve(p, q):
+    raise AssertionError(f"semigroup of T({p},{q}) sieved")
+
+
 class TestRealize:
     def test_unknot(self):
         assert len(realize(parse_expr("U"))) == 1
@@ -165,17 +169,24 @@ class TestRealize:
             realize(e, max_generators=4)
 
     def test_size_guard_refuses_before_sieving(self, monkeypatch):
-        def no_sieve(p, q):
-            raise AssertionError(f"semigroup of T({p},{q}) sieved")
-        monkeypatch.setattr("upsilonkit.expr.semigroup_runs", no_sieve)
-        monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", no_sieve)
-        # T(p,q) has at least max(2p - 1, q) generators, and a multiple's
-        # bound stops growing once it passes the limit.
-        for text, match in (("T(10001,10002)", "at least 20001"),
-                            ("T(2,100000001)", "at least 100000001"),
-                            ("1000000*T(2,3)", "above the limit of 20000")):
+        monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", _no_sieve)
+        # T(p,p+1) has 2p - 1 generators and T(2,q) has q; a multiple's
+        # count stops growing once it passes the limit.
+        for text, match in (("T(10001,10002)", "needs 20001 generators"),
+                            ("T(2,100000001)", "needs 100000001 generators"),
+                            ("T(4999,10000)", "needs 24994999 generators"),
+                            ("1000000*T(2,3)", "above the limit of 20000"),
+                            ("100*T(2,3)", "needs at least 14348907 ")):
             with pytest.raises(ComplexTooLargeError, match=match):
                 realize(parse_expr(text))
+
+    def test_closed_form_matches_sieve(self):
+        # The sieve is the reference: 2*runs + 1 generators per torus.
+        for p in range(1, 40):
+            for q in range(p + 1, 120):
+                if gcd(p, q) == 1:
+                    assert expected_generators((Term(Torus(p, q)),)) == \
+                        2 * len(semigroup_runs(p, q).runs) + 1, (p, q)
 
     def test_one_sieve_per_factor_when_building(self, monkeypatch):
         sieved = []
@@ -184,17 +195,16 @@ class TestRealize:
             sieved.append((p, q))
             return semigroup_runs(p, q)
 
-        monkeypatch.setattr("upsilonkit.expr.semigroup_runs", counted)
         monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", counted)
         realize(parse_expr("T(7,8) # T(2,7) # -T(7,9)"))
-        # once for the size check and once for the staircase, per factor
-        assert len(sieved) <= 6
+        # the size check sieves nothing; each staircase sieves once
+        assert sieved == [(7, 8), (2, 7), (7, 9)]
         sieved.clear()
         realize(parse_expr("3*T(2,5)"))
-        assert sieved == [(2, 5), (2, 5)]
+        assert sieved == [(2, 5)]
 
-    def test_size_lower_bound_never_refuses_a_fitting_knot(self):
-        # The pre-sieve bound 2p - 1 must not exceed the exact count.
+    def test_size_guard_admits_every_fitting_knot(self):
+        # A limit equal to the exact count builds the knot.
         for p in range(1, 20):
             for q in range(p + 1, 30):
                 if gcd(p, q) == 1:
@@ -263,19 +273,30 @@ class TestCLI:
 
     def test_alexander_size_guard_refuses_before_sieving(self, capsys,
                                                          monkeypatch):
-        def no_sieve(p, q):
-            raise AssertionError(f"semigroup of T({p},{q}) sieved")
-        monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", no_sieve)
+        monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", _no_sieve)
         assert main(["alexander", "T(10001,10002)"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "at least 20001" in err
+        assert err.startswith("error: ")
+        assert "has 20001 Alexander terms" in err
+
+    def test_huge_torus_refused_without_sieving(self, capsys, monkeypatch):
+        monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", _no_sieve)
+        for command in ("upsilon", "alexander"):
+            assert main([command, "T(4999,10000)"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "24994999" in err, command
 
     def test_alexander_size_guard_bound(self, capsys, monkeypatch):
-        # T(3,4) has exactly 2*3 - 1 = 5 terms; T(4,5) at least 7.
+        # T(3,4) has 2*3 - 1 = 5 terms and T(4,5) has 7.
         monkeypatch.setattr("upsilonkit.cli.DEFAULT_GENERATOR_LIMIT", 5)
         assert main(["alexander", "T(3,4)"]) == 0
         assert main(["alexander", "T(4,5)"]) == 2
-        assert "at least 7 Alexander terms" in capsys.readouterr().err
+        assert "has 7 Alexander terms" in capsys.readouterr().err
+
+    def test_alexander_size_guard_is_exact(self, capsys):
+        # 21713 terms: above the limit, though max(2p - 1, q) = 467 is not.
+        assert main(["alexander", "T(93,467)"]) == 2
+        assert "has 21713 Alexander terms" in capsys.readouterr().err
 
     def test_dump_complex_round_trip(self, capsys):
         assert main(["dump-complex", "T(2,5) # -T(2,3)"]) == 0

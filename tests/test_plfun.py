@@ -19,7 +19,6 @@ from upsilonkit.plfun import (
     pl_from_samples,
     pl_lower_envelope,
     pl_neg,
-    pl_scale,
     pl_to_json,
 )
 from upsilonkit.staircase import build_staircase, upsilon_staircase
@@ -124,12 +123,6 @@ class TestArithmetic:
         # path gives an independent value to compare against.
         assert pl_equal(pl_add(UPS34, UPS34), upsilon_staircase(3, 7))
 
-    def test_scale_zero(self):
-        assert pl_equal(pl_scale(UPS34, 0), pl_constant(0))
-
-    def test_scale_matches_repeated_add(self):
-        assert pl_equal(pl_scale(UPS34, 3), pl_add(UPS34, pl_add(UPS34, UPS34)))
-
     def test_neg_eval(self):
         assert pl_eval(pl_neg(UPS34), 1) == 2
 
@@ -183,7 +176,8 @@ class TestLowerEnvelope:
         # lines t -> f_t(white) for the T(3,4) staircase whites, then the
         # upsilon normalization of -2 times the minimum
         lines = [(F(3, 2), F(0)), (F(0), F(1)), (F(-3, 2), F(3))]
-        assert pl_equal(pl_scale(pl_lower_envelope(lines), -2), UPS34)
+        env = pl_lower_envelope(lines)
+        assert pl_equal(pl_neg(pl_add(env, env)), UPS34)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -298,9 +292,10 @@ class TestEnvelopeOracle:
         whites = build_staircase(p, q).whites
         doubled = [(alex - alg, 2 * alg) for alg, alex in whites]
         halved = [(F(alex - alg, 2), F(alg)) for alg, alex in whites]
-        ups = pl_scale(pl_lower_envelope(doubled), -1)
+        ups = pl_neg(pl_lower_envelope(doubled))
         assert pl_equal(ups, upsilon_staircase(p, q))
-        assert pl_equal(ups, pl_scale(pl_lower_envelope(halved), -2))
+        gamma = pl_lower_envelope(halved)
+        assert pl_equal(ups, pl_neg(pl_add(gamma, gamma)))
 
 
 @settings(max_examples=200, deadline=None)
