@@ -12,7 +12,6 @@ from .plfun import (
     pl_add,
     pl_constant,
     pl_equal,
-    pl_eval,
     pl_from_samples,
     pl_lower_envelope,
     pl_neg,

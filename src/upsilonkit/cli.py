@@ -11,30 +11,25 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
 from .expr import (DEFAULT_GENERATOR_LIMIT, ComplexTooLargeError, Unknot,
                    expected_generators, expr_to_str, parse_expr, realize)
-from .plfun import ext_to_json, format_ext, pl_to_json, rational_to_json
+from .plfun import (_frac, ext_to_json, format_ext, pl_to_json,
+                    rational_to_json)
 from .staircase import LaurentPoly, alexander_torus
 from .upsilon import jump_values, upsilon2, upsilon_pl
 from .cfk import complex_to_json
 from . import verify
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
-
 
 def _rational(text: str) -> Fraction:
-    """a/b or a, with an optional sign.  Fraction alone would also expand
-    exponent notation such as 1e10000000, digit by digit."""
-    if not _RATIONAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    """a/b or a, with an optional sign, through the library's gate."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+        return _frac(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Union
 
 from .cfk import BifilteredComplex, dual, from_staircase, tensor, unknot_complex
-from .staircase import build_staircase
+from .staircase import build_staircase, torus_generators
 
 
 class ExprSyntaxError(ValueError):
@@ -175,29 +175,6 @@ def expr_to_str(e: KnotExpr) -> str:
     return " # ".join(map(str, e))
 
 
-def _torus_generators(p: int, q: int) -> int:
-    """Generator count of the staircase of T(p,q), gcd(p, q) = 1, without
-    sieving: 2(r+1)(s+1) - 1 for the conductor c = (p-1)(q-1) = rp + sq.
-
-    The staircase has one generator per term of the Alexander polynomial
-    (1 - t) * sum over S = <p,q> of t^x, whose positive terms are the x in
-    S with x - 1 not in S: the run starts and the tail's.  An integer
-    ip + jq with 0 <= j < p lies in S exactly when i >= 0.  For x = ip + jq
-    in S, 0 <= j < p, c = rp + sq gives x - 1 = (i-r-1)p + (j-s-1)q + pq.
-    If j > s, that is (i-r-1+q)p + (j-s-1)q with r < q, in S; if j <= s,
-    it is (i-r-1)p + (j-s-1+p)q, in S exactly when i > r.  So the positive
-    terms are the (r+1)(s+1) integers ip + jq with i <= r, j <= s; one
-    starts the tail, and each run also ends in a negative term.  s < p
-    since sq <= c < pq, so s is c/q mod p and (r, s) is unique; T(1,q)
-    gives 1.  Lam and Leung, "On the cyclotomic polynomial Phi_pq(X)",
-    Amer. Math. Monthly 103 (1996).
-    """
-    c = (p - 1) * (q - 1)
-    s = c * pow(q, -1, p) % p
-    r = (c - s * q) // p
-    return 2 * (r + 1) * (s + 1) - 1
-
-
 def expected_generators(e: KnotExpr, stop: int | None = None) -> int:
     """Generator count of realize(e), computed without building or sieving
     anything: counts multiply under tensor products.  With stop set, it may
@@ -208,7 +185,7 @@ def expected_generators(e: KnotExpr, stop: int | None = None) -> int:
     for t in e:
         if isinstance(t.atom, Torus):
             n = t.n if stop is None else min(t.n, stop.bit_length())
-            total *= _torus_generators(t.atom.p, t.atom.q) ** n
+            total *= torus_generators(t.atom.p, t.atom.q) ** n
             if stop is not None and total > stop:
                 break
     return total
@@ -227,7 +204,7 @@ def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
     """
     if max_generators is not None:
         # n copies cost n - 1 tensor products even when each has one
-        # generator.  Neither count sieves a semigroup.
+        # generator.  Neither count lists a semigroup's runs.
         size = sum(t.n for t in e)
         need = f"has {size} summands"
         if size <= max_generators:

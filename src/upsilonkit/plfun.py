@@ -12,7 +12,8 @@ neighbours) so that structural equality coincides with functional equality.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -20,10 +21,18 @@ from math import lcm
 from typing import Iterable, Sequence, Union
 
 
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def _frac(x) -> Fraction:
-    """Coerce ints/strings like '4/7' to Fraction; reject floats."""
+    """x as a Fraction: an int, a Fraction, or a string a/b or a with an
+    optional sign.  Floats raise TypeError.  Any other string raises
+    ValueError before Fraction sees it, since Fraction would expand exponent
+    notation such as 1e10000000 digit by digit."""
     if isinstance(x, float):
         raise TypeError("floating point input not allowed; use Fraction")
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise ValueError(f"not a rational: {x!r}")
     return Fraction(x)
 
 
@@ -140,26 +149,10 @@ def pl_constant(value: Fraction) -> PLFunction:
     return PLFunction(((T_MIN, v), (T_MAX, v)))
 
 
-def _param(point: tuple[Fraction, Fraction]) -> Fraction:
-    return point[0]
-
-
 def _interpolate(p0, p1, t: Fraction) -> Fraction:
     """Value at t of the segment from breakpoint p0 to breakpoint p1."""
     (t0, v0), (t1, v1) = p0, p1
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-
-def pl_eval(f: PLFunction, t: Fraction) -> Fraction:
-    """Exact value of f at t by linear interpolation."""
-    t = _frac(t)
-    if t < T_MIN or t > T_MAX:
-        raise ValueError(f"t={t} outside [0,2]")
-    pts = f.breakpoints
-    i = bisect_right(pts, t, key=_param) - 1
-    if i == len(pts) - 1:
-        return pts[-1][1]
-    return _interpolate(pts[i], pts[i + 1], t)
 
 
 def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:

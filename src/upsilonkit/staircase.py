@@ -15,6 +15,11 @@ with e_i taken inclusive, and the staircase steps are
 
     [e_1-s_1+1, s_2-e_1-1, e_2-s_2+1, ..., e_n-s_n+1, s_{n+1}-e_n-1].
 
+The run starts and ends form two blocks of the lattice {ip + jq}, cut at
+the corner (r, s) where (p-1)(q-1) = rp + sq (see _corner).  So the runs
+are two sorted lists of n + 1 and n integers, the generator count 2n + 1 is
+a product, and nothing is sieved below the conductor.
+
 White dots (grading 0) sit at the run starts: relative to the first dot the
 i-th white is at (alpha(i), alpha(i) - s_i) where alpha(i) = |S ∩ [0, s_i)|,
 and absolute coordinates shift the Alexander level so the lowest white sits
@@ -99,25 +104,51 @@ def _is_unknot(p: int, q: int) -> bool:
     return p == 1 or q == 1
 
 
+def _corner(p: int, q: int) -> tuple[int, int]:
+    """The (r, s) with c = (p-1)(q-1) = rp + sq, r, s >= 0, for a torus knot
+    T(p,q); (0, 0) for the unknot.  Other parameters raise.
+
+    Every integer is ip + jq for one pair with 0 <= j < p, and it lies in S
+    exactly when i >= 0.  s < p since sq <= c < pq, so s is c/q mod p and
+    (r, s) is unique.  The runs of S are read off this corner, since
+    1 = (r+1)p + (s+1)q - pq gives x - 1 = (i-r-1)p + (j-s-1)q + pq:
+    - x = ip + jq in S, 0 <= j < p, starts a run (or the tail) when x - 1
+      is not in S.  If j > s, x - 1 is (i-r-1+q)p + (j-s-1)q with r < q,
+      in S; if j <= s, it is (i-r-1)p + (j-s-1+p)q, in S exactly when
+      i > r.  So the starts are the (r+1)(s+1) integers ip + jq with
+      i <= r, j <= s, the largest being c.
+    - y = ip + jq not in S, 0 <= j < p, so i < 0, follows a run end when
+      y - 1 is in S.  If j <= s, y - 1 is (i-r-1)p + (j-s-1+p)q with
+      i - r - 1 < 0, not in S; if j > s, it is (i+q-r-1)p + (j-s-1)q, in
+      S exactly when i + q > r.  So, with i + q written as i, the run ends
+      are the integers y - 1 = ip + jq - pq - 1 with r < i < q, s < j < p.
+    Lam and Leung, "On the cyclotomic polynomial Phi_pq(X)", Amer. Math.
+    Monthly 103 (1996).
+    """
+    if not _is_unknot(p, q):
+        _check_params(p, q)
+    c = (p - 1) * (q - 1)
+    s = c * pow(q, -1, p) % p
+    return (c - s * q) // p, s
+
+
+def torus_generators(p: int, q: int) -> int:
+    """Generator count of the staircase of T(p,q), with nothing enumerated:
+    one white per run start, the tail's included, and one black per run
+    end."""
+    r, s = _corner(p, q)
+    return 2 * (r + 1) * (s + 1) - 1
+
+
 def semigroup_runs(p: int, q: int) -> SemigroupRuns:
-    """Runs of S = {ap+bq : a,b >= 0} up to the conductor (p-1)(q-1)."""
-    if _is_unknot(p, q):
-        return SemigroupRuns((), 0)
-    _check_params(p, q)
-    conductor = (p - 1) * (q - 1)
-    # one byte per integer below the conductor; S is the union over b of
-    # the progressions bq + pN
-    member = bytearray(conductor)
-    for bq in range(0, conductor, q):
-        member[bq::p] = b"\x01" * len(range(bq, conductor, p))
-    # conductor - 1 is the largest gap, so every run ends before it
-    runs: list[tuple[int, int]] = []
-    start = member.find(1)
-    while start != -1:
-        end = member.find(0, start)
-        runs.append((start, end - 1))
-        start = member.find(1, end)
-    return SemigroupRuns(tuple(runs), conductor)
+    """Runs of S = {ap+bq : a,b >= 0} up to the conductor (p-1)(q-1), from
+    the two lattice blocks of _corner; sorted, the k-th end closes the k-th
+    run and the last start is the tail's."""
+    r, s = _corner(p, q)
+    starts = sorted(i * p + j * q for i in range(r + 1) for j in range(s + 1))
+    ends = sorted(i * p + j * q - p * q - 1
+                  for i in range(r + 1, q) for j in range(s + 1, p))
+    return SemigroupRuns(tuple(zip(starts, ends)), starts[-1])
 
 
 def alexander_torus(p: int, q: int) -> LaurentPoly:
@@ -186,8 +217,6 @@ class Staircase:
 
 def build_staircase(p: int, q: int) -> Staircase:
     """Staircase of T(p,q); the unknot gives a single white at the origin."""
-    if _is_unknot(p, q):
-        return Staircase((), ((0, 0),), (), 0)
     rs = semigroup_runs(p, q)
     genus = (p - 1) * (q - 1) // 2
     starts = [s for s, _ in rs.runs] + [rs.tail_start]

@@ -476,6 +476,7 @@ def jump_values(c: BifilteredComplex,
     so an interval end in (0,2) that is no candidate would be a lost jump:
     that raises."""
     eng = _engine(c)
+    max_t = None if max_t is None else _frac(max_t)
     out = []
     for t in eng.candidates:
         if max_t is not None and t > max_t:

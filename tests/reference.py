@@ -1,12 +1,15 @@
 """Reference constructions for the tests, written from the definitions and
-sharing no code with upsilonkit: grading slices, boundary maps as bitset
-columns, the Euler characteristic, the lower envelope of a family of
-lines, the collinearity parameters of a level set, one gamma sweep per
-chamber, the cycle spaces of a complex, and the jump test and secondary
-invariant computed on them.
+sharing no code with upsilonkit: the runs of a numerical semigroup by a
+sieve, the value of a piecewise-linear function, grading slices, boundary
+maps as bitset columns, the Euler characteristic, the lower envelope of a
+family of lines, the collinearity parameters of a level set, one gamma
+sweep per chamber, the cycle spaces of a complex, and the jump test and
+secondary invariant computed on them.
 
-The brute-force oracles and the d^2 test use these, so they do not trust
-the slices the engine builds; the envelope tests use the all-pairs
+The semigroup tests compare the closed-form runs with the sieve, so they do
+not trust the lattice corner; the value tests interpolate breakpoints
+here.  The brute-force oracles and the d^2 test use these, so they do not
+trust the slices the engine builds; the envelope tests use the all-pairs
 envelope, so they do not trust the hull sweep; the candidate and
 cycle-space tests build one Fraction per pair of levels and one
 elimination per parameter, so they do not trust the engine's dedupe and
@@ -18,6 +21,34 @@ trust the engine's mask sweeps.
 """
 
 from fractions import Fraction
+
+
+def semigroup_runs(p, q):
+    """(runs, tail start) of <p, q>, coprime p < q, by marking the integers
+    below the conductor (p-1)(q-1): runs are inclusive (start, end) pairs."""
+    conductor = (p - 1) * (q - 1)
+    member = bytearray(conductor)
+    for bq in range(0, conductor, q):
+        member[bq::p] = b"\x01" * len(range(bq, conductor, p))
+    runs = []
+    start = member.find(1)
+    while start != -1:
+        end = member.find(0, start)
+        runs.append((start, end - 1))
+        start = member.find(1, end)
+    return tuple(runs), conductor
+
+
+def evaluate(f, t):
+    """Value of the piecewise-linear function f at t in [0,2], by linear
+    interpolation between the breakpoints around t."""
+    t = Fraction(t)
+    pts = f.breakpoints
+    if not pts[0][0] <= t <= pts[-1][0]:
+        raise ValueError(f"t={t} outside [0,2]")
+    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+        if t <= t1:
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 def slice_levels(c, m):

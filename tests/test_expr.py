@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import reference
 from upsilonkit.cfk import complex_from_json, tensor, validate
 from upsilonkit.cli import main
 from upsilonkit.expr import (
@@ -17,7 +18,7 @@ from upsilonkit.expr import (
     parse_expr,
     realize,
 )
-from upsilonkit.staircase import semigroup_runs
+from upsilonkit.staircase import SemigroupRuns, semigroup_runs
 
 
 class TestParse:
@@ -181,12 +182,16 @@ class TestRealize:
                 realize(parse_expr(text))
 
     def test_closed_form_matches_sieve(self):
-        # The sieve is the reference: 2*runs + 1 generators per torus.
+        # The sieve is the reference: the same runs, and 2*runs + 1
+        # generators per torus.
         for p in range(1, 40):
             for q in range(p + 1, 120):
                 if gcd(p, q) == 1:
+                    runs, tail = reference.semigroup_runs(p, q)
+                    assert semigroup_runs(p, q) == \
+                        SemigroupRuns(runs, tail), (p, q)
                     assert expected_generators((Term(Torus(p, q)),)) == \
-                        2 * len(semigroup_runs(p, q).runs) + 1, (p, q)
+                        2 * len(runs) + 1, (p, q)
 
     def test_one_sieve_per_factor_when_building(self, monkeypatch):
         sieved = []
@@ -197,7 +202,7 @@ class TestRealize:
 
         monkeypatch.setattr("upsilonkit.staircase.semigroup_runs", counted)
         realize(parse_expr("T(7,8) # T(2,7) # -T(7,9)"))
-        # the size check sieves nothing; each staircase sieves once
+        # the size check lists no runs; each staircase lists them once
         assert sieved == [(7, 8), (2, 7), (7, 9)]
         sieved.clear()
         realize(parse_expr("3*T(2,5)"))

@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import lower_envelope
+from reference import evaluate, lower_envelope
+from upsilonkit.expr import parse_expr, realize
 from upsilonkit.plfun import (
     NEG_INF,
     POS_INF,
@@ -15,13 +16,13 @@ from upsilonkit.plfun import (
     pl_add,
     pl_constant,
     pl_equal,
-    pl_eval,
     pl_from_samples,
     pl_lower_envelope,
     pl_neg,
     pl_to_json,
 )
 from upsilonkit.staircase import build_staircase, upsilon_staircase
+from upsilonkit.upsilon import gamma_at, jump_values
 
 UPS34 = upsilon_staircase(3, 4)
 
@@ -92,22 +93,24 @@ class TestFromSamples:
 
 
 class TestEval:
+    """The reference evaluator that the value tests use."""
+
     def test_t34_plateau(self):
-        assert pl_eval(UPS34, 1) == -2
+        assert evaluate(UPS34, 1) == -2
 
     def test_t34_slope(self):
         # -3t on the first segment
-        assert pl_eval(UPS34, F(1, 3)) == -1
+        assert evaluate(UPS34, F(1, 3)) == -1
 
     def test_breakpoint_values(self):
         for t, v in UPS34.breakpoints:
-            assert pl_eval(UPS34, t) == v
+            assert evaluate(UPS34, t) == v
 
     def test_outside_domain(self):
         with pytest.raises(ValueError):
-            pl_eval(UPS34, F(21, 10))
+            evaluate(UPS34, F(21, 10))
         with pytest.raises(ValueError):
-            pl_eval(UPS34, F(-1, 10))
+            evaluate(UPS34, F(-1, 10))
 
 
 class TestArithmetic:
@@ -124,7 +127,7 @@ class TestArithmetic:
         assert pl_equal(pl_add(UPS34, UPS34), upsilon_staircase(3, 7))
 
     def test_neg_eval(self):
-        assert pl_eval(pl_neg(UPS34), 1) == 2
+        assert evaluate(pl_neg(UPS34), 1) == 2
 
 
 def _random_pl(rng: random.Random) -> PLFunction:
@@ -147,7 +150,7 @@ class TestAlgebraicProperties:
         for _ in range(25):
             f, g = _random_pl(rng), _random_pl(rng)
             for t in (F(0), F(1, 7), F(1), F(13, 9), F(2)):
-                assert pl_eval(pl_add(f, g), t) == pl_eval(f, t) + pl_eval(g, t)
+                assert evaluate(pl_add(f, g), t) == evaluate(f, t) + evaluate(g, t)
 
     def test_canonical_round_trip(self):
         rng = random.Random(13)
@@ -202,7 +205,7 @@ class TestLowerEnvelope:
                       F(rng.randint(-9, 9))) for _ in range(rng.randint(1, 6))]
             env = pl_lower_envelope(lines)
             for t in (F(0), F(1, 3), F(1), F(8, 5), F(2)):
-                assert pl_eval(env, t) == min(m * t + b for m, b in lines)
+                assert evaluate(env, t) == min(m * t + b for m, b in lines)
 
 
 SMALL = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
@@ -305,7 +308,7 @@ def test_add_on_union_of_breakpoints(f, g):
     h = pl_add(f, g)
     assert {t for t, _ in h.breakpoints} <= union
     for t in union:
-        assert pl_eval(h, t) == pl_eval(f, t) + pl_eval(g, t)
+        assert evaluate(h, t) == evaluate(f, t) + evaluate(g, t)
     assert_canonical(h)
 
 
@@ -320,9 +323,21 @@ def test_json_round_trip():
 
 
 def test_float_inputs_rejected():
-    with pytest.raises(TypeError):
-        pl_eval(UPS34, 0.5)
+    with pytest.raises(TypeError, match="floating point"):
+        pl_constant(0.5)
+    with pytest.raises(TypeError, match="floating point"):
+        jump_values(realize(parse_expr("T(3,4)")), max_t=0.9)
     # a float in either coordinate of a line, next to int and Fraction lines
     for line in [(0.5, 1), (1, 0.5), (F(1, 2), 2.0)]:
         with pytest.raises(TypeError, match="floating point"):
             pl_lower_envelope([(1, 0), line])
+
+
+def test_rational_strings_only():
+    # Exponent notation is refused before Fraction expands it to 10^300000.
+    c = realize(parse_expr("T(3,4)"))
+    for text in ("1e300000", "0.5", "1/2 ", ""):
+        with pytest.raises(ValueError, match="not a rational"):
+            gamma_at(c, text)
+    assert gamma_at(c, "-0/3") == gamma_at(c, 0)
+    assert pl_constant("+4/6") == pl_constant(F(2, 3))

@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
-from upsilonkit.plfun import pl_add, pl_constant, pl_equal, pl_eval
+from reference import evaluate
+from upsilonkit.plfun import pl_add, pl_constant, pl_equal
 from upsilonkit.staircase import (
     LaurentPoly,
     alexander_oracle,
@@ -76,6 +78,18 @@ class TestSemigroup:
     def test_non_positive_parameters_rejected(self, build, p, q):
         with pytest.raises(ValueError, match="positive"):
             build(p, q)
+
+    def test_runs_memory_follows_generators(self):
+        # 9999 runs below a conductor of 99,990,000: a byte per integer
+        # below the conductor would peak near 96 MiB.
+        tracemalloc.start()
+        try:
+            rs = semigroup_runs(10000, 10001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rs.runs) == 9999 and rs.tail_start == 99990000
+        assert peak < 8 * 2**20
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -224,16 +238,16 @@ class TestUpsilonStaircase:
     def test_endpoints_and_symmetry(self):
         for p, q in coprime_pairs(12):
             f = upsilon_staircase(p, q)
-            assert pl_eval(f, 0) == 0
-            assert pl_eval(f, 2) == 0
+            assert evaluate(f, 0) == 0
+            assert evaluate(f, 2) == 0
             for t in (F(1, 5), F(1, 2), F(1), F(3, 2)):
-                assert pl_eval(f, t) == pl_eval(f, 2 - t)
+                assert evaluate(f, t) == evaluate(f, 2 - t)
 
     def test_value_at_1_is_minus_genus_like(self):
         # upsilon(1) of T(p,q) is -2*min over whites of (alg+alex)/2
         st = build_staircase(5, 6)
         want = -min(a + b for a, b in st.whites)
-        assert pl_eval(upsilon_staircase(5, 6), 1) == want
+        assert evaluate(upsilon_staircase(5, 6), 1) == want
 
     def test_recursion_small(self):
         for p, q in coprime_pairs(12):

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import (apply, boundary, chamber_sweeps,
-                       collinearity_parameters, cycle_spaces, is_essential,
-                       secondary, slice_levels)
+                       collinearity_parameters, cycle_spaces, evaluate,
+                       is_essential, secondary, slice_levels)
 from upsilonkit import upsilon
 from upsilonkit.cfk import (dual, from_staircase, shift_filtration, tensor,
                             unknot_complex, validated_slices)
 from upsilonkit.expr import parse_expr, realize
 from upsilonkit.f2 import span_basis
 from upsilonkit.plfun import (NEG_INF, POS_INF, is_finite, pl_add,
-                              pl_constant, pl_equal, pl_eval, pl_neg)
+                              pl_constant, pl_equal, pl_neg)
 from upsilonkit.staircase import build_staircase, upsilon_staircase
 from upsilonkit.upsilon import (InvalidComplexError, JumpReport,
                                 candidate_parameters,
@@ -263,7 +263,7 @@ class TestUpsilonPL:
         f = upsilon_pl(c)
         for _ in range(12):
             t = F(rng.randint(0, 64), 32)
-            assert pl_eval(f, t) == -2 * gamma_at(c, t)
+            assert evaluate(f, t) == -2 * gamma_at(c, t)
 
     @pytest.mark.parametrize("p", range(1, 41))
     def test_adjacent_torus_closed_form(self, p):
@@ -275,7 +275,7 @@ class TestUpsilonPL:
 
     def test_endpoint_zero(self):
         for _, make in SMALL_COMPLEXES:
-            assert pl_eval(upsilon_pl(make()), 0) == 0
+            assert evaluate(upsilon_pl(make()), 0) == 0
 
 
 class TestCandidateGuard:
