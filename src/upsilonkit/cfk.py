@@ -16,16 +16,14 @@ computations run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .f2 import Basis, functional, reduce_pair, span_basis
 
 Entry = tuple[int, int]  # (source index, target index)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     maslov: int
     alg: int
@@ -120,8 +118,7 @@ def shift_filtration(c: BifilteredComplex, da: int, db: int) -> BifilteredComple
     return BifilteredComplex(gens, c.differential)
 
 
-@dataclass(frozen=True)
-class SliceElement:
+class SliceElement(NamedTuple):
     """Basis element U^n * generator of a fixed-grading slice."""
     gen_index: int
     u_exp: int
@@ -129,8 +126,7 @@ class SliceElement:
     alex: int
 
 
-@dataclass(frozen=True)
-class Slices:
+class Slices(NamedTuple):
     """Finite GF(2) model of the complex: its grading-0 and grading-1 slices.
 
     A grading-m slice lists U^{(maslov - m)/2} x for every generator x whose
@@ -265,10 +261,7 @@ def validate(c: BifilteredComplex) -> list[str]:
 
 def complex_to_json(c: BifilteredComplex) -> dict:
     return {
-        "generators": [
-            {"name": g.name, "maslov": g.maslov, "alg": g.alg, "alex": g.alex}
-            for g in c.generators
-        ],
+        "generators": [g._asdict() for g in c.generators],
         "differential": [
             {"source": i, "target": j, "exponents": sorted(exps)}
             for (i, j), exps in sorted(c.differential.items())

@@ -4,13 +4,15 @@ Expressions use the grammar of upsilonkit.expr, e.g. "T(3,4)",
 "T(5,6) # T(2,5) # -T(5,7)", "2*T(2,3) # U".  Rational arguments are
 written a/b or a.  Exit codes: 0 success, 1 verification mismatch,
 2 parse or validation errors, 3 internal error (a failed consistency check
-of the engine).
+of the engine), 4 the output could not be written (a full disk, a closed
+pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -143,16 +145,13 @@ def _cmd_upsilon2(args) -> int:
 def _cmd_jumps(args) -> int:
     reports = jump_values(_realize(args), max_t=args.max_t)
     if args.json:
-        print(json.dumps([
-            {"t": rational_to_json(r.t), "is_jump": r.is_jump,
-             "upsilon2": ext_to_json(r.upsilon2)}
-            for r in reports
-        ]))
+        print(json.dumps([{"t": rational_to_json(t), "is_jump": is_jump,
+                           "upsilon2": ext_to_json(value)}
+                          for t, is_jump, value in reports]))
     else:
         print("t\tjump\tupsilon2")
-        for r in reports:
-            print(f"{r.t}\t{'yes' if r.is_jump else 'no'}\t"
-                  f"{format_ext(r.upsilon2)}")
+        for t, is_jump, value in reports:
+            print(f"{t}\t{'yes' if is_jump else 'no'}\t{format_ext(value)}")
     return 0
 
 
@@ -184,13 +183,23 @@ def main(argv=None) -> int:
         "dump-complex": _cmd_dump,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the commands read nothing, so stdout failed
+        print(f"error: cannot write output: {exc.strerror or exc}",
+              file=sys.stderr)
+        # Unwritten output goes to devnull: the flush at exit must not fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 4
 
 
 if __name__ == "__main__":

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from math import gcd
-from typing import Union
+from typing import NamedTuple, Union
 
 from .cfk import BifilteredComplex, dual, from_staircase, tensor, unknot_complex
 from .staircase import build_staircase, torus_generators
@@ -34,14 +33,24 @@ class ComplexTooLargeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Unknot:
+    """The unknot: no fields, truthy, equal only to another Unknot."""
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Unknot)
+
+    def __hash__(self) -> int:
+        return hash(())  # fixed across runs, unlike hash of a str
+
+    def __repr__(self) -> str:
+        return "Unknot()"
+
     def __str__(self) -> str:
         return "U"
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(NamedTuple):
     p: int
     q: int
 
@@ -49,8 +58,7 @@ class Torus:
         return f"T({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """n >= 1 copies of atom, each mirrored when mirror is set."""
     atom: Union[Unknot, Torus]
     n: int = 1

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
@@ -98,8 +97,7 @@ T_MIN = Fraction(0)
 T_MAX = Fraction(2)
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(NamedTuple):
     """Continuous piecewise-linear function on [0,2] in canonical form."""
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]

@@ -31,8 +31,8 @@ identities over torus-knot families terminate uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .plfun import PLFunction, pl_lower_envelope, pl_neg
 
@@ -78,8 +78,7 @@ class LaurentPoly:
         return {"terms": [{"exp": e, "coef": c} for e, c in self.sorted_terms()]}
 
 
-@dataclass(frozen=True)
-class SemigroupRuns:
+class SemigroupRuns(NamedTuple):
     """Run decomposition of a numerical semigroup up to its conductor.
 
     runs are inclusive (start, end) pairs with gaps of length >= 1 between
@@ -198,8 +197,7 @@ def staircase_steps(p: int, q: int) -> list[int]:
     return list(build_staircase(p, q).steps)
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(NamedTuple):
     """Staircase data of an L-space knot in absolute coordinates.
 
     whites are the grading-0 lattice points, blacks the grading-1 points

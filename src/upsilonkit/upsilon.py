@@ -44,11 +44,10 @@ from __future__ import annotations
 import math
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cfk import BifilteredComplex, validated_slices
 from .f2 import Basis, functional, reduce_pair
@@ -64,16 +63,14 @@ class InvalidComplexError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class PivotPair:
+class PivotPair(NamedTuple):
     """Unique on-line bifiltration levels just below / above a parameter t."""
     negative: tuple[int, int]
     positive: tuple[int, int]
     delta: Fraction
 
 
-@dataclass(frozen=True)
-class JumpReport:
+class JumpReport(NamedTuple):
     t: Fraction
     is_jump: bool
     upsilon2: ExtRational
@@ -139,12 +136,10 @@ class _Engine:
         violations, slices = validated_slices(c)
         if violations:
             raise InvalidComplexError(violations)
-        self.dim0 = len(slices.basis0)
-        self.lev0 = [(e.alg, e.alex) for e in slices.basis0]
-        self.lev1 = [(e.alg, e.alex) for e in slices.basis1]
-        self.d0cols = slices.d0
-        self.d1cols = slices.d1
-        self.phi = slices.phi
+        basis0, basis1, self.d0cols, self.d1cols, self.phi = slices
+        self.dim0 = len(basis0)
+        self.lev0 = [(e.alg, e.alex) for e in basis0]
+        self.lev1 = [(e.alg, e.alex) for e in basis1]
         self._intervals: list[Interval] = []
 
     @cached_property

@@ -12,10 +12,9 @@ certificate.  Output is deterministic, so runs can be diffed byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cfk import dual, from_staircase, shift_filtration, tensor
 from .expr import parse_expr, realize
@@ -27,8 +26,7 @@ from .upsilon import (candidate_parameters, check_subadditivity, gamma_at,
                       is_jump_value, jump_values, upsilon2, upsilon_pl)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

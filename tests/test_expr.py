@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 import reference
+import upsilonkit
 from upsilonkit.cfk import complex_from_json, tensor, validate
 from upsilonkit.cli import main
 from upsilonkit.expr import (
@@ -390,6 +395,33 @@ class TestCLI:
         monkeypatch.setattr("upsilonkit.cli.DEFAULT_GENERATOR_LIMIT", 5)
         assert main(["upsilon", "2*T(2,3)"]) == 2
         assert "generators" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, unbuffered", [
+        ("/dev/full", False), ("/dev/full", True), ("closed pipe", False)])
+    def test_write_failure_exit_code(self, target, unbuffered):
+        # Output that cannot be written exits 4 with one line on stderr: not
+        # 1 (a verification mismatch), nor a traceback, nor the 120 of a
+        # failed flush at interpreter shutdown.
+        if target == "/dev/full" and not os.path.exists(target):
+            pytest.skip("no /dev/full on this system")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        if target == "closed pipe":
+            read_end, out = os.pipe()
+            os.close(read_end)
+        else:
+            out = os.open(target, os.O_WRONLY)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "upsilonkit", "upsilon", "T(3,4)"],
+                cwd=Path(upsilonkit.__file__).resolve().parents[1], env=env,
+                stdout=out, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(out)
+        assert run.returncode == 4
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: cannot write output: ")
 
     def test_verify_fast(self, capsys):
         assert main(["verify-paper", "--fast"]) == 0

@@ -1,11 +1,13 @@
 """Repository-level checks: no tracked build artefacts, no correctness
-check that `python -O` would strip, no floating point in the package, and
-no function name the benchmark tracer wraps missing from the package."""
+check that `python -O` would strip, no floating point in the package, no
+function name the benchmark tracer wraps missing from the package, and a
+lean command-line import graph that loads every module the tracer reads."""
 
 import ast
 import importlib
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,23 @@ def test_traced_names_exist():
                if not callable(getattr(importlib.import_module(
                    f"upsilonkit.{layer}"), name, None))]
     assert missing == []
+
+
+def test_cli_import_graph():
+    # The command line starts a fresh interpreter on every run, so its
+    # import graph is start-up time: nothing in it may pull in the heavy
+    # introspection modules.  Every module the benchmark tracer reads off
+    # sys.modules after importing the command line must be loaded by it.
+    probe = """
+import sys, upsilonkit.cli
+heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+print(sorted(m for m in heavy if m in sys.modules))
+layers = ("expr", "staircase", "cfk", "upsilon", "plfun", "verify")
+print(sorted(m for m in layers if "upsilonkit." + m not in sys.modules))
+checks = sys.modules["upsilonkit.verify"].ALL_CHECKS
+print(isinstance(checks, list) and all(map(callable, checks)))
+"""
+    run = subprocess.run([sys.executable, "-c", probe], cwd=ROOT / "src",
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "[]", "True"]
