@@ -68,30 +68,37 @@ def from_staircase(st) -> BifilteredComplex:
     each black maps to its two adjacent whites with U-exponent 0."""
     gens = [Generator(f"w{i}", 0, a, b) for i, (a, b) in enumerate(st.whites)]
     nw = len(st.whites)
-    diff: dict[Entry, set[int]] = {}
+    zero = frozenset({0})
+    diff: dict[Entry, frozenset[int]] = {}
     for i, (a, b) in enumerate(st.blacks):
         gens.append(Generator(f"b{i}", 1, a, b))
-        diff[(nw + i, i)] = {0}
-        diff[(nw + i, i + 1)] = {0}
+        diff[(nw + i, i)] = zero
+        diff[(nw + i, i + 1)] = zero
     return BifilteredComplex(gens, diff)
 
 
 def tensor(a: BifilteredComplex, b: BifilteredComplex) -> BifilteredComplex:
     """Tensor product over F2[U,U^-1]; gradings and filtrations add and
-    d(x@y) = dx@y + x@dy with U-exponents carried through."""
+    d(x@y) = dx@y + x@dy with U-exponents carried through.
+
+    x@y has index i * len(b) + k for x, y at indices i, k.  Every induced
+    entry holds its factor entry's exponent frozenset itself, so the product
+    builds no set per entry.  An entry of a and an entry of b land on the
+    same key only when both are loops (i, i), and the key then holds the
+    union of their exponents.
+    """
     nb = len(b)
     gens = [
         Generator(f"{ga.name}|{gb.name}", ga.maslov + gb.maslov,
                   ga.alg + gb.alg, ga.alex + gb.alex)
         for ga in a.generators for gb in b.generators
     ]
-    diff: dict[Entry, set[int]] = {}
-    for (i, j), exps in a.differential.items():
-        for k in range(nb):
-            diff.setdefault((i * nb + k, j * nb + k), set()).update(exps)
+    diff = {(i * nb + k, j * nb + k): exps
+            for (i, j), exps in a.differential.items() for k in range(nb)}
     for (i, j), exps in b.differential.items():
-        for k in range(len(a)):
-            diff.setdefault((k * nb + i, k * nb + j), set()).update(exps)
+        for k in range(0, len(a) * nb, nb):
+            key = (k + i, k + j)
+            diff[key] = diff[key] | exps if key in diff else exps
     return BifilteredComplex(gens, diff)
 
 

@@ -38,6 +38,10 @@ class _Parser(argparse.ArgumentParser):
     """argparse reads every argument that starts with '-' as an option.  The
     only single-dash option here is -h, so any other argument with a single
     leading '-' is a value: a mirror such as "-T(2,3)", or a negative number.
+
+    argparse also drops write errors, so help that could not be written
+    would exit 0, or fail in the flush at interpreter shutdown.  Here a
+    failed write to stdout, or its flush before the exit, raises OSError.
     """
 
     def _parse_optional(self, arg_string):
@@ -45,6 +49,16 @@ class _Parser(argparse.ArgumentParser):
                 and arg_string != "-h"):
             return None
         return super()._parse_optional(arg_string)
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()
+        super().exit(status, message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,7 +187,6 @@ def _cmd_dump(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "alexander": _cmd_alexander,
         "upsilon": _cmd_upsilon,
@@ -183,6 +196,7 @@ def main(argv=None) -> int:
         "dump-complex": _cmd_dump,
     }
     try:
+        args = _build_parser().parse_args(argv)
         status = handlers[args.command](args)
         sys.stdout.flush()
         return status

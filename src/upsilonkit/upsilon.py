@@ -108,17 +108,23 @@ def _collinearity_parameters(levels: list[Level]) -> tuple[Fraction, ...]:
     levels contributes at most one parameter: for P left of and above Q,
     with A = Q.alg - P.alg > 0 and X = P.alex - Q.alex > 0, it is
     t = 2A / (A + X); other pairs agree at no t in (0,2).  t depends only
-    on A/X, so pairs are deduped on the reduced integer (A, X) and one
-    Fraction is built per distinct parameter.
+    on A/X and increases with it, so the distinct differences (A, X) are
+    reduced by their gcd and one Fraction is built per distinct parameter.
+
+    The reduced pairs sort by the integer key A * M // X with
+    M = (max A + X)^2, and distinct pairs get distinct keys in the order
+    of A/X: if A/X < A'/X' then the integer A'X - AX' is at least 1, and
+    X X' <= M, so A'/X' - A/X >= 1/(X X') >= 1/M.  Hence
+    A'M/X' >= AM/X + 1, and the floor of the left side exceeds the floor
+    of AM/X.
     """
     pts = sorted(set(levels))
-    keys: set[tuple[int, int]] = set()
-    for i, (a1, x1) in enumerate(pts):
-        for a2, x2 in pts[i + 1:]:
-            if a2 > a1 and x1 > x2:
-                g = math.gcd(a2 - a1, x1 - x2)
-                keys.add(((a2 - a1) // g, (x1 - x2) // g))
-    return tuple(sorted(Fraction(2 * a, a + x) for a, x in keys))
+    diffs = {(a2 - a1, x1 - x2) for i, (a1, x1) in enumerate(pts)
+             for a2, x2 in pts[i + 1:] if a2 > a1 and x1 > x2}
+    pairs = {(A // g, X // g) for A, X in diffs for g in (math.gcd(A, X),)}
+    m = max((A + X for A, X in pairs), default=0) ** 2
+    return tuple(Fraction(2 * A, A + X)
+                 for A, X in sorted(pairs, key=lambda p: p[0] * m // p[1]))
 
 
 class _Engine:

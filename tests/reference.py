@@ -1,6 +1,7 @@
 """Reference constructions for the tests, written from the definitions and
 sharing no code with upsilonkit: the runs of a numerical semigroup by a
-sieve, the value of a piecewise-linear function, grading slices, boundary
+sieve, the value of a piecewise-linear function, the tensor product of
+two complexes with a set per differential entry, grading slices, boundary
 maps as bitset columns, the Euler characteristic, the lower envelope of a
 family of lines, the collinearity parameters of a level set, one gamma
 sweep per chamber, the cycle spaces of a complex, and the jump test and
@@ -8,7 +9,8 @@ secondary invariant computed on them.
 
 The semigroup tests compare the closed-form runs with the sieve, so they do
 not trust the lattice corner; the value tests interpolate breakpoints
-here.  The brute-force oracles and the d^2 test use these, so they do not
+here; the tensor tests build a fresh set per entry, so they do not trust
+the exponent sets the product shares with its factors.  The brute-force oracles and the d^2 test use these, so they do not
 trust the slices the engine builds; the envelope tests use the all-pairs
 envelope, so they do not trust the hull sweep; the candidate and
 cycle-space tests build one Fraction per pair of levels and one
@@ -49,6 +51,24 @@ def evaluate(f, t):
     for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
         if t <= t1:
             return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def tensor(a, b):
+    """(generators, differential) of the tensor product of complexes a and
+    b: generator x@y is (name, maslov, alg, alex) with the names joined by
+    '|' and the rest added, at index i * len(b) + k for x, y at i, k; the
+    differential dx@y + x@dy, as one new set of exponents per entry."""
+    nb = len(b.generators)
+    gens = [(f"{x.name}|{y.name}", x.maslov + y.maslov, x.alg + y.alg,
+             x.alex + y.alex) for x in a.generators for y in b.generators]
+    diff = {}
+    for (i, j), exps in a.differential.items():
+        for k in range(nb):
+            diff.setdefault((i * nb + k, j * nb + k), set()).update(exps)
+    for (i, j), exps in b.differential.items():
+        for k in range(len(a.generators)):
+            diff.setdefault((k * nb + i, k * nb + j), set()).update(exps)
+    return gens, diff
 
 
 def slice_levels(c, m):

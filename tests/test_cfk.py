@@ -1,9 +1,11 @@
 import itertools
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+import reference
 from reference import apply, boundary, euler_characteristic, slice_levels
 from upsilonkit.cfk import (
     BifilteredComplex,
@@ -18,6 +20,7 @@ from upsilonkit.cfk import (
     validate,
     validated_slices,
 )
+from upsilonkit.expr import parse_expr, realize
 from upsilonkit.f2 import span_basis
 from upsilonkit.plfun import pl_equal
 from upsilonkit.staircase import build_staircase
@@ -180,6 +183,57 @@ class TestTensor:
             assert euler_characteristic(torus_complex(p, q)) == 1
         assert euler_characteristic(
             tensor(torus_complex(2, 3), dual(torus_complex(2, 5)))) == 1
+
+    @staticmethod
+    def assert_matches_reference(a, b):
+        c = tensor(a, b)
+        gens, diff = reference.tensor(a, b)
+        assert [tuple(g) for g in c.generators] == gens
+        assert c.differential == diff
+        assert all(type(e) is frozenset for e in c.differential.values())
+
+    @pytest.mark.parametrize("a,b", itertools.product(BATTERY, repeat=2))
+    def test_matches_reference(self, a, b):
+        ka, kb = torus_complex(*a), torus_complex(*b)
+        for x, y in itertools.product((ka, dual(ka)), (kb, dual(kb))):
+            self.assert_matches_reference(x, y)
+
+    def test_colliding_entries_take_the_union(self):
+        # A loop of a and a loop of b meet at x@y; the product holds the
+        # union of their exponents there, next to each factor's own sets.
+        a = BifilteredComplex(
+            [Generator("x", 0, 0, 0), Generator("z", 1, 0, 0)],
+            {(0, 0): {1, 2}, (1, 0): {0}})
+        b = BifilteredComplex([Generator("y", 0, 0, 0)], {(0, 0): {2, 3}})
+        self.assert_matches_reference(a, b)
+        self.assert_matches_reference(b, a)
+        assert tensor(a, b).differential == {
+            (0, 0): {1, 2, 3}, (1, 0): {0}, (1, 1): {2, 3}}
+
+    def test_shares_factor_exponent_sets(self):
+        # Every entry of the product holds an exponent set of a factor
+        # entry, or a union where entries collide: at most one object per
+        # factor entry, where the product has 7752 entries.
+        factors = [torus_complex(7, 8), torus_complex(2, 7),
+                   dual(torus_complex(7, 9))]
+        c = tensor(tensor(factors[0], factors[1]), factors[2])
+        assert len(c.differential) == 7752
+        distinct = {id(e) for e in c.differential.values()}
+        assert len(distinct) <= sum(len(f.differential) for f in factors)
+
+    def test_realize_memory(self):
+        # A new set or frozenset per differential entry would take the peak
+        # of realize(K_7) to about 5.5 MiB; shared exponent sets keep it
+        # near 2.3 MiB.
+        e = parse_expr("T(7,8) # T(2,7) # -T(7,9)")
+        tracemalloc.start()
+        try:
+            c = realize(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c) == 2821
+        assert peak < 3.5 * 2**20
 
 
 class TestDual:

@@ -396,12 +396,10 @@ class TestCLI:
         assert main(["upsilon", "2*T(2,3)"]) == 2
         assert "generators" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target, unbuffered", [
-        ("/dev/full", False), ("/dev/full", True), ("closed pipe", False)])
-    def test_write_failure_exit_code(self, target, unbuffered):
-        # Output that cannot be written exits 4 with one line on stderr: not
-        # 1 (a verification mismatch), nor a traceback, nor the 120 of a
-        # failed flush at interpreter shutdown.
+    @staticmethod
+    def run_writing_to(target, unbuffered, args):
+        """`python -m upsilonkit args` with stdout on target, "/dev/full" or
+        "closed pipe", and PYTHONUNBUFFERED set or unset."""
         if target == "/dev/full" and not os.path.exists(target):
             pytest.skip("no /dev/full on this system")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -413,15 +411,41 @@ class TestCLI:
         else:
             out = os.open(target, os.O_WRONLY)
         try:
-            run = subprocess.run(
-                [sys.executable, "-m", "upsilonkit", "upsilon", "T(3,4)"],
+            return subprocess.run(
+                [sys.executable, "-m", "upsilonkit", *args],
                 cwd=Path(upsilonkit.__file__).resolve().parents[1], env=env,
                 stdout=out, stderr=subprocess.PIPE, text=True, timeout=60)
         finally:
             os.close(out)
+
+    @pytest.mark.parametrize("target, unbuffered", [
+        ("/dev/full", False), ("/dev/full", True), ("closed pipe", False)])
+    def test_write_failure_exit_code(self, target, unbuffered):
+        # Output that cannot be written exits 4 with one line on stderr: not
+        # 1 (a verification mismatch), nor a traceback, nor the 120 of a
+        # failed flush at interpreter shutdown.
+        run = self.run_writing_to(target, unbuffered, ["upsilon", "T(3,4)"])
         assert run.returncode == 4
         [line] = run.stderr.splitlines()
         assert line.startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("args", [["--help"], ["upsilon", "-h"]])
+    def test_help_write_failure_exit_code(self, args, unbuffered):
+        # argparse drops write errors: unbuffered, the help would exit 0;
+        # buffered, its flush at shutdown would fail with exit 120.
+        run = self.run_writing_to("/dev/full", unbuffered, args)
+        assert run.returncode == 4
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: cannot write output: ")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_usage_error_with_unwritable_stdout(self, unbuffered):
+        # A usage error writes only to stderr, so it still exits 2.
+        run = self.run_writing_to("/dev/full", unbuffered, ["jumps"])
+        assert run.returncode == 2
+        assert run.stderr.startswith("usage: upsilonkit jumps")
+        assert "the following arguments are required: expr" in run.stderr
 
     def test_verify_fast(self, capsys):
         assert main(["verify-paper", "--fast"]) == 0

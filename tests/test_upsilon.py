@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference import (apply, boundary, chamber_sweeps,
                        collinearity_parameters, cycle_spaces, evaluate,
@@ -205,7 +205,35 @@ class TestCandidates:
 
     @settings(max_examples=300, deadline=None)
     @given(_level_sets())
+    @example([])
+    @example([(3, -2)])
+    @example([(3, -2)] * 4)
+    @example([(-1, 5), (2, 1), (-1, 5), (2, 1)])
     def test_level_sets(self, levels):
+        assert _collinearity_parameters(levels) == \
+            collinearity_parameters(levels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+           st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+           st.lists(st.integers(-6, 6), min_size=1, max_size=10))
+    def test_collinear_level_sets(self, start, step, ks):
+        # All levels on one line, repeats included: one parameter when the
+        # line falls from left to right, none otherwise.
+        (a, x), (da, dx) = start, step
+        levels = [(a + k * da, x + k * dx) for k in ks]
+        got = _collinearity_parameters(levels)
+        assert got == collinearity_parameters(levels)
+        assert len(got) == (da * dx < 0 and len(set(levels)) > 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10**9, 10**9),
+                              st.integers(-10**9, 10**9)), max_size=8))
+    @example([(0, 1346269), (832040, 0), (0, 2178309), (1346269, 0)])
+    def test_wide_level_sets(self, levels):
+        # Large coordinates give parameters that differ by about 1/M, the
+        # resolution of the integer sort key; the example's ratios are the
+        # Farey neighbours 832040/1346269 and 1346269/2178309.
         assert _collinearity_parameters(levels) == \
             collinearity_parameters(levels)
 
