@@ -20,6 +20,9 @@ meets the elements Q on which phi and lam o d0 differ, so f(L) bounds
 gamma from below while no element of Q falls below L, and from above while
 no element of z rises above it.  A walk 0+, hi+, ... makes one sweep per
 linear piece of gamma, and a query at one t sweeps at t- and t+ at most.
+The orders, masks and bounds are constant on a level, so the engine
+groups the slice by level once: a sweep sorts the distinct levels, and a
+certificate makes one bound per level that meets z or Q.
 
 The cycles just below or above t are read off the mask M there, the slice
 elements at or below L in that order: they are the essential cycles
@@ -133,9 +136,12 @@ class _Engine:
     Holds the grading-0/1 slice data as bitset columns and the essential
     functional phi from validation, which vanishes on boundaries but not on
     the essential class, so "is this cycle homologically essential" is a
-    single popcount.  Each table entry comes from one sweep just above or
-    below some t; no entry contains another, so lo and hi increase
-    together.  The collinearity candidates are listed on first use.
+    single popcount.  The grading-0 slice is grouped by level once: the
+    distinct levels in order of first appearance, the elements at each in
+    increasing index, their bitset masks and each level's position.  Each
+    table entry comes from one sweep just above or below some t; no entry
+    contains another, so lo and hi increase together.  The collinearity
+    candidates are listed on first use.
     """
 
     def __init__(self, c: BifilteredComplex):
@@ -146,11 +152,18 @@ class _Engine:
         self.dim0 = len(basis0)
         self.lev0 = [(e.alg, e.alex) for e in basis0]
         self.lev1 = [(e.alg, e.alex) for e in basis1]
+        members: dict[Level, list[int]] = {}
+        for i, lev in enumerate(self.lev0):
+            members.setdefault(lev, []).append(i)
+        self.levels = list(members)
+        self._at = {lev: k for k, lev in enumerate(self.levels)}
+        self._members = list(members.values())
+        self._masks = [sum(1 << i for i in m) for m in self._members]
         self._intervals: list[Interval] = []
 
     @cached_property
     def candidates(self) -> tuple[Fraction, ...]:
-        return _collinearity_parameters(self.lev0)
+        return _collinearity_parameters(self.levels)
 
     def interval(self, t: Fraction, side: int) -> Interval:
         """The certified interval just above t (side +1: lo <= t < hi) or
@@ -169,34 +182,41 @@ class _Engine:
     def one_sided(self, t: Fraction, side: int) -> tuple[int, int]:
         """(witness, mask) just above (side +1) or just below (side -1) t:
         the witness of the certified interval there, and the slice elements
-        at or below its contact level in the order there."""
+        at or below its contact level in the order there, a union of level
+        masks."""
         level, witness, _, _ = self.interval(t, side)
-        keys = _keys(self.lev0, t, side)
-        top = keys[self.lev0.index(level)]
-        return witness, sum(1 << j for j, k in enumerate(keys) if k <= top)
+        keys = _keys(self.levels, t, side)
+        return witness, self._at_most(keys, keys[self._at[level]])
+
+    def _at_most(self, keys: list[int], top: int) -> int:
+        """The slice elements at the levels whose key is at most top."""
+        return sum(m for m, k in zip(self._masks, keys) if k <= top)
 
     def _sweep(self, t: Fraction, side: int) -> tuple[Level, int, int, int]:
-        """Processes slice elements in increasing order just above (side +1)
-        or just below (side -1) t while column-reducing the grading-0
-        boundary map; every dependent column yields a cycle supported in the
-        current sublevel set, and phi tells in O(1) whether it is essential.
-        The first essential cycle is the witness z, and the level of the
-        element that closed it the contact level L.  Returns (L, z, lam, S),
-        S the elements below L in that order and lam a functional on the
-        grading -1 slice with phi = lam o d0 on S, back-substituted in
-        increasing pivot order over the rows whose combination lies in S.
+        """Processes the levels in increasing order just above (side +1) or
+        just below (side -1) t, where no two share a key, and each level's
+        slice elements in increasing index, while column-reducing the
+        grading-0 boundary map; every dependent column yields a cycle
+        supported in the current sublevel set, and phi tells in O(1)
+        whether it is essential.  The first essential cycle is the witness
+        z, and the level of the element that closed it the contact level L.
+        Returns (L, z, lam, S), S the union of the masks of the levels
+        below L in that order and lam a functional on the grading -1 slice
+        with phi = lam o d0 on S, back-substituted in increasing pivot
+        order over the rows whose combination lies in S.
         """
-        keys = _keys(self.lev0, t, side)
+        keys = _keys(self.levels, t, side)
         reducer: Basis = {}
-        phi = self.phi
-        for i in sorted(range(self.dim0), key=keys.__getitem__):
-            v, combo = reduce_pair(self.d0cols[i], 1 << i, reducer)
-            if v == 0 and ((combo & phi).bit_count() & 1):
-                below = sum(1 << j for j, k in enumerate(keys) if k < keys[i])
-                lam = functional({p: (row, (rcombo & phi).bit_count())
-                                  for p, (row, rcombo) in reducer.items()
-                                  if not rcombo & ~below})
-                return self.lev0[i], combo, lam, below
+        phi, below = self.phi, 0
+        for k in sorted(range(len(self.levels)), key=keys.__getitem__):
+            for i in self._members[k]:
+                v, combo = reduce_pair(self.d0cols[i], 1 << i, reducer)
+                if v == 0 and ((combo & phi).bit_count() & 1):
+                    lam = functional({p: (row, (rcombo & phi).bit_count())
+                                      for p, (row, rcombo) in reducer.items()
+                                      if not rcombo & ~below})
+                    return self.levels[k], combo, lam, below
+            below |= self._masks[k]
         raise AssertionError("no essential cycle found; complex invalid")
 
     def _certify(self, t: Fraction, side: int) -> Interval:
@@ -205,19 +225,24 @@ class _Engine:
 
         With Q the elements i where phi_i != lam(d0 e_i), a cycle z' has
         phi(z') = |z' meet Q| mod 2, so every essential cycle meets Q, and
-        min over Q of f_t' <= gamma(t') <= max over z of f_t'.  Both bounds
-        are f_t'(L) while no element of z lies above L and none of Q below
-        it, one linear inequality in t' per element.  Each bound is kept as
-        an integer pair (num, den > 0) and tightened by cross-multiplying;
-        lo and hi become Fractions once, at the end.  Checked: d0 z = 0,
-        phi(z) = 1, Q misses S, and [lo, hi] holds t+ (lo <= t < hi) or
-        t- (lo < t <= hi).
+        min over Q of f_t' <= gamma(t') <= max over z of f_t'.  d0 z sums
+        the columns of z's elements only, and Q flips phi at the columns
+        where lam is odd.  Both bounds are f_t'(L) while no element of z
+        lies above L and none of Q below it, one linear inequality in t'
+        per level that meets z or Q.  Each bound is kept as an integer pair
+        (num, den > 0) and tightened by cross-multiplying; lo and hi become
+        Fractions once, at the end.  Checked: d0 z = 0, phi(z) = 1, Q misses
+        S, and [lo, hi] holds t+ (lo <= t < hi) or t- (lo < t <= hi).
         """
         level, z, lam, below = self._sweep(t, side)
-        dz = q = 0
+        dz, q, rest = 0, self.phi, z
+        while rest:
+            low = rest & -rest
+            dz ^= self.d0cols[low.bit_length() - 1]
+            rest ^= low
         for i, col in enumerate(self.d0cols):
-            dz ^= col if z >> i & 1 else 0
-            q |= ((col & lam).bit_count() ^ self.phi >> i) % 2 << i
+            if (col & lam).bit_count() & 1:
+                q ^= 1 << i
         if dz or not (z & self.phi).bit_count() & 1:
             raise AssertionError(f"witness at t={t} is not an essential cycle")
         if q & below:
@@ -226,8 +251,9 @@ class _Engine:
         (lo, lo_den), (hi, hi_den) = (0, 1), (2, 1)
         a, x = level
         for sign, part in ((1, z), (-1, q)):
-            for b, y in {lev for i, lev in enumerate(self.lev0)
-                         if part >> i & 1}:
+            for (b, y), m in zip(self.levels, self._masks):
+                if not part & m:
+                    continue
                 # sign * (f_t'(b, y) - f_t'(L)) = c0 + c1 * t' / 2 <= 0
                 c0, c1 = sign * (b - a), sign * (y - b - x + a)
                 if c1 > 0:
@@ -263,7 +289,8 @@ class _Engine:
         lying in both masks M- and M+ just below and above t (such as the
         witness of an interval covering both sides).  Else (M-, basis):
         after checking that the witnesses and masks lie in the sublevel set
-        at gamma(t), it eliminates the columns (d0 e_i, e_i outside M-) for
+        at gamma(t), the union of the masks of the levels at or below it at
+        t, it eliminates the columns (d0 e_i, e_i outside M-) for
         i in M+, tagged phi_i, where a zero residue with an odd tag is an
         essential cycle in M- and M+.  The d0 part sits above the slice-0
         coordinates, so a further column with no d0 part is a plain slice-0
@@ -271,10 +298,8 @@ class _Engine:
         if self.interval(t, -1)[3] > t:
             return None
         (zlo, mlo), (zhi, mhi) = self.one_sided(t, -1), self.one_sided(t, 1)
-        top = self.top(t)
-        above = sum(1 << i for i, key in enumerate(_keys(self.lev0, t))
-                    if key > top)
-        if (mlo | mhi | zlo | zhi) & above:
+        at_most = self._at_most(_keys(self.levels, t), self.top(t))
+        if (mlo | mhi | zlo | zhi) & ~at_most:
             raise AssertionError(
                 "a cycle from either side of t leaves the sublevel set at t")
         phi, reducer = self.phi, {}

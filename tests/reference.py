@@ -4,8 +4,8 @@ sieve, the value of a piecewise-linear function, the tensor product of
 two complexes with a set per differential entry, grading slices, boundary
 maps as bitset columns, the Euler characteristic, the lower envelope of a
 family of lines, the collinearity parameters of a level set, one gamma
-sweep per chamber, the cycle spaces of a complex, and the jump test and
-secondary invariant computed on them.
+sweep per chamber, the certified interval of one sweep, the cycle spaces
+of a complex, and the jump test and secondary invariant computed on them.
 
 The semigroup tests compare the closed-form runs with the sieve, so they do
 not trust the lattice corner; the value tests interpolate breakpoints
@@ -17,7 +17,9 @@ cycle-space tests build one Fraction per pair of levels and one
 elimination per parameter, so they do not trust the engine's dedupe and
 caches; the interval tests sweep every chamber midpoint and test
 essential cycles against the boundaries, so they do not trust the
-engine's certified intervals or its essential functional; the jump and
+engine's certified intervals or its essential functional, and the
+interval-table test sweeps and bounds element by element, so it does not
+trust the engine's grouping of the slice by level; the jump and
 secondary-invariant tests intersect affine cycle spaces, so they do not
 trust the engine's mask sweeps.
 """
@@ -225,6 +227,80 @@ def chamber_sweeps(c):
         out.append((levels[i], sum(1 << j for j, k in enumerate(key)
                                    if k <= key[i])))
     return out
+
+
+def _parity(x):
+    return bin(x).count("1") % 2
+
+
+def _back_substitute(rows):
+    """The functional taking each row (pivot -> (row, tag)) to its tag and
+    every non-pivot coordinate to 0, set in increasing pivot order."""
+    lam = 0
+    for p in sorted(rows):
+        row, tag = rows[p]
+        if (tag + _parity(row & lam)) % 2:
+            lam |= 1 << p
+    return lam
+
+
+def essential_functional(c):
+    """phi as validation builds it: a functional on the grading-0 slice
+    taking the rows of a reduced basis of the boundaries to 0 and the first
+    cycle of the column reduction of d0 in slice order that is no boundary
+    to 1, by back-substitution."""
+    span, columns = {}, {}
+    for col in boundary(c, 1):
+        _reduce(col, 0, span)
+    for j, col in enumerate(boundary(c, 0)):
+        v, combo = _reduce(col, 1 << j, columns)
+        if v == 0 and _reduce(combo, 1, span)[0]:
+            break
+    return _back_substitute(span)
+
+
+def certified_interval(c, t, side):
+    """(L, z, lo, hi) of one sweep just above (side +1) or just below
+    (side -1) t, element by element.
+
+    The slice elements are reduced in the order of (f_t, side * slope),
+    ties by slice index; the first cycle z on which phi is odd closes at
+    the contact level L.  lam takes the rows whose combination lies below
+    L to phi of that combination, and Q holds the elements j with
+    phi_j != lam(d0 e_j).  [lo, hi] is the widest interval in [0,2] around
+    t on which no element of z lies above L and none of Q below it under
+    f_t'.
+    """
+    d0 = boundary(c, 0)
+    levels = [(alg, alex) for _, _, alg, alex in slice_levels(c, 0)]
+    phi = essential_functional(c)
+    key = [(f, side * (alex - alg))
+           for f, (alg, alex) in zip(_scaled(t, levels), levels)]
+    columns = {}
+    for i in sorted(range(len(levels)), key=key.__getitem__):
+        v, z = _reduce(d0[i], 1 << i, columns)
+        if v == 0 and _parity(z & phi):
+            break
+    else:
+        raise AssertionError("no essential cycle")
+    below = sum(1 << j for j, k in enumerate(key) if k < key[i])
+    lam = _back_substitute({p: (row, _parity(combo & phi))
+                            for p, (row, combo) in columns.items()
+                            if not combo & ~below})
+    q = [j for j, col in enumerate(d0) if _parity(col & lam) != phi >> j & 1]
+    (a, x), lo, hi = levels[i], Fraction(0), Fraction(2)
+    for sign, part in ((1, [j for j in range(len(levels)) if z >> j & 1]),
+                       (-1, q)):
+        for b, y in (levels[j] for j in part):
+            # sign * (f_t'(b, y) - f_t'(a, x)) = c0 + c1 * t' / 2 <= 0
+            c0, c1 = sign * (b - a), sign * (y - b - x + a)
+            if c1 > 0:
+                hi = min(hi, Fraction(-2 * c0, c1))
+            elif c1 < 0:
+                lo = max(lo, Fraction(-2 * c0, c1))
+            elif c0 > 0:
+                raise AssertionError("an element lies above L at every t")
+    return levels[i], z, lo, hi
 
 
 def is_essential(c, z):
