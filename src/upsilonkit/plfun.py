@@ -25,9 +25,12 @@ _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
 
 def _frac(x) -> Fraction:
     """x as a Fraction: an int, a Fraction, or a string a/b or a with an
-    optional sign.  Floats raise TypeError.  Any other string raises
-    ValueError before Fraction sees it, since Fraction would expand exponent
-    notation such as 1e10000000 digit by digit."""
+    optional sign.  A Fraction is returned as it is.  Floats raise
+    TypeError.  Any other string raises ValueError before Fraction sees it,
+    since Fraction would expand exponent notation such as 1e10000000 digit
+    by digit."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floating point input not allowed; use Fraction")
     if isinstance(x, str) and not _RATIONAL.fullmatch(x):
@@ -107,18 +110,41 @@ class PLFunction(NamedTuple):
         return f"PLFunction[{pts}]"
 
 
-def _canonicalize(points: Sequence[tuple[Fraction, Fraction]]) -> PLFunction:
-    """Drop interior points collinear with their neighbours."""
-    kept: list[tuple[Fraction, Fraction]] = []
+# A point (t, s, n, d) in integer form under a scale: the parameter t, with
+# s = t*scale, and the value n/(d*scale), with d != 0.
+_Point = tuple[Fraction, int, int, int]
+
+
+def _scaled(*point_lists) -> tuple[int, list[list[_Point]]]:
+    """The lcm of every denominator in the lists of points (t, v), and each
+    list in integer form under that scale, with d = 1."""
+    scale = lcm(*(x.denominator for pts in point_lists for pt in pts
+                  for x in pt))
+    return scale, [[(t, t.numerator * (scale // t.denominator),
+                     v.numerator * (scale // v.denominator), 1)
+                    for t, v in pts] for pts in point_lists]
+
+
+def _canonicalize(points: list[_Point], scale: int) -> PLFunction:
+    """The PLFunction through points, dropping interior points collinear
+    with their neighbours.
+
+    The collinearity test multiplies (v1 - v0)(t2 - t1) = (v2 - v1)(t1 - t0)
+    through by d0*d1*d2*scale, so it runs on the integer form, and a
+    Fraction is built only for each kept value.
+    """
+    kept: list[_Point] = []
     for p in points:
+        _, s2, n2, d2 = p
         while len(kept) >= 2:
-            (t0, v0), (t1, v1) = kept[-2], kept[-1]
-            if (v1 - v0) * (p[0] - t1) == (p[1] - v1) * (t1 - t0):
-                kept.pop()
-            else:
+            (_, s0, n0, d0), (_, s1, n1, d1) = kept[-2], kept[-1]
+            if ((n1 * d0 - n0 * d1) * d2 * (s2 - s1)
+                    != (n2 * d1 - n1 * d2) * d0 * (s1 - s0)):
                 break
+            kept.pop()
         kept.append(p)
-    return PLFunction(tuple(kept))
+    return PLFunction(tuple((t, Fraction(n, d * scale))
+                            for t, _, n, d in kept))
 
 
 def pl_from_samples(samples: Iterable[tuple[Fraction, Fraction]]) -> PLFunction:
@@ -130,16 +156,18 @@ def pl_from_samples(samples: Iterable[tuple[Fraction, Fraction]]) -> PLFunction:
     pts = [(_frac(t), _frac(v)) for t, v in samples]
     if not pts:
         raise ValueError("no samples")
-    for (t0, _), (t1, _) in zip(pts, pts[1:]):
-        if t0 == t1:
+    scale, [scaled] = _scaled(pts)
+    for (t0, s0, _, _), (_, s1, _, _) in zip(scaled, scaled[1:]):
+        if s0 == s1:
             raise ValueError(f"duplicate sample parameter t={t0}")
-        if t0 > t1:
+        if s0 > s1:
             raise ValueError("samples not sorted by t")
-    if pts[0][0] < T_MIN or pts[-1][0] > T_MAX:
+    first, last = scaled[0][1], scaled[-1][1]
+    if first < 0 or last > 2 * scale:
         raise ValueError("sample parameter outside [0,2]")
-    if pts[0][0] != T_MIN or pts[-1][0] != T_MAX:
+    if first != 0 or last != 2 * scale:
         raise ValueError("samples must cover t=0 and t=2")
-    return _canonicalize(pts)
+    return _canonicalize(scaled, scale)
 
 
 def pl_constant(value: Fraction) -> PLFunction:
@@ -147,34 +175,42 @@ def pl_constant(value: Fraction) -> PLFunction:
     return PLFunction(((T_MIN, v), (T_MAX, v)))
 
 
-def _interpolate(p0, p1, t: Fraction) -> Fraction:
-    """Value at t of the segment from breakpoint p0 to breakpoint p1."""
-    (t0, v0), (t1, v1) = p0, p1
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+def _plus_segment(p: _Point, q0: _Point, q1: _Point) -> _Point:
+    """The point p plus the value at its parameter of the segment from q0 to
+    q1, all three with d = 1; the sum has d = s1 - s0, the segment's scaled
+    length."""
+    (t, s, n, _), (_, s0, n0, _), (_, s1, n1, _) = p, q0, q1
+    d = s1 - s0
+    return t, s, (n + n0) * d + (n1 - n0) * (s - s0), d
 
 
 def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
-    """Pointwise sum, by one merge over both breakpoint lists.
+    """Pointwise sum, by one merge over both breakpoint lists on integers.
 
     Both lists start at 0 and end at 2, so a breakpoint of one function
     lies strictly inside the current segment of the other, or on its end.
+    Every parameter and value is scaled by the lcm of their denominators;
+    a value interpolated inside a segment keeps the segment's scaled length
+    as its own denominator, so the merge and the collinearity test run on
+    integers, and every output parameter is an input parameter.
     """
     fp, gp = f.breakpoints, g.breakpoints
-    points: list[tuple[Fraction, Fraction]] = []
+    scale, (fs, gs) = _scaled(fp, gp)
+    points: list[_Point] = []
     i = j = 0
-    while i < len(fp) and j < len(gp):
-        (tf, vf), (tg, vg) = fp[i], gp[j]
-        if tf == tg:
-            points.append((tf, vf + vg))
+    while i < len(fs) and j < len(gs):
+        (tf, sf, vf, _), (_, sg, vg, _) = fs[i], gs[j]
+        if sf == sg:
+            points.append((tf, sf, vf + vg, 1))
             i += 1
             j += 1
-        elif tf < tg:
-            points.append((tf, vf + _interpolate(gp[j - 1], gp[j], tf)))
+        elif sf < sg:
+            points.append(_plus_segment(fs[i], gs[j - 1], gs[j]))
             i += 1
         else:
-            points.append((tg, _interpolate(fp[i - 1], fp[i], tg) + vg))
+            points.append(_plus_segment(gs[j], fs[i - 1], fs[i]))
             j += 1
-    return _canonicalize(points)
+    return _canonicalize(points, scale)
 
 
 def pl_neg(f: PLFunction) -> PLFunction:

@@ -92,21 +92,21 @@ def check_fastpath_vs_engine(fast: bool = False) -> CheckResult:
                          upsilon_pl(_torus_complex(p, q)))])
 
 
-def _recursion_holds(p: int, q: int) -> bool:
-    a, b = sorted((p, q - p))
-    rhs = pl_add(upsilon_staircase(a, b), upsilon_staircase(p, p + 1))
-    return pl_equal(upsilon_staircase(p, q), rhs)
-
-
 def check_recursion(fast: bool = False) -> CheckResult:
     """Torus-knot recursion: upsilon(T(p,q)) = upsilon(T(p,q-p)) +
-    upsilon(T(p,p+1)), with T(1,n) contributing zero."""
+    upsilon(T(p,p+1)), with T(1,n) contributing zero.  Each staircase
+    upsilon that some identity reads is computed once."""
     qmax = 12 if fast else 20
     pairs = _coprime_pairs(2, qmax - 1, qmax)
+    terms = {(p, q): (tuple(sorted((p, q - p))), (p, p + 1))
+             for p, q in pairs}
+    needed = {pq for lhs, rhs in terms.items() for pq in (lhs, *rhs)}
+    ups = {pq: upsilon_staircase(*pq) for pq in needed}
     return _verdict(
         "torus-recursion",
         f"{len(pairs)} coprime pairs with p < q <= {qmax}", "mismatches",
-        [(p, q) for p, q in pairs if not _recursion_holds(p, q)])
+        [pq for pq, (a, b) in terms.items()
+         if not pl_equal(ups[pq], pl_add(ups[a], ups[b]))])
 
 
 def check_first_jump(fast: bool = False) -> CheckResult:
@@ -238,12 +238,11 @@ def _vanishing_case(p: int) -> tuple[bool, str]:
     k = realize(parse_expr(f"T({p},{p+1}) # T(2,{p}) # -T({p},{p+2})"))
     vanishes = pl_equal(upsilon_pl(k), pl_constant(0))
     direct = upsilon2(k, s)
+    base = _torus_complex(p, p + 1)
     certified = upsilon2_sum_certificate(
-        [_torus_complex(p, p + 1), _torus_complex(2, p),
-         dual(_torus_complex(p, p + 2))], s)
+        [base, _torus_complex(2, p), dual(_torus_complex(p, p + 2))], s)
     # n-fold sums: upsilon2(nK) = upsilon2(K) when upsilon2(K) < upsilon2(-K);
     # checked directly for n = 2 on the smallest summand.
-    base = _torus_complex(p, p + 1)
     value = upsilon2(base, s)
     double_ok = (value < upsilon2(dual(base), s)
                  and upsilon2(tensor(base, base), s) == value)

@@ -3,7 +3,8 @@ sharing no code with upsilonkit: the runs of a numerical semigroup by a
 sieve, the value of a piecewise-linear function, the tensor product of
 two complexes with a set per differential entry, grading slices, boundary
 maps as bitset columns, the Euler characteristic, the lower envelope of a
-family of lines, the collinearity parameters of a level set, one gamma
+family of lines, the canonical form and the sum of piecewise-linear
+functions on Fractions, the collinearity parameters of a level set, one gamma
 sweep per chamber, the certified interval of one sweep, the cycle spaces
 of a complex, and the jump test and secondary invariant computed on them.
 
@@ -12,7 +13,9 @@ not trust the lattice corner; the value tests interpolate breakpoints
 here; the tensor tests build a fresh set per entry, so they do not trust
 the exponent sets the product shares with its factors.  The brute-force oracles and the d^2 test use these, so they do not
 trust the slices the engine builds; the envelope tests use the all-pairs
-envelope, so they do not trust the hull sweep; the candidate and
+envelope, so they do not trust the hull sweep; the sum and sample tests
+merge, interpolate and test collinearity on Fractions, so they do not
+trust the integer scaling of plfun; the candidate and
 cycle-space tests build one Fraction per pair of levels and one
 elimination per parameter, so they do not trust the engine's dedupe and
 caches; the interval tests sweep every chamber midpoint and test
@@ -133,8 +136,15 @@ def lower_envelope(lines):
             t = (b2 - b1) / (m1 - m2)
             if 0 < t < 2:
                 grid.add(t)
+    return canonicalize([(t, min(m * t + b for m, b in lns))
+                         for t in sorted(grid)])
+
+
+def canonicalize(points):
+    """The points (t, v), sorted by t, with every interior point that is
+    collinear with its kept neighbours dropped, tested on Fractions."""
     kept = []
-    for p in [(t, min(m * t + b for m, b in lns)) for t in sorted(grid)]:
+    for p in points:
         while len(kept) >= 2:
             (t0, v0), (t1, v1) = kept[-2], kept[-1]
             if (v1 - v0) * (p[0] - t1) != (p[1] - v1) * (t1 - t0):
@@ -142,6 +152,33 @@ def lower_envelope(lines):
             kept.pop()
         kept.append(p)
     return tuple(kept)
+
+
+def pl_add(f, g):
+    """Breakpoints of f + g: one merge over both breakpoint lists, each
+    point of one function summed with the other's value there, interpolated
+    on Fractions inside the other's segment, then canonicalized."""
+    fp, gp = f.breakpoints, g.breakpoints
+
+    def at(pts, k, t):
+        (t0, v0), (t1, v1) = pts[k - 1], pts[k]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+    points = []
+    i = j = 0
+    while i < len(fp) and j < len(gp):
+        (tf, vf), (tg, vg) = fp[i], gp[j]
+        if tf == tg:
+            points.append((tf, vf + vg))
+            i += 1
+            j += 1
+        elif tf < tg:
+            points.append((tf, vf + at(gp, j, tf)))
+            i += 1
+        else:
+            points.append((tg, at(fp, i, tg) + vg))
+            j += 1
+    return canonicalize(points)
 
 
 def collinearity_parameters(levels):

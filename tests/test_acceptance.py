@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from upsilonkit.expr import expected_generators, parse_expr
+from upsilonkit.plfun import pl_add, pl_constant
 from upsilonkit import verify
 
 # Runtime budget in seconds of each check in verify.ALL_CHECKS, in that
@@ -73,6 +74,41 @@ def test_full_suite_exit_status():
     assert [r.name for r in results] == list(BUDGETS)
     assert [f"PASS {r.name}: {r.detail}" for r in results] == \
         FAST_GOLDEN.splitlines()[:-1]
+
+
+@pytest.mark.parametrize("planted,failing", [
+    # read as T(p,q) on the left and as T(p,q-p) for (3,8) and (5,8)
+    ((3, 5), [(3, 5), (3, 8), (5, 8)]),
+    # read as T(p,p+1) for every p = 5 and as T(q-p,p) for (6,11); the
+    # identity of (5,6) reads it on both sides, so the change cancels there
+    ((5, 6), [(5, 7), (5, 8), (5, 9), (5, 11), (5, 12), (6, 11)]),
+    # read on the left only
+    ((7, 12), [(7, 12)]),
+])
+def test_recursion_reports_a_planted_mismatch(monkeypatch, planted, failing):
+    # check_recursion computes each staircase upsilon once into a table; a
+    # wrong entry must still fail every identity that reads it.
+    true = verify.upsilon_staircase
+    monkeypatch.setattr(
+        verify, "upsilon_staircase",
+        lambda p, q: (pl_add(true(p, q), pl_constant(1))
+                      if (p, q) == planted else true(p, q)))
+    result = verify.check_recursion(fast=True)
+    assert not result.ok
+    assert result.detail.endswith(f"; mismatches: {failing}")
+
+
+def test_vanishing_case_builds_each_torus_complex_once(monkeypatch):
+    # The certificate and the n-fold check share T(p,p+1), and its engine.
+    built = []
+    torus = verify._torus_complex
+    monkeypatch.setattr(verify, "_torus_complex",
+                        lambda p, q: built.append((p, q)) or torus(p, q))
+    good, detail = verify._vanishing_case(5)
+    assert good
+    assert sorted(built) == [(2, 5), (5, 6), (5, 7)]
+    assert f"PASS vanishing-upsilon-family: {detail}; " in (
+        GOLDEN["vanishing-upsilon-family"])
 
 
 def test_fast_suite_under_optimize():

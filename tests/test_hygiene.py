@@ -1,7 +1,7 @@
 """Repository-level checks: no tracked build artefacts, no correctness
 check that `python -O` would strip, no floating point in the package, no
-function name the benchmark tracer wraps missing from the package, and a
-lean command-line import graph that loads every module the tracer reads."""
+function name the benchmark tracer wraps missing from the package or
+rebound in `verify`, and a lean command-line import graph that loads every module the tracer reads."""
 
 import ast
 import importlib
@@ -54,19 +54,42 @@ def test_no_floats_in_src():
     assert src_nodes_where(is_float_literal_or_call) == []
 
 
-def test_traced_names_exist():
-    # The benchmark tracer wraps these upsilonkit functions by name; a
-    # removed or renamed one would break its traced runs.
+def traced_layers() -> dict[str, tuple[str, ...]]:
+    """WRAPPED of the benchmark tracer: layer -> names it wraps there."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     [wrapped] = [node.value for node in tree.body
                  if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets] == ["WRAPPED"]]
+    return ast.literal_eval(wrapped)
+
+
+def test_traced_names_exist():
+    # The benchmark tracer wraps these upsilonkit functions by name; a
+    # removed or renamed one would break its traced runs.
     missing = [f"{layer}.{name}"
-               for layer, names in ast.literal_eval(wrapped).items()
+               for layer, names in traced_layers().items()
                for name in names
                if not callable(getattr(importlib.import_module(
                    f"upsilonkit.{layer}"), name, None))]
     assert missing == []
+
+
+def test_verify_binds_the_layers_own_objects():
+    # The tracer swaps every binding of a wrapped function object, so a
+    # name that verify binds to a cache or any other wrapper of a layer's
+    # function would hide that layer's calls from traced runs.
+    verify = importlib.import_module("upsilonkit.verify")
+    tree = ast.parse((ROOT / "src" / "upsilonkit" / "verify.py").read_text())
+    imported = [(node.module, alias.name, alias.asname or alias.name)
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.level == 1 and node.module in traced_layers()
+                for alias in node.names]
+    assert {layer for layer, _, _ in imported} >= {"plfun", "staircase",
+                                                   "upsilon"}
+    rebound = [f"{layer}.{name}" for layer, name, bound in imported
+               if getattr(verify, bound) is not getattr(
+                   importlib.import_module(f"upsilonkit.{layer}"), name)]
+    assert rebound == []
 
 
 def test_cli_import_graph():

@@ -5,12 +5,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from reference import evaluate, lower_envelope
 from upsilonkit.expr import parse_expr, realize
 from upsilonkit.plfun import (
     NEG_INF,
     POS_INF,
     PLFunction,
+    _frac,
     ext_to_json,
     format_ext,
     pl_add,
@@ -310,6 +312,111 @@ def test_add_on_union_of_breakpoints(f, g):
     for t in union:
         assert evaluate(h, t) == evaluate(f, t) + evaluate(g, t)
     assert_canonical(h)
+
+
+# Parameters inside (0,2) and values with small, often coprime,
+# denominators, so the lcm scale of a merge mixes several primes.
+DENOMINATORS = st.sampled_from([1, 2, 3, 5, 7, 11, 12, 13])
+INNER = DENOMINATORS.flatmap(
+    lambda d: st.integers(1, 2 * d - 1).map(lambda n: F(n, d)))
+VALUES = st.builds(F, st.integers(-30, 30), DENOMINATORS)
+
+
+@st.composite
+def breakpoint_lists(draw):
+    """Sorted points (t, v) covering 0 and 2, not canonicalized: a value may
+    be drawn on the line through the two points before it."""
+    grid = [F(0), *sorted(set(draw(st.lists(INNER, max_size=6)))), F(2)]
+    pts = []
+    for t in grid:
+        if len(pts) >= 2 and draw(st.booleans()):
+            (t0, v0), (t1, v1) = pts[-2:]
+            pts.append((t, v1 + (v1 - v0) * (t - t1) / (t1 - t0)))
+        else:
+            pts.append((t, draw(VALUES)))
+    return pts
+
+
+@st.composite
+def breakpoint_pairs(draw):
+    """Two breakpoint lists f and g whose parameters overlap: g takes some
+    of f's parameters and some of its own.  Its values are drawn, or they
+    are a line minus f, so the kinks of the sum cancel at the shared
+    parameters and the merge leaves collinear points."""
+    f = draw(breakpoint_lists())
+    shared = draw(st.lists(st.sampled_from([t for t, _ in f])))
+    own = draw(st.lists(INNER, max_size=4))
+    grid = sorted({F(0), F(2), *shared, *own})
+    if draw(st.booleans()):
+        m, b = draw(VALUES), draw(VALUES)
+        g = [(t, m * t + b - evaluate(PLFunction(tuple(f)), t)) for t in grid]
+    else:
+        g = [(t, draw(VALUES)) for t in grid]
+    return f, g
+
+
+def assert_fraction_breakpoints(h):
+    assert all(type(x) is F for pt in h.breakpoints for x in pt)
+
+
+class TestIntegerAlgebra:
+    """pl_add and pl_from_samples against the Fraction merge and collinearity
+    test of tests/reference.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(breakpoint_lists())
+    def test_from_samples_matches_reference(self, pts):
+        h = pl_from_samples(pts)
+        assert h.breakpoints == reference.canonicalize(pts)
+        assert_fraction_breakpoints(h)
+        assert all(any(t is s for s, _ in pts) for t, _ in h.breakpoints)
+
+    @settings(max_examples=300, deadline=None)
+    @given(breakpoint_pairs())
+    def test_add_matches_reference(self, pair):
+        f, g = (pl_from_samples(pts) for pts in pair)
+        h = pl_add(f, g)
+        assert h.breakpoints == reference.pl_add(f, g)
+        assert_fraction_breakpoints(h)
+        inputs = [t for t, _ in f.breakpoints + g.breakpoints]
+        assert all(any(t is s for s in inputs) for t, _ in h.breakpoints)
+
+    @settings(max_examples=300, deadline=None)
+    @given(breakpoint_pairs())
+    def test_add_matches_reference_on_raw_breakpoints(self, pair):
+        # collinear points inside either summand as well as in the merge
+        f, g = (PLFunction(tuple(pts)) for pts in pair)
+        assert pl_add(f, g).breakpoints == reference.pl_add(f, g)
+
+    def test_cancelled_kinks_leave_a_line(self):
+        f = pl_from_samples([(0, 0), (F(2, 7), F(3, 5)), (F(12, 11), -1),
+                             (2, F(1, 13))])
+        g = PLFunction(tuple((t, F(1, 3) * t + 2 - v)
+                             for t, v in f.breakpoints))
+        assert pl_add(f, g).breakpoints == ((0, 2), (2, F(8, 3)))
+        assert pl_add(f, g).breakpoints == reference.pl_add(f, g)
+
+    def test_equal_breakpoints(self):
+        f = pl_from_samples([(0, 1), (F(1, 3), 0), (F(5, 3), 0), (2, 1)])
+        g = pl_from_samples([(0, 0), (F(1, 3), 1), (F(5, 3), 1), (2, 0)])
+        assert pl_add(f, g).breakpoints == ((0, 1), (2, 1))
+        h = pl_from_samples([(0, 0), (F(1, 3), 1), (F(5, 3), 2), (2, 0)])
+        assert pl_add(f, h).breakpoints == reference.pl_add(f, h) == (
+            (0, 1), (F(1, 3), 1), (F(5, 3), 2), (2, 1))
+
+
+def test_frac_returns_a_fraction_as_it_is():
+    x = F(-7, 3)
+    assert _frac(x) is x
+    assert _frac(4) == F(4) and type(_frac(4)) is F
+    assert _frac("-4/6") == F(-2, 3)
+    with pytest.raises(TypeError, match="floating point"):
+        _frac(0.5)
+    for text in ("1e300000", "0.5", "1/2 ", "", "nan"):
+        with pytest.raises(ValueError, match="not a rational"):
+            _frac(text)
+    with pytest.raises(ZeroDivisionError):
+        _frac("1/0")
 
 
 def test_json_round_trip():
