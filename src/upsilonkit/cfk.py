@@ -84,8 +84,10 @@ def tensor(a: BifilteredComplex, b: BifilteredComplex) -> BifilteredComplex:
     x@y has index i * len(b) + k for x, y at indices i, k.  Every induced
     entry holds its factor entry's exponent frozenset itself, so the product
     builds no set per entry.  An entry of a and an entry of b land on the
-    same key only when both are loops (i, i), and the key then holds the
-    union of their exponents.
+    same key only when both are loops (i, i), and the key then holds their
+    sum over F2, the symmetric difference of their exponents; an empty sum
+    is no entry.  A loop never drops the grading by 1, so only invalid
+    factors collide.
     """
     nb = len(b)
     gens = [
@@ -98,7 +100,7 @@ def tensor(a: BifilteredComplex, b: BifilteredComplex) -> BifilteredComplex:
     for (i, j), exps in b.differential.items():
         for k in range(0, len(a) * nb, nb):
             key = (k + i, k + j)
-            diff[key] = diff[key] | exps if key in diff else exps
+            diff[key] = diff[key] ^ exps if key in diff else exps
     return BifilteredComplex(gens, diff)
 
 
@@ -153,42 +155,29 @@ class Slices(NamedTuple):
     phi: int
 
 
-def _slice_basis(c: BifilteredComplex, m: int) -> tuple[SliceElement, ...]:
-    out = []
-    for i, g in enumerate(c.generators):
-        if (g.maslov - m) % 2 == 0:
-            n = (g.maslov - m) // 2
-            out.append(SliceElement(i, n, g.alg - n, g.alex - n))
-    return tuple(out)
-
-
-def _boundary_columns(c: BifilteredComplex, basis0: tuple[SliceElement, ...],
-                      basis1: tuple[SliceElement, ...]
-                      ) -> tuple[list[int], list[int]]:
-    """d0 and d1 of a complex whose every entry drops the grading by 1.
-
-    Such an entry x -> U^n y maps each translate of x in a slice onto the
-    translate of y in the slice one grading below.  Slice -1 lists the same
-    generators as slice 1 in the same order, so a generator's position in
-    the basis of its parity is its bit in either slice.
-    """
-    pos = {e.gen_index: k for basis in (basis0, basis1)
-           for k, e in enumerate(basis)}
-    d0, d1 = [0] * len(basis0), [0] * len(basis1)
-    for i, j in c.differential:
-        cols = d1 if c.generators[i].maslov % 2 else d0
-        cols[pos[i]] |= 1 << pos[j]
-    return d0, d1
-
-
 def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]:
     """The violations of the structural axioms (see `validate`) and, when
     there are none, the slices the homology check ran on."""
     violations: list[str] = []
     gens = c.generators
+    bases: tuple[list[SliceElement], ...] = ([], [])
+    pos: list[int] = []
+    for i, g in enumerate(gens):
+        n, m = divmod(g.maslov, 2)
+        pos.append(len(bases[m]))
+        bases[m].append(SliceElement(i, n, g.alg - n, g.alex - n))
+    basis0, basis1 = map(tuple, bases)
+    # An entry x -> U^n y that drops the grading by 1 maps each translate
+    # of x in a slice onto the translate of y in the slice one grading
+    # below.  Slice -1 lists the same generators as slice 1 in the same
+    # order, so a generator's position in the basis of its parity is its
+    # bit in either slice.  A mis-graded entry's bit is never read, since
+    # a grading violation returns before the slices are used.
+    cols = d0, d1 = [0] * len(basis0), [0] * len(basis1)
     graded = True
     for (i, j), exps in c.differential.items():
         gi, gj = gens[i], gens[j]
+        cols[gi.maslov % 2][pos[i]] |= 1 << pos[j]
         for n in exps:
             if gj.maslov - 2 * n != gi.maslov - 1:
                 graded = False
@@ -202,9 +191,6 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     if not graded:
         return violations, None
 
-    basis0 = _slice_basis(c, 0)
-    basis1 = _slice_basis(c, 1)
-    d0, d1 = _boundary_columns(c, basis0, basis1)
     # d^2 = 0: slices -1 and -2 are the U-translates of slices 1 and 0 with
     # the same columns, so d^2 vanishes iff d1 d0 and d0 d1 do.  Both land in
     # the basis of the source's parity, one U-translate down: the component
@@ -292,8 +278,8 @@ def _field(obj, key: str, where: str, kind: type):
 
 
 def complex_from_json(d: dict) -> BifilteredComplex:
-    """Inverse of complex_to_json; a malformed dump raises ValueError naming
-    the first bad field."""
+    """Inverse of complex_to_json; a malformed dump, or one that repeats an
+    entry or an exponent, raises ValueError naming the first bad field."""
     gens = []
     for i, g in enumerate(_field(d, "generators", "", list)):
         where = f"generators[{i}]."
@@ -303,9 +289,16 @@ def complex_from_json(d: dict) -> BifilteredComplex:
     diff = {}
     for i, e in enumerate(_field(d, "differential", "", list)):
         where = f"differential[{i}]."
-        exps = _field(e, "exponents", where, list)
-        for k, n in enumerate(exps):
-            _checked(n, f"{where}exponents[{k}]", int)
-        diff[(_field(e, "source", where, int),
-              _field(e, "target", where, int))] = set(exps)
+        exps: set[int] = set()
+        for k, n in enumerate(_field(e, "exponents", where, list)):
+            if _checked(n, f"{where}exponents[{k}]", int) in exps:
+                raise ValueError(f"complex dump: {where}exponents[{k}] "
+                                 f"repeats the exponent {n}")
+            exps.add(n)
+        key = (_field(e, "source", where, int),
+               _field(e, "target", where, int))
+        if key in diff:
+            raise ValueError(f"complex dump: differential[{i}] repeats the "
+                             f"entry from {key[0]} to {key[1]}")
+        diff[key] = exps
     return BifilteredComplex(gens, diff)

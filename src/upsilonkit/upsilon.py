@@ -150,11 +150,10 @@ class _Engine:
             raise InvalidComplexError(violations)
         basis0, basis1, self.d0cols, self.d1cols, self.phi = slices
         self.dim0 = len(basis0)
-        self.lev0 = [(e.alg, e.alex) for e in basis0]
         self.lev1 = [(e.alg, e.alex) for e in basis1]
         members: dict[Level, list[int]] = {}
-        for i, lev in enumerate(self.lev0):
-            members.setdefault(lev, []).append(i)
+        for i, e in enumerate(basis0):
+            members.setdefault((e.alg, e.alex), []).append(i)
         self.levels = list(members)
         self._at = {lev: k for k, lev in enumerate(self.levels)}
         self._members = list(members.values())

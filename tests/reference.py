@@ -62,18 +62,21 @@ def tensor(a, b):
     """(generators, differential) of the tensor product of complexes a and
     b: generator x@y is (name, maslov, alg, alex) with the names joined by
     '|' and the rest added, at index i * len(b) + k for x, y at i, k; the
-    differential dx@y + x@dy, as one new set of exponents per entry."""
+    differential dx@y + x@dy over F2, as one new set of exponents per
+    nonzero entry."""
     nb = len(b.generators)
     gens = [(f"{x.name}|{y.name}", x.maslov + y.maslov, x.alg + y.alg,
              x.alex + y.alex) for x in a.generators for y in b.generators]
     diff = {}
     for (i, j), exps in a.differential.items():
         for k in range(nb):
-            diff.setdefault((i * nb + k, j * nb + k), set()).update(exps)
+            key = (i * nb + k, j * nb + k)
+            diff[key] = diff.get(key, set()) ^ set(exps)
     for (i, j), exps in b.differential.items():
         for k in range(len(a.generators)):
-            diff.setdefault((k * nb + i, k * nb + j), set()).update(exps)
-    return gens, diff
+            key = (k * nb + i, k * nb + j)
+            diff[key] = diff.get(key, set()) ^ set(exps)
+    return gens, {e: exps for e, exps in diff.items() if exps}
 
 
 def slice_levels(c, m):

@@ -87,6 +87,17 @@ class TestValidateViolations:
             [Generator("a", 0, 0, 0), Generator("b", 0, 1, 1)],
             {(1, 0): {0}})
         assert any("grading" in v for v in validate(c))
+        # b -> a joins two grading-0 generators, c -> a rises in filtration:
+        # validation lists exactly those two lines in entry order and stops
+        # before building anything on the slices.
+        gens = [Generator("a", 0, 1, 1), Generator("b", 0, 1, 1),
+                Generator("c", 1, 0, 0)]
+        grading = "grading: entry b->U^0.a does not drop the Maslov grading by 1"
+        filtration = "filtration: entry c->U^0.a increases a filtration level"
+        for entries, expected in (([(1, 0), (2, 0)], [grading, filtration]),
+                                  ([(2, 0), (1, 0)], [filtration, grading])):
+            c = BifilteredComplex(gens, {e: {0} for e in entries})
+            assert validated_slices(c) == (expected, None)
 
     def test_filtration_violation(self):
         c = BifilteredComplex(
@@ -198,9 +209,10 @@ class TestTensor:
         for x, y in itertools.product((ka, dual(ka)), (kb, dual(kb))):
             self.assert_matches_reference(x, y)
 
-    def test_colliding_entries_take_the_union(self):
-        # A loop of a and a loop of b meet at x@y; the product holds the
-        # union of their exponents there, next to each factor's own sets.
+    def test_colliding_entries_add_over_f2(self):
+        # A loop of a and a loop of b meet at x@y; d(x@y) = dx@y + x@dy
+        # over F2 holds the symmetric difference of their exponents there,
+        # next to each factor's own sets.
         a = BifilteredComplex(
             [Generator("x", 0, 0, 0), Generator("z", 1, 0, 0)],
             {(0, 0): {1, 2}, (1, 0): {0}})
@@ -208,11 +220,19 @@ class TestTensor:
         self.assert_matches_reference(a, b)
         self.assert_matches_reference(b, a)
         assert tensor(a, b).differential == {
-            (0, 0): {1, 2, 3}, (1, 0): {0}, (1, 1): {2, 3}}
+            (0, 0): {1, 3}, (1, 0): {0}, (1, 1): {2, 3}}
+        # Two loops U^0 x -> x cancel in x@x, which leaves a single
+        # generator with no differential: a valid complex, although each
+        # factor is mis-graded.
+        x = BifilteredComplex([Generator("x", 0, 0, 0)], {(0, 0): {0}})
+        self.assert_matches_reference(x, x)
+        assert validate(x) != []
+        assert tensor(x, x).differential == {}
+        assert validate(tensor(x, x)) == []
 
     def test_shares_factor_exponent_sets(self):
         # Every entry of the product holds an exponent set of a factor
-        # entry, or a union where entries collide: at most one object per
+        # entry, or their sum where entries collide: at most one object per
         # factor entry, where the product has 7752 entries.
         factors = [torus_complex(7, 8), torus_complex(2, 7),
                    dual(torus_complex(7, 9))]
@@ -378,6 +398,15 @@ def test_json_round_trip():
                      {"name": "b", "maslov": -1, "alg": 0, "alex": 0}],
       "differential": [{"source": 0, "target": 1, "exponents": [0.5]}]},
      "differential[0].exponents[0]"),
+    ({"generators": [{"name": "a", "maslov": 0, "alg": 0, "alex": 0},
+                     {"name": "b", "maslov": 1, "alg": 0, "alex": 0}],
+      "differential": [{"source": 1, "target": 0, "exponents": [0]},
+                       {"source": 1, "target": 0, "exponents": []}]},
+     "differential[1]"),
+    ({"generators": [{"name": "a", "maslov": 0, "alg": 0, "alex": 0},
+                     {"name": "b", "maslov": 1, "alg": 0, "alex": 0}],
+      "differential": [{"source": 1, "target": 0, "exponents": [0, 0]}]},
+     "differential[0].exponents[1]"),
 ])
 def test_malformed_json_names_field(dump, field):
     with pytest.raises(ValueError, match=re.escape(f"complex dump: {field} ")):

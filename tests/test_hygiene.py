@@ -1,7 +1,9 @@
 """Repository-level checks: no tracked build artefacts, no correctness
 check that `python -O` would strip, no floating point in the package, no
 function name the benchmark tracer wraps missing from the package or
-rebound in `verify`, and a lean command-line import graph that loads every module the tracer reads."""
+rebound in `verify`, no private module-level function that nothing in the
+package names, and a lean command-line import graph that loads every
+module the tracer reads."""
 
 import ast
 import importlib
@@ -52,6 +54,25 @@ def is_float_literal_or_call(node) -> bool:
 
 def test_no_floats_in_src():
     assert src_nodes_where(is_float_literal_or_call) == []
+
+
+def test_no_orphaned_private_helpers():
+    # A module-level `def _name` that no other statement in src/ names is
+    # left over from a refactor; a call from its own body does not count.
+    tops = [(path, node) for path in sorted((ROOT / "src").rglob("*.py"))
+            for node in ast.parse(path.read_text(), str(path)).body]
+    named = [{n.id if isinstance(n, ast.Name) else n.attr
+              for n in ast.walk(node)
+              if isinstance(n, (ast.Name, ast.Attribute))}
+             for _, node in tops]
+    orphans = [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+               for k, (path, node) in enumerate(tops)
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_")
+               and not node.name.startswith("__")
+               and not any(node.name in names
+                           for m, names in enumerate(named) if m != k)]
+    assert orphans == []
 
 
 def traced_layers() -> dict[str, tuple[str, ...]]:

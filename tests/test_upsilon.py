@@ -621,9 +621,9 @@ class TestCertificates:
         def corrupt(field):
             t = F(2, 3)
             c = torus_complex(3, 4)
-            eng = _engine(c)
             g = gamma_at(c, t)
-            outside = [k for k, lev in enumerate(eng.lev0) if _f(t, lev) > g]
+            outside = [k for k, e in enumerate(validated_slices(c)[1].basis0)
+                       if _f(t, (e.alg, e.alex)) > g]
             assert outside
             extra = 1 << outside[0]
             one_sided = _Engine.one_sided
@@ -747,7 +747,8 @@ class TestIntervalCertificate:
             list(base.generators) + [Generator("w", 1, 1, 2),
                                      Generator("y", 0, 1, 2)],
             {**base.differential, (k, k + 1): {0}})
-        y = 1 << _engine(c).lev0.index((1, 2))
+        levels = [(e.alg, e.alex) for e in validated_slices(c)[1].basis0]
+        y = 1 << levels.index((1, 2))
         corrupt_sweeps(lambda self, t, level, z, lam, below:
                        (level, z | y, lam, below))
         with pytest.raises(AssertionError, match=r"\[0, 0\] misses t=0$"):
