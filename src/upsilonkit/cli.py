@@ -142,8 +142,7 @@ def _cmd_upsilon(args) -> int:
     if args.json:
         print(json.dumps(pl_to_json(f)))
     else:
-        for t, v in f.breakpoints:
-            print(f"{t}\t{v}")
+        sys.stdout.write("".join(f"{t}\t{v}\n" for t, v in f.breakpoints))
     return 0
 
 
@@ -163,9 +162,9 @@ def _cmd_jumps(args) -> int:
                            "upsilon2": ext_to_json(value)}
                           for t, is_jump, value in reports]))
     else:
-        print("t\tjump\tupsilon2")
-        for t, is_jump, value in reports:
-            print(f"{t}\t{'yes' if is_jump else 'no'}\t{format_ext(value)}")
+        sys.stdout.write("t\tjump\tupsilon2\n" + "".join(
+            f"{t}\t{'yes' if is_jump else 'no'}\t{format_ext(value)}\n"
+            for t, is_jump, value in reports))
     return 0
 
 

@@ -28,18 +28,22 @@ The cycles just below or above t are read off the mask M there, the slice
 elements at or below L in that order: they are the essential cycles
 supported in M, since every grading-0 cycle is either essential or a
 boundary.  t is a jump when no essential cycle lies in the masks M- and
-M+ just below and above it at once; one column sweep, the meet, decides
-this for the jump test and for the secondary invariant, which measures
-how far the support line must retreat, along a second direction s,
-before the cycles coming from just below t and just above t become
-homologous:
+M+ just below and above it at once, so only an interval end can be one.
+A query at t reads gamma(t) and the jump test off the certified intervals
+just below and above t once; one column sweep over their masks, the
+meet, hands its elimination and gamma(t) on to the secondary invariant,
+which measures how far the support line must retreat, along a second
+direction s, before the cycles coming from just below t and just above t
+become homologous:
 
     gamma2_{t}(s) = min { r : some z+ and z- represent the same class in
                           H_0( C^t_{gamma(t)} + C^s_r ) }
 
 with z+ and z- essential cycles in M+ and M-.  The scan over r is monotone
 (growing r only adds grading-1 elements), so the minimum is found by one
-incremental Gaussian elimination over the grading-1 thresholds.
+incremental Gaussian elimination over the grading-1 thresholds.  A scan
+of the candidates follows the walk and runs the meet at its interval ends
+only.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .cfk import BifilteredComplex, validated_slices
 from .f2 import Basis, functional, reduce_pair
@@ -86,22 +90,33 @@ Interval = tuple[Level, int, Fraction, Fraction]
 _LO, _HI = itemgetter(2), itemgetter(3)
 
 
-def _keys(levels: list[Level], t: Fraction, side: int = 0) -> list[int]:
+def _keys(levels: list[Level], t: Fraction, side: int = 0,
+          w: int = 1) -> list[int]:
     """Integer keys that order the (alg, alex) levels as f_t does (side 0),
     as f does just above t (side +1) or just below t (side -1).
 
     For t = u/v the side-0 key is 2v*f_t(a, A) = u*A + (2v-u)*a.  Otherwise
-    it is scaled by w = 2*max|A - a| + 1 and side*(A - a) is added, which
-    shifts no key past another of different f_t: the keys order by f_t,
-    then by side times the slope, as f_{t+e} = f_t + e*(A - a)/2 does for
-    every small e of the sign of side.  Equal keys mean equal f_t and equal
-    slope A - a, hence equal a = f_t - t*(A - a)/2 and equal A: just below
-    or above t the support line meets exactly one level.
+    it is scaled by the slope weight w, at least 2*max|A - a| + 1 over the
+    levels, and side*(A - a) is added: (u*w + side)*A + ((2v-u)*w - side)*a.
+    That shifts no key past another of different f_t: the keys order by
+    f_t, then by side times the slope, as f_{t+e} = f_t + e*(A - a)/2 does
+    for every small e of the sign of side.  Equal keys mean equal f_t and
+    equal slope A - a, hence equal a = f_t - t*(A - a)/2 and equal A: just
+    below or above t the support line meets exactly one level.
     """
     u, v = t.numerator, t.denominator
-    wa = 2 * v - u
-    w = 2 * max((abs(A - a) for a, A in levels), default=0) + 1 if side else 1
-    return [(u * A + wa * a) * w + side * (A - a) for a, A in levels]
+    p, q = u * w + side, (2 * v - u) * w - side
+    return [p * A + q * a for a, A in levels]
+
+
+def _top(t: Fraction, below: Interval, above: Interval) -> int:
+    """The side-0 key 2v*gamma(t), t = u/v, of the contact levels of the
+    certified intervals below and above t.  They must agree, since gamma
+    is continuous; a disagreement means a wrong certified interval."""
+    lo, hi = _keys([below[0], above[0]], t)
+    if lo != hi:
+        raise AssertionError(f"gamma not continuous at t={t}")
+    return lo
 
 
 def _collinearity_parameters(levels: list[Level]) -> tuple[Fraction, ...]:
@@ -158,6 +173,7 @@ class _Engine:
         self._at = {lev: k for k, lev in enumerate(self.levels)}
         self._members = list(members.values())
         self._masks = [sum(1 << i for i in m) for m in self._members]
+        self._w = 2 * max((abs(A - a) for a, A in self.levels), default=0) + 1
         self._intervals: list[Interval] = []
 
     @cached_property
@@ -184,7 +200,7 @@ class _Engine:
         at or below its contact level in the order there, a union of level
         masks."""
         level, witness, _, _ = self.interval(t, side)
-        keys = _keys(self.levels, t, side)
+        keys = _keys(self.levels, t, side, self._w)
         return witness, self._at_most(keys, keys[self._at[level]])
 
     def _at_most(self, keys: list[int], top: int) -> int:
@@ -204,7 +220,7 @@ class _Engine:
         with phi = lam o d0 on S, back-substituted in increasing pivot
         order over the rows whose combination lies in S.
         """
-        keys = _keys(self.levels, t, side)
+        keys = _keys(self.levels, t, side, self._w)
         reducer: Basis = {}
         phi, below = self.phi, 0
         for k in sorted(range(len(self.levels)), key=keys.__getitem__):
@@ -269,35 +285,41 @@ class _Engine:
                 f"certified interval [{lo}, {hi}] misses t={t}")
         return level, z, lo, hi
 
-    def top(self, t: Fraction) -> int:
-        """The side-0 key 2v*gamma(t), t = u/v: that of the contact levels
-        just below and just above t (the one side inside [0,2] at 0 and 2).
-        They must agree, since gamma is continuous; a disagreement means a
-        wrong certified interval."""
-        lo, hi = _keys([self.interval(t, side)[0]
-                        for side in (-1 if t else 1, 1 if t < 2 else -1)], t)
-        if lo != hi:
-            raise AssertionError(f"gamma not continuous at t={t}")
-        return lo
+    def walk(self) -> Iterator[Interval]:
+        """The certified intervals 0+, hi+, ... in order, up to the one
+        that ends at 2: each is the interval just above the end of the
+        last."""
+        entry = self.interval(Fraction(0), 1)
+        yield entry
+        while entry[3] < 2:
+            entry = self.interval(entry[3], 1)
+            yield entry
 
     def gamma(self, t: Fraction) -> Fraction:
-        return Fraction(self.top(t), 2 * t.denominator)
+        """gamma(t) from the intervals just below and just above t (the
+        one side inside [0,2] at 0 and 2)."""
+        return Fraction(_top(t, self.interval(t, -1 if t else 1),
+                             self.interval(t, 1 if t < 2 else -1)),
+                        2 * t.denominator)
 
-    def meet(self, t: Fraction) -> Optional[tuple[int, Basis]]:
+    def meet(self, t: Fraction) -> Optional[tuple[int, Basis, int]]:
         """The one jump test: None when t is no jump, an essential cycle
         lying in both masks M- and M+ just below and above t (such as the
-        witness of an interval covering both sides).  Else (M-, basis):
-        after checking that the witnesses and masks lie in the sublevel set
-        at gamma(t), the union of the masks of the levels at or below it at
-        t, it eliminates the columns (d0 e_i, e_i outside M-) for
-        i in M+, tagged phi_i, where a zero residue with an odd tag is an
-        essential cycle in M- and M+.  The d0 part sits above the slice-0
-        coordinates, so a further column with no d0 part is a plain slice-0
-        vector."""
-        if self.interval(t, -1)[3] > t:
+        witness of an interval covering both sides, which answers from the
+        interval below alone).  Else (M-, basis, top), top the side-0 key
+        2v*gamma(t) of the intervals below and above t: after checking that
+        the witnesses and masks lie in the sublevel set at gamma(t), the
+        union of the masks of the levels at or below it at t, it eliminates
+        the columns (d0 e_i, e_i outside M-) for i in M+, tagged phi_i,
+        where a zero residue with an odd tag is an essential cycle in M-
+        and M+.  The d0 part sits above the slice-0 coordinates, so a
+        further column with no d0 part is a plain slice-0 vector."""
+        below = self.interval(t, -1)
+        if below[3] > t:
             return None
+        top = _top(t, below, self.interval(t, 1))
         (zlo, mlo), (zhi, mhi) = self.one_sided(t, -1), self.one_sided(t, 1)
-        at_most = self._at_most(_keys(self.levels, t), self.top(t))
+        at_most = self._at_most(_keys(self.levels, t), top)
         if (mlo | mhi | zlo | zhi) & ~at_most:
             raise AssertionError(
                 "a cycle from either side of t leaves the sublevel set at t")
@@ -308,7 +330,7 @@ class _Engine:
                                      phi >> i & 1, reducer)
                 if v == 0 and odd:
                     return None
-        return mlo, reducer
+        return mlo, reducer, top
 
 
 _engines: "weakref.WeakKeyDictionary[BifilteredComplex, _Engine]" = (
@@ -347,16 +369,17 @@ def gamma_at(c: BifilteredComplex, t) -> Fraction:
 def upsilon_pl(c: BifilteredComplex) -> PLFunction:
     """Upsilon of the complex as an exact piecewise-linear function.
 
-    gamma is linear on each certified interval, so a walk 0+, hi+, ...
+    gamma is linear on each certified interval, so the walk 0+, hi+, ...
     that samples it at 0 and at the hi of every interval it meets gives
-    the exact canonical function.  Each sample checks that the levels
-    just below and just above it agree.
+    the exact canonical function.  Each sample takes gamma from the two
+    intervals of the walk that meet there (the first at 0, the last at 2),
+    and checks that their levels agree; -2*gamma(t) is -top/v for t = u/v.
     """
-    eng = _engine(c)
-    ts = [Fraction(0)]
-    while ts[-1] < 2:
-        ts.append(eng.interval(ts[-1], 1)[3])
-    return pl_from_samples([(t, -2 * eng.gamma(t)) for t in ts])
+    walk = list(_engine(c).walk())
+    ts = [Fraction(0), *(hi for *_, hi in walk)]
+    return pl_from_samples(
+        [(t, Fraction(-_top(t, below, above), t.denominator))
+         for t, below, above in zip(ts, walk[:1] + walk, walk + walk[-1:])])
 
 
 def pivot_points(c: BifilteredComplex, t) -> PivotPair:
@@ -403,9 +426,10 @@ def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     return witness, [inside[p][0] for p in sorted(inside)]
 
 
-def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
+def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction,
+                   found: Optional[tuple[int, Basis, int]]) -> ExtRational:
     """Incremental minimal-r scan for the secondary invariant, going on from
-    the elimination of eng.meet(t).
+    found = eng.meet(t): its elimination, and its top for gamma(t).
 
     The question is whether some chain x in M+ with d0 x = 0 and
     phi(x) = 1 (an essential cycle z+) and some allowed grading-1 chain w
@@ -430,11 +454,9 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
     of the f_s scan, so moving them into it changes no value there; off the
     diagonal that is open.
     """
-    found = eng.meet(t)
     if found is None:
         return NEG_INF
-    mlo, reducer = found
-    top_t = eng.top(t)
+    mlo, reducer, top_t = found
 
     def closes(col: int) -> bool:
         v, odd = reduce_pair(col & ~mlo, 0, reducer)
@@ -464,13 +486,16 @@ def gamma2(c: BifilteredComplex, t, s) -> ExtRational:
     below and just above t become homologous in C^t_{gamma(t)} + C^s_r;
     -infinity exactly when one essential cycle lies in both masks, that is
     when t is no jump."""
-    return _gamma2_engine(_engine(c), _parameter(t, "t", closed=False),
-                          _parameter(s, "s", closed=True))
+    eng, t = _engine(c), _parameter(t, "t", closed=False)
+    return _gamma2_engine(eng, t, _parameter(s, "s", closed=True), eng.meet(t))
 
 
 def _upsilon2(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
-    g2 = _gamma2_engine(eng, t, s)
-    return POS_INF if g2 == NEG_INF else -2 * (g2 - eng.gamma(t))
+    """-2*(gamma2 - gamma) from one meet at t, gamma(t) read off its top."""
+    found = eng.meet(t)
+    g2 = _gamma2_engine(eng, t, s, found)
+    return (POS_INF if found is None
+            else -2 * (g2 - Fraction(found[2], 2 * t.denominator)))
 
 
 def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
@@ -494,25 +519,33 @@ def jump_values(c: BifilteredComplex,
                 max_t: Optional[Fraction] = None) -> list[JumpReport]:
     """Scan every candidate parameter, reporting jump status and the diagonal
     secondary invariant, computed at the jumps only (+infinity at the
-    others); parameters outside the candidate set are never jumps.  One
-    meet per candidate decides the jump, and at a jump the gamma2 scan goes
-    on from its elimination, so t is a jump exactly when its value is
-    finite (see _gamma2_engine).  No jump lies inside a certified interval,
-    so an interval end in (0,2) that is no candidate would be a lost jump:
-    that raises."""
+    others); parameters outside the candidate set are never jumps.
+
+    The candidates are read along the walk 0+, hi+, ... of upsilon_pl.  No
+    jump lies inside a certified interval, so a candidate strictly inside
+    the current interval is reported as no jump with no lookup.  At an
+    interval end one meet decides the jump, and at a jump the gamma2 scan
+    goes on from its elimination, so t is a jump exactly when its value is
+    finite (see _gamma2_engine).  An end of a table interval in (0,2) that
+    is no candidate would be a lost jump: that raises."""
     eng = _engine(c)
     max_t = None if max_t is None else _frac(max_t)
-    out = []
-    for t in eng.candidates:
+    cands = eng.candidates
+    out, walk, hi = [], eng.walk(), Fraction(0)
+    for t in cands:
         if max_t is not None and t > max_t:
             break
-        u2 = _upsilon2(eng, t, t)
+        while hi < t:
+            hi = next(walk)[3]
+        u2 = POS_INF if t < hi else _upsilon2(eng, t, t)
         out.append(JumpReport(t=t, is_jump=is_finite(u2), upsilon2=u2))
-    lost = sorted({end for *_, lo, hi in eng._intervals for end in (lo, hi)
-                   if 0 < end < 2}.difference(eng.candidates))
-    if lost:
-        raise AssertionError(f"certified interval ends at {lost[0]}, no "
-                             f"candidate parameter; candidate set incomplete")
+    for end in sorted({end for entry in eng._intervals
+                       for end in entry[2:] if 0 < end < 2}):
+        k = bisect_left(cands, end)
+        if cands[k:k + 1] != (end,):
+            raise AssertionError(f"certified interval ends at {end}, no "
+                                 f"candidate parameter; candidate set "
+                                 f"incomplete")
     return out
 
 

@@ -138,6 +138,11 @@ def test_jumps_under_optimize():
     runs = _plain_and_optimized("jumps", "--", "T(5,6) # T(2,5) # -T(5,7)")
     assert "4/5\tyes\t-12/5" in runs[0].stdout
     assert runs[1].stdout == runs[0].stdout
+    # The table of the jumps-tensor benchmark workload, against its golden.
+    golden = (Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+              / "jumps-tensor.txt").read_bytes()
+    runs = _plain_and_optimized("jumps", "--", "T(7,8) # T(2,7) # -T(7,9)")
+    assert [run.stdout.encode() for run in runs] == [golden, golden]
 
 
 def test_one_t_upsilon2_under_optimize():

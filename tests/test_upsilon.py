@@ -333,6 +333,19 @@ class TestCandidateGuard:
             assert main(["jumps", expr]) == 3, (expr, text)
             assert capsys.readouterr().err.startswith("internal error: ")
 
+    def test_dropped_breakpoint_above_max_t(self, monkeypatch, capsys):
+        # Cut at max_t = 1, the scan of T(3,4) walks into [2/3, 4/3]; with
+        # 4/3 dropped, that interval ends at no candidate.
+        complete = upsilon._collinearity_parameters
+        monkeypatch.setattr(
+            upsilon, "_collinearity_parameters",
+            lambda levels: tuple(t for t in complete(levels) if t != F(4, 3)))
+        with pytest.raises(AssertionError,
+                           match="certified interval ends at 4/3, no "):
+            jump_values(torus_complex(3, 4), max_t=F(1))
+        assert main(["jumps", "T(3,4)", "--max-t", "1"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: ")
+
 
 class TestIntervalTable:
     @pytest.mark.parametrize("name,make,sweeps", [
@@ -850,23 +863,63 @@ class TestJumps:
         assert not by_t[F(1)].is_jump and by_t[F(1)].upsilon2 is POS_INF
         assert by_t[F(4, 3)].is_jump and by_t[F(4, 3)].upsilon2 == F(-4, 3)
 
-    def test_one_meet_per_candidate(self, monkeypatch):
-        # jump_values runs the meet once per candidate and hands it to the
-        # gamma2 scan; the reports agree with the public jump test and
-        # upsilon2 at every candidate, and Upsilon2 at the jumps 4/5 and 6/5
-        # is -4(p-2)/p.
-        c = _vanishing_family(5)
-        met = []
-        meet = _Engine.meet
+    @pytest.mark.parametrize("name,make", SMALL_COMPLEXES + [
+        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5)),
+        ("-(T(5,6)#T(2,5)#-T(5,7))", lambda: dual(_vanishing_family(5))),
+        ("T(7,8)#T(2,7)#-T(7,9)", lambda: _vanishing_family(7)),
+        ("-(T(7,8)#T(2,7)#-T(7,9))", lambda: dual(_vanishing_family(7))),
+        ("T(3,4)#twin", lambda: tensor(torus_complex(3, 4), _twin_unknot())),
+        ("-T(2,5)#twin",
+         lambda: tensor(dual(torus_complex(2, 5)), _twin_unknot()))])
+    def test_meets_only_at_interval_ends(self, monkeypatch, name, make):
+        # jump_values reads the candidates along the walk 0+, hi+, ... and
+        # runs the meet exactly at the walked interval ends among them; a
+        # candidate strictly inside an interval is no jump.  The reports
+        # agree with the public jump test and upsilon2 of a fresh engine,
+        # which meet at every candidate.
+        c = make()
+        met, walked = [], []
+        meet, walk = _Engine.meet, _Engine.walk
         monkeypatch.setattr(_Engine, "meet",
                             lambda self, t: met.append(t) or meet(self, t))
+        monkeypatch.setattr(_Engine, "walk", lambda self: (
+            walked.append(entry) or entry for entry in walk(self)))
         reports = jump_values(c)
-        assert met == list(candidate_parameters(c))
+        ends = {hi for *_, hi in walked}
+        cands = candidate_parameters(c)
+        assert met == [t for t in cands if t in ends], name
         monkeypatch.undo()
-        assert reports == [JumpReport(t, is_jump_value(c, t), upsilon2(c, t))
-                           for t in candidate_parameters(c)]
+        fresh = make()
+        assert reports == [JumpReport(t, is_jump_value(fresh, t),
+                                      upsilon2(fresh, t)) for t in cands], name
+
+    def test_p5_family_jumps(self):
+        # Upsilon2 at the jumps 4/5 and 6/5 of the p = 5 family is
+        # -4(p-2)/p.
+        reports = jump_values(_vanishing_family(5))
         assert [(r.t, r.upsilon2) for r in reports if r.is_jump] == [
             (F(4, 5), F(-12, 5)), (F(6, 5), F(-12, 5))]
+
+    @pytest.mark.parametrize("kind", [
+        "candidate", "interval end", "inside an interval",
+        "past the last candidate"])
+    def test_max_t_gives_a_prefix(self, kind):
+        # Cut at max_t, the scan of a fresh engine reports the full scan's
+        # rows up to max_t, wherever max_t falls on the walk.
+        c = _vanishing_family(5)
+        full = jump_values(c)
+        ts = [r.t for r in full]
+        ends = [hi for *_, hi in _engine(c)._intervals][:-1]
+        assert ends[1] in ts
+        after = ts.index(ends[1]) + 1
+        max_t = {"candidate": ts[after],
+                 "interval end": ends[1],
+                 "inside an interval": (ts[after] + ts[after + 1]) / 2,
+                 "past the last candidate": F(2)}[kind]
+        assert (max_t in ts) == (kind in ("candidate", "interval end"))
+        assert (max_t in ends) == (kind == "interval end")
+        assert jump_values(_vanishing_family(5), max_t=max_t) == [
+            r for r in full if r.t <= max_t]
 
     def test_noncandidates_never_jump(self):
         c = torus_complex(3, 4)
