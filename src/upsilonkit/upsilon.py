@@ -29,12 +29,13 @@ elements at or below L in that order: they are the essential cycles
 supported in M, since every grading-0 cycle is either essential or a
 boundary.  t is a jump when no essential cycle lies in the masks M- and
 M+ just below and above it at once, so only an interval end can be one.
-A query at t reads gamma(t) and the jump test off the certified intervals
-just below and above t once; one column sweep over their masks, the
-meet, hands its elimination and gamma(t) on to the secondary invariant,
-which measures how far the support line must retreat, along a second
-direction s, before the cycles coming from just below t and just above t
-become homologous:
+Every value at t depends only on the two certified intervals beside t,
+read once by _Engine.sides: gamma(t) and the pivots come from their
+contact levels, and t is no jump when one interval covers both sides.
+Else one column sweep over their masks, the meet, hands its elimination
+and gamma(t) on to the secondary invariant, which measures how far the
+support line must retreat, along a second direction s, before the cycles
+from just below t and just above t become homologous:
 
     gamma2_{t}(s) = min { r : some z+ and z- represent the same class in
                           H_0( C^t_{gamma(t)} + C^s_r ) }
@@ -54,7 +55,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .cfk import BifilteredComplex, validated_slices
 from .f2 import Basis, functional, reduce_pair
@@ -107,16 +108,6 @@ def _keys(levels: list[Level], t: Fraction, side: int = 0,
     u, v = t.numerator, t.denominator
     p, q = u * w + side, (2 * v - u) * w - side
     return [p * A + q * a for a, A in levels]
-
-
-def _top(t: Fraction, below: Interval, above: Interval) -> int:
-    """The side-0 key 2v*gamma(t), t = u/v, of the contact levels of the
-    certified intervals below and above t.  They must agree, since gamma
-    is continuous; a disagreement means a wrong certified interval."""
-    lo, hi = _keys([below[0], above[0]], t)
-    if lo != hi:
-        raise AssertionError(f"gamma not continuous at t={t}")
-    return lo
 
 
 def _collinearity_parameters(levels: list[Level]) -> tuple[Fraction, ...]:
@@ -194,17 +185,26 @@ class _Engine:
               bisect_right(table, entry[3], key=_HI)] = [entry]
         return entry
 
-    def one_sided(self, t: Fraction, side: int) -> tuple[int, int]:
-        """(witness, mask) just above (side +1) or just below (side -1) t:
-        the witness of the certified interval there, and the slice elements
-        at or below its contact level in the order there, a union of level
-        masks."""
-        level, witness, _, _ = self.interval(t, side)
-        keys = _keys(self.levels, t, side, self._w)
-        return witness, self._at_most(keys, keys[self._at[level]])
+    def sides(self, t: Fraction) -> tuple[Interval, Interval, int]:
+        """(below, above, top): the certified intervals just below and just
+        above t, one entry twice when it covers both sides or t is 0 or 2,
+        and the side-0 key top = 2v*gamma(t), t = u/v, of their contact
+        levels.  The keys must agree, since gamma is continuous; a
+        disagreement means a wrong certified interval."""
+        below = self.interval(t, -1 if t else 1)
+        above = self.interval(t, 1) if below[3] == t < 2 else below
+        lo, hi = _keys([below[0], above[0]], t)
+        if lo != hi:
+            raise AssertionError(f"gamma not continuous at t={t}")
+        return below, above, lo
 
-    def _at_most(self, keys: list[int], top: int) -> int:
-        """The slice elements at the levels whose key is at most top."""
+    def mask(self, t: Fraction, side: int, level: Level) -> int:
+        """The slice elements at or below level in the order at t (side 0),
+        just above t (side +1) or just below it (side -1): a union of level
+        masks.  At side 0 and a contact level beside t, it is the sublevel
+        set at gamma(t)."""
+        keys = _keys(self.levels, t, side, self._w)
+        top = keys[self._at[level]]
         return sum(m for m, k in zip(self._masks, keys) if k <= top)
 
     def _sweep(self, t: Fraction, side: int) -> tuple[Level, int, int, int]:
@@ -285,42 +285,22 @@ class _Engine:
                 f"certified interval [{lo}, {hi}] misses t={t}")
         return level, z, lo, hi
 
-    def walk(self) -> Iterator[Interval]:
-        """The certified intervals 0+, hi+, ... in order, up to the one
-        that ends at 2: each is the interval just above the end of the
-        last."""
-        entry = self.interval(Fraction(0), 1)
-        yield entry
-        while entry[3] < 2:
-            entry = self.interval(entry[3], 1)
-            yield entry
-
-    def gamma(self, t: Fraction) -> Fraction:
-        """gamma(t) from the intervals just below and just above t (the
-        one side inside [0,2] at 0 and 2)."""
-        return Fraction(_top(t, self.interval(t, -1 if t else 1),
-                             self.interval(t, 1 if t < 2 else -1)),
-                        2 * t.denominator)
-
     def meet(self, t: Fraction) -> Optional[tuple[int, Basis, int]]:
-        """The one jump test: None when t is no jump, an essential cycle
-        lying in both masks M- and M+ just below and above t (such as the
-        witness of an interval covering both sides, which answers from the
-        interval below alone).  Else (M-, basis, top), top the side-0 key
-        2v*gamma(t) of the intervals below and above t: after checking that
-        the witnesses and masks lie in the sublevel set at gamma(t), the
-        union of the masks of the levels at or below it at t, it eliminates
-        the columns (d0 e_i, e_i outside M-) for i in M+, tagged phi_i,
-        where a zero residue with an odd tag is an essential cycle in M-
-        and M+.  The d0 part sits above the slice-0 coordinates, so a
+        """The one jump test, from the intervals beside t: None when t is
+        no jump, an essential cycle lying in both masks M- and M+ just
+        below and above t (such as the witness of one interval covering
+        both sides, which answers with no mask).  Else (M-, basis, top),
+        top the side-0 key 2v*gamma(t) of sides(t): after checking that the
+        two witnesses and masks lie in the sublevel set at gamma(t), it
+        eliminates the columns (d0 e_i, e_i outside M-) for i in M+, tagged
+        phi_i, where a zero residue with an odd tag is an essential cycle
+        in M- and M+.  The d0 part sits above the slice-0 coordinates, so a
         further column with no d0 part is a plain slice-0 vector."""
-        below = self.interval(t, -1)
-        if below[3] > t:
+        below, above, top = self.sides(t)
+        if below is above:
             return None
-        top = _top(t, below, self.interval(t, 1))
-        (zlo, mlo), (zhi, mhi) = self.one_sided(t, -1), self.one_sided(t, 1)
-        at_most = self._at_most(_keys(self.levels, t), top)
-        if (mlo | mhi | zlo | zhi) & ~at_most:
+        mlo, mhi = self.mask(t, -1, below[0]), self.mask(t, 1, above[0])
+        if (mlo | mhi | below[1] | above[1]) & ~self.mask(t, 0, below[0]):
             raise AssertionError(
                 "a cycle from either side of t leaves the sublevel set at t")
         phi, reducer = self.phi, {}
@@ -363,7 +343,8 @@ def candidate_parameters(c: BifilteredComplex) -> tuple[Fraction, ...]:
 def gamma_at(c: BifilteredComplex, t) -> Fraction:
     """Minimal level s with an essential grading-0 cycle in the f_t sublevel
     subcomplex at level s."""
-    return _engine(c).gamma(_parameter(t, "t", closed=True))
+    eng, t = _engine(c), _parameter(t, "t", closed=True)
+    return Fraction(eng.sides(t)[2], 2 * t.denominator)
 
 
 def upsilon_pl(c: BifilteredComplex) -> PLFunction:
@@ -371,32 +352,34 @@ def upsilon_pl(c: BifilteredComplex) -> PLFunction:
 
     gamma is linear on each certified interval, so the walk 0+, hi+, ...
     that samples it at 0 and at the hi of every interval it meets gives
-    the exact canonical function.  Each sample takes gamma from the two
-    intervals of the walk that meet there (the first at 0, the last at 2),
-    and checks that their levels agree; -2*gamma(t) is -top/v for t = u/v.
+    the exact canonical function.  Each end t is sampled from sides(t) as
+    -2*gamma(t) = -top/v for t = u/v, and the walk steps on to the hi of
+    the interval above t, up to 2.
     """
-    walk = list(_engine(c).walk())
-    ts = [Fraction(0), *(hi for *_, hi in walk)]
-    return pl_from_samples(
-        [(t, Fraction(-_top(t, below, above), t.denominator))
-         for t, below, above in zip(ts, walk[:1] + walk, walk + walk[-1:])])
+    eng, t, samples = _engine(c), Fraction(0), []
+    while True:
+        _, above, top = eng.sides(t)
+        samples.append((t, Fraction(-top, t.denominator)))
+        if t == 2:
+            return pl_from_samples(samples)
+        t = above[3]
 
 
 def pivot_points(c: BifilteredComplex, t) -> PivotPair:
     """The unique bifiltration levels on the support line just below and just
     above t.
 
-    They are the contact levels of the certified intervals just below and
-    just above t (the same level twice when t is no candidate).  delta is
-    half the distance from t to the nearest candidate, 0 or 2 other than t,
-    so no candidate lies strictly between t and t +/- delta.
+    They are the contact levels of sides(t), the certified intervals just
+    below and just above t (one level twice when t is no candidate).  delta
+    is half the distance from t to the nearest candidate, 0 or 2 other than
+    t, so no candidate lies strictly between t and t +/- delta.
     """
     t = _parameter(t, "t", closed=False)
     eng = _engine(c)
     below = max((x for x in eng.candidates if x < t), default=Fraction(0))
     above = min((x for x in eng.candidates if x > t), default=Fraction(2))
-    return PivotPair(negative=eng.interval(t, -1)[0],
-                     positive=eng.interval(t, 1)[0],
+    lower, upper, _ = eng.sides(t)
+    return PivotPair(negative=lower[0], positive=upper[0],
                      delta=min(t - below, above - t) / 2)
 
 
@@ -414,7 +397,8 @@ def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
         raise ValueError(
             f"t_side={t_side} is a collinearity parameter; cycle spaces are "
             f"only defined off the candidate set")
-    witness, mask = eng.one_sided(t_side, 1)
+    level, witness, _, _ = eng.interval(t_side, 1)
+    mask = eng.mask(t_side, 1, level)
     # A boundary combination is supported inside when its projection onto
     # the outside coordinates vanishes.
     reducer: Basis = {}
@@ -521,22 +505,23 @@ def jump_values(c: BifilteredComplex,
     secondary invariant, computed at the jumps only (+infinity at the
     others); parameters outside the candidate set are never jumps.
 
-    The candidates are read along the walk 0+, hi+, ... of upsilon_pl.  No
-    jump lies inside a certified interval, so a candidate strictly inside
-    the current interval is reported as no jump with no lookup.  At an
-    interval end one meet decides the jump, and at a jump the gamma2 scan
-    goes on from its elimination, so t is a jump exactly when its value is
-    finite (see _gamma2_engine).  An end of a table interval in (0,2) that
-    is no candidate would be a lost jump: that raises."""
+    The candidates are read along the walk 0+, hi+, ... of upsilon_pl,
+    which steps to interval(hi, +1) only when a candidate lies past its end
+    hi.  No jump lies inside a certified interval, so a candidate strictly
+    inside the current interval is reported as no jump with no lookup.  At
+    an interval end one meet decides the jump, and at a jump the gamma2
+    scan goes on from its elimination, so t is a jump exactly when its
+    value is finite (see _gamma2_engine).  An end of a table interval in
+    (0,2) that is no candidate would be a lost jump: that raises."""
     eng = _engine(c)
     max_t = None if max_t is None else _frac(max_t)
     cands = eng.candidates
-    out, walk, hi = [], eng.walk(), Fraction(0)
+    out, hi = [], Fraction(0)
     for t in cands:
         if max_t is not None and t > max_t:
             break
         while hi < t:
-            hi = next(walk)[3]
+            hi = eng.interval(hi, 1)[3]
         u2 = POS_INF if t < hi else _upsilon2(eng, t, t)
         out.append(JumpReport(t=t, is_jump=is_finite(u2), upsilon2=u2))
     for end in sorted({end for entry in eng._intervals

@@ -38,17 +38,27 @@ def _reference_ends(c):
 
 
 @pytest.fixture
-def swept(monkeypatch):
+def calls(monkeypatch):
+    """calls(name) wraps the _Engine method name and returns the list of
+    the argument tuples of its calls, in order; with returns=True, the
+    list of (arguments, result) pairs."""
+    def record(name, returns=False):
+        seen, method = [], getattr(_Engine, name)
+
+        def recorded(self, *args):
+            result = method(self, *args)
+            seen.append((args, result) if returns else args)
+            return result
+
+        monkeypatch.setattr(_Engine, name, recorded)
+        return seen
+    return record
+
+
+@pytest.fixture
+def swept(calls):
     """The (t, side) of every engine sweep, in order."""
-    points = []
-    sweep = _Engine._sweep
-
-    def counted(self, t, side):
-        points.append((t, side))
-        return sweep(self, t, side)
-
-    monkeypatch.setattr(_Engine, "_sweep", counted)
-    return points
+    return calls("_sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +384,19 @@ class TestIntervalTable:
         assert swept == [(F(4, 7), -1), (F(4, 7), 1)]
         assert "candidates" not in vars(_engine(c))
 
+    def test_point_query_reads_each_side_once(self, calls):
+        # A query at the jump 2/3 of T(3,4) looks up the interval just
+        # below t and the one just above it once each, for the jump test,
+        # gamma(t) and both masks; at 1, inside one interval, the interval
+        # below covers both sides.
+        looked, swept = calls("interval"), calls("_sweep")
+        assert upsilon2(torus_complex(3, 4), F(2, 3)) == F(-4, 3)
+        assert looked == [(F(2, 3), -1), (F(2, 3), 1)]
+        assert len(swept) == 2
+        looked.clear()
+        assert upsilon2(torus_complex(3, 4), F(1)) is POS_INF
+        assert looked == [(F(1), -1)]
+
     def test_bounds_are_fractions(self):
         # _certify keeps its bounds as integer pairs and returns Fractions.
         for c in (torus_complex(3, 4), dual(torus_complex(2, 5)),
@@ -384,7 +407,7 @@ class TestIntervalTable:
                     for end in (lo, hi)]
             assert ends and all(type(end) is F for end in ends)
 
-    def test_inside_one_interval_builds_no_mask(self, monkeypatch):
+    def test_inside_one_interval_builds_no_mask(self, calls):
         # A candidate inside one certified interval is no jump: the meet
         # answers before it builds a mask, so gamma2 is -infinity.
         c = _vanishing_family(7)
@@ -393,10 +416,7 @@ class TestIntervalTable:
                 for end in (lo, hi)}
         inside = [t for t in candidate_parameters(c) if t not in ends][:10]
         assert len(inside) == 10
-        built = []
-        one_sided = _Engine.one_sided
-        monkeypatch.setattr(_Engine, "one_sided", lambda self, *args:
-                            built.append(args) or one_sided(self, *args))
+        built = calls("mask")
         assert [upsilon2(c, t) for t in inside] == [POS_INF] * 10
         assert built == []
 
@@ -416,7 +436,7 @@ class TestIntervalTable:
             m = (a + b) / 2
             got, witness, lo, hi = eng.interval(m, 1)
             assert got == level, (name, m)
-            assert eng.one_sided(m, 1) == (witness, mask), (name, m)
+            assert eng.mask(m, 1, got) == mask, (name, m)
             assert not witness & ~mask, (name, m)
             assert lo <= a < b <= hi, (name, m)
         assert all(is_essential(c, z) for _, z, _, _ in eng._intervals), name
@@ -560,7 +580,8 @@ class TestCycleSpace:
         for m, expected in zip(mids, cycle_spaces(c, mids)):
             space = cycle_space(c, m)
             assert space == expected, (name, m)
-            witness, mask = eng.one_sided(m, 1)
+            level, witness, _, _ = eng.interval(m, 1)
+            mask = eng.mask(m, 1, level)
             assert space[0] == witness, (name, m)
             assert dirs_of_mask.setdefault(mask, space[1]) == space[1], (
                 name, m)
@@ -628,9 +649,10 @@ class TestCertificates:
 
     @pytest.fixture
     def corrupt_sides(self, monkeypatch):
-        """Make both sides of t = 2/3 of T(3,4) report a witness or mask
-        grown by one slice element outside the sublevel set at
-        gamma(2/3)."""
+        """Make both sides of t = 2/3 of T(3,4) report a witness (through
+        sides) or a mask just below and above t (through mask at sides
+        -1 and +1, not the sublevel mask at side 0) grown by one slice
+        element outside the sublevel set at gamma(2/3)."""
         def corrupt(field):
             t = F(2, 3)
             c = torus_complex(3, 4)
@@ -639,15 +661,25 @@ class TestCertificates:
                        if _f(t, (e.alg, e.alex)) > g]
             assert outside
             extra = 1 << outside[0]
-            one_sided = _Engine.one_sided
+            sides, mask = _Engine.sides, _Engine.mask
 
-            def patched(self, t, side):
-                witness, mask = one_sided(self, t, side)
-                if field == "witness":
-                    return witness | extra, mask
-                return witness, mask | extra
+            def grown(entry):
+                level, witness, lo, hi = entry
+                return level, witness | extra, lo, hi
 
-            monkeypatch.setattr(_Engine, "one_sided", patched)
+            def patched_sides(self, t):
+                below, above, top = sides(self, t)
+                if below is above:
+                    return below, above, top
+                return grown(below), grown(above), top
+
+            def patched_mask(self, t, side, level):
+                return mask(self, t, side, level) | (extra if side else 0)
+
+            if field == "witness":
+                monkeypatch.setattr(_Engine, "sides", patched_sides)
+            else:
+                monkeypatch.setattr(_Engine, "mask", patched_mask)
             return c, t
         return corrupt
 
@@ -782,8 +814,11 @@ class TestIntervalCertificate:
 class TestOtherConsistencyChecks:
     """The checks the certificates make redundant still raise (exit 3)."""
 
-    def test_table_entry_off_gamma(self, monkeypatch, capsys):
-        # An entry whose level is not gamma's breaks continuity at its end.
+    @pytest.mark.parametrize("reader", [
+        "upsilon", "gamma_at", "upsilon2", "pivot_points"])
+    def test_table_entry_off_gamma(self, monkeypatch, capsys, reader):
+        # An entry whose level is not gamma's breaks continuity at its end,
+        # and every reader of the intervals beside t checks it.
         certify = _Engine._certify
 
         def patched(self, t, side):
@@ -791,7 +826,12 @@ class TestOtherConsistencyChecks:
             return ((1, 2) if level == (1, 1) else level), z, lo, hi
 
         monkeypatch.setattr(_Engine, "_certify", patched)
-        _refused(capsys, "T(3,4)", "gamma not continuous at t=2/3")
+        match = "gamma not continuous at t=2/3"
+        if reader == "upsilon":
+            _refused(capsys, "T(3,4)", match)
+        else:
+            with pytest.raises(AssertionError, match=match):
+                getattr(upsilon, reader)(torus_complex(3, 4), F(2, 3))
 
 
 class TestSecondary:
@@ -871,21 +911,19 @@ class TestJumps:
         ("T(3,4)#twin", lambda: tensor(torus_complex(3, 4), _twin_unknot())),
         ("-T(2,5)#twin",
          lambda: tensor(dual(torus_complex(2, 5)), _twin_unknot()))])
-    def test_meets_only_at_interval_ends(self, monkeypatch, name, make):
+    def test_meets_only_at_interval_ends(self, monkeypatch, calls, name,
+                                         make):
         # jump_values reads the candidates along the walk 0+, hi+, ... and
         # runs the meet exactly at the walked interval ends among them; a
-        # candidate strictly inside an interval is no jump.  The reports
-        # agree with the public jump test and upsilon2 of a fresh engine,
-        # which meet at every candidate.
+        # candidate strictly inside an interval is no jump.  The walked
+        # ends are the ends of the intervals its interval(., +1) calls
+        # return.  The reports agree with the public jump test and
+        # upsilon2 of a fresh engine, which meet at every candidate.
         c = make()
-        met, walked = [], []
-        meet, walk = _Engine.meet, _Engine.walk
-        monkeypatch.setattr(_Engine, "meet",
-                            lambda self, t: met.append(t) or meet(self, t))
-        monkeypatch.setattr(_Engine, "walk", lambda self: (
-            walked.append(entry) or entry for entry in walk(self)))
+        met_args, looked = calls("meet"), calls("interval", returns=True)
         reports = jump_values(c)
-        ends = {hi for *_, hi in walked}
+        met = [t for t, in met_args]
+        ends = {hi for (_, side), (*_, hi) in looked if side > 0}
         cands = candidate_parameters(c)
         assert met == [t for t in cands if t in ends], name
         monkeypatch.undo()
