@@ -36,6 +36,12 @@ class BifilteredComplex:
     differential maps (source, target) generator index pairs to the set of
     U-exponents with coefficient 1.  In every complex this artifact builds
     the exponent is 0, but the data model allows arbitrary exponents.
+
+    The differential keeps the caller's key tuples, once each is checked to
+    be a pair of ints (not bools) in range: a repacked (i, j) would be a
+    second tuple per entry for as long as the caller's mapping lives.  Index
+    ints above 256 are separate objects in CPython, so `tensor` shares one
+    per generator among its keys.
     """
 
     def __init__(self, generators: Sequence[Generator],
@@ -43,12 +49,16 @@ class BifilteredComplex:
         self.generators: tuple[Generator, ...] = tuple(generators)
         n = len(self.generators)
         diff: dict[Entry, frozenset[int]] = {}
-        for (i, j), exps in differential.items():
+        for key, exps in differential.items():
+            i, j = key
+            if (type(key), type(i), type(j)) != (tuple, int, int):
+                raise ValueError(f"differential entry {key!r} is not a pair "
+                                 f"of int indices")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"differential entry ({i},{j}) out of range")
             exps = frozenset(exps)
             if exps:
-                diff[(i, j)] = exps
+                diff[key] = exps
         self.differential: dict[Entry, frozenset[int]] = diff
 
     def __len__(self) -> int:
@@ -83,11 +93,13 @@ def tensor(a: BifilteredComplex, b: BifilteredComplex) -> BifilteredComplex:
 
     x@y has index i * len(b) + k for x, y at indices i, k.  Every induced
     entry holds its factor entry's exponent frozenset itself, so the product
-    builds no set per entry.  An entry of a and an entry of b land on the
-    same key only when both are loops (i, i), and the key then holds their
-    sum over F2, the symmetric difference of their exponents; an empty sum
-    is no entry.  A loop never drops the grading by 1, so only invalid
-    factors collide.
+    builds no set per entry, and the keys read their indices from one list,
+    so they share one int object per generator: CPython caches only the
+    ints up to 256, and an index computed per key would be a new object in
+    every key.  An entry of a and an entry of b land on the same key only
+    when both are loops (i, i), and the key then holds their sum over F2,
+    the symmetric difference of their exponents; an empty sum is no entry.
+    A loop never drops the grading by 1, so only invalid factors collide.
     """
     nb = len(b)
     gens = [
@@ -95,11 +107,13 @@ def tensor(a: BifilteredComplex, b: BifilteredComplex) -> BifilteredComplex:
                   ga.alg + gb.alg, ga.alex + gb.alex)
         for ga in a.generators for gb in b.generators
     ]
-    diff = {(i * nb + k, j * nb + k): exps
-            for (i, j), exps in a.differential.items() for k in range(nb)}
+    idx = list(range(len(gens)))
+    # The product indices of x@y with x at i: idx[i * nb:(i + 1) * nb];
+    # with y at k: idx[k::nb].
+    diff = {key: exps for (i, j), exps in a.differential.items()
+            for key in zip(idx[i * nb:(i + 1) * nb], idx[j * nb:(j + 1) * nb])}
     for (i, j), exps in b.differential.items():
-        for k in range(0, len(a) * nb, nb):
-            key = (k + i, k + j)
+        for key in zip(idx[i::nb], idx[j::nb]):
             diff[key] = diff[key] ^ exps if key in diff else exps
     return BifilteredComplex(gens, diff)
 
