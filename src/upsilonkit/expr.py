@@ -1,15 +1,16 @@
 """Knot expressions: torus knots, mirrors, connected sums and multiples.
 
-Grammar (whitespace insensitive):
+Grammar (any Unicode whitespace is ignored):
 
     EXPR := TERM ('#' TERM)*
-    TERM := ['-'] [INT '*'] ATOM
-    ATOM := 'T(' INT ',' INT ')' | 'U'
+    TERM := ['-'] [INT '*'] ('T(' INT ',' INT ')' | 'U')
 
 'U' is the unknot, '-' mirrors, 'n*K' is the n-fold connected sum and '#'
 the connected sum.  The grammar has no nesting, so an expression is the
-flat tuple of its terms.  Realization turns it into its bifiltered complex:
-torus knots become staircases, mirrors dualize, sums tensor.
+flat tuple of its terms, parsed by one pattern match per term, each
+followed by '#' or the end of the input.  Realization turns it into its
+bifiltered complex: torus knots become staircases, mirrors dualize, sums
+tensor.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .staircase import build_staircase, torus_generators
 
 
 class ExprSyntaxError(ValueError):
+    """Malformed expression.  position is that of the first non-whitespace
+    character of a term that does not match, of a character other than '#'
+    after a complete term, or of an integer literal too long for int()."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"syntax error at position {position}: {message}")
         self.position = position
@@ -86,96 +91,47 @@ def make_torus(p: int, q: int) -> Torus:
     return Torus(p, q)
 
 
-_TOKEN = re.compile(r"[ \t\r\n]*(?:(\d+)|([TU#*(),-])|(\S))")
+# One term with the whitespace around it.  A '-' takes its own \s*, so the
+# leading run of whitespace is matched one way only and a failed match
+# backtracks in linear time.
+_TERM = re.compile(r"\s*(?:(-)\s*)?(?:(\d+)\s*\*\s*)?"
+                   r"(?:(U)|T\s*\(\s*(\d+)\s*,\s*(\d+)\s*\))\s*")
+# A term that does not match, from its first non-space character to the
+# next '#' after it; empty at the end of the input.
+_REST =re.compile(r"\s*((?:.[^#]*)?)", re.S)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            break
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append((m.group(2), m.group(2), m.start(2)))
-        elif m.group(3) is not None:
-            raise ExprSyntaxError(f"unexpected character {m.group(3)!r}",
-                                  m.start(3))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok[1]!r}" if tok[0] != "end"
-                else f"expected {kind!r}, found end of input", tok[2])
-        self.i += 1
-        return tok
-
-    def number(self) -> int:
-        _, digits, pos = self.take("int")
-        try:
-            return int(digits)
-        except ValueError:  # beyond sys.get_int_max_str_digits()
-            raise ExprSyntaxError(f"integer literal of {len(digits)} digits "
-                                  "is too long", pos) from None
-
-    def parse(self) -> KnotExpr:
-        terms = [self.term()]
-        while self.peek()[0] == "#":
-            self.take("#")
-            terms.append(self.term())
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2])
-        return tuple(terms)
-
-    def term(self) -> Term:
-        mirror = self.peek()[0] == "-"
-        if mirror:
-            self.take("-")
-        n = 1
-        if self.peek()[0] == "int":
-            n = self.number()
-            self.take("*")
-        atom = self.atom()
-        return Term(atom, n, mirror) if n else Term(Unknot())
-
-    def atom(self) -> Union[Unknot, Torus]:
-        tok = self.peek()
-        if tok[0] == "U":
-            self.take("U")
-            return Unknot()
-        if tok[0] == "T":
-            self.take("T")
-            self.take("(")
-            p = self.number()
-            self.take(",")
-            q = self.number()
-            self.take(")")
-            return make_torus(p, q)
-        raise ExprSyntaxError(
-            f"expected 'T(p,q)' or 'U', found {tok[1]!r}" if tok[0] != "end"
-            else "expected 'T(p,q)' or 'U', found end of input", tok[2])
+def _int(m: re.Match, group: int) -> int:
+    try:
+        return int(m.group(group))
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        raise ExprSyntaxError(f"integer literal of {len(m.group(group))} "
+                              "digits is too long", m.start(group)) from None
 
 
 def parse_expr(text: str) -> KnotExpr:
     """Parse a knot expression; raises ExprSyntaxError with a position on
     malformed input and ValueError on invalid torus parameters."""
-    return _Parser(text).parse()
+    terms = []
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        if m is None:
+            rest = _REST.match(text, pos)
+            found = rest.group(1).rstrip()
+            raise ExprSyntaxError(
+                "expected a term [-][n*]T(p,q) or [-][n*]U, found "
+                + (repr(found) if found else "end of input"), rest.start(1))
+        n = _int(m, 2) if m.group(2) else 1
+        atom = Unknot() if m.group(3) else make_torus(_int(m, 4), _int(m, 5))
+        terms.append(Term(atom, n, bool(m.group(1))) if n else Term(Unknot()))
+        pos = m.end()
+        if pos == len(text):
+            return tuple(terms)
+        if text[pos] != "#":
+            raise ExprSyntaxError("expected '#' or end of input, found "
+                                  f"{text[pos]!r}", pos)
+        pos += 1
 
 
 def expr_to_str(e: KnotExpr) -> str:

@@ -89,23 +89,11 @@ class SemigroupRuns(NamedTuple):
     tail_start: int
 
 
-def _check_params(p: int, q: int) -> None:
-    if p >= q:
-        raise ValueError(f"torus parameters must satisfy p < q, got ({p},{q})")
-    if gcd(p, q) != 1:
-        raise ValueError(f"torus parameters must be coprime, got ({p},{q})")
-
-
-def _is_unknot(p: int, q: int) -> bool:
-    """T(1,n) and T(n,1) are the unknot; non-positive parameters raise."""
-    if p < 1 or q < 1:
-        raise ValueError(f"torus parameters must be positive, got ({p},{q})")
-    return p == 1 or q == 1
-
-
 def _corner(p: int, q: int) -> tuple[int, int]:
     """The (r, s) with c = (p-1)(q-1) = rp + sq, r, s >= 0, for a torus knot
-    T(p,q); (0, 0) for the unknot.  Other parameters raise.
+    T(p,q); (0, 0) for the unknot T(1,n) or T(n,1).  This is the one gate
+    for torus parameters: non-positive ones raise, and so do the others
+    unless p < q are coprime.
 
     Every integer is ip + jq for one pair with 0 <= j < p, and it lies in S
     exactly when i >= 0.  s < p since sq <= c < pq, so s is c/q mod p and
@@ -124,8 +112,12 @@ def _corner(p: int, q: int) -> tuple[int, int]:
     Lam and Leung, "On the cyclotomic polynomial Phi_pq(X)", Amer. Math.
     Monthly 103 (1996).
     """
-    if not _is_unknot(p, q):
-        _check_params(p, q)
+    if p < 1 or q < 1:
+        raise ValueError(f"torus parameters must be positive, got ({p},{q})")
+    if p >= q > 1:  # T(n,1) is the unknot
+        raise ValueError(f"torus parameters must satisfy p < q, got ({p},{q})")
+    if gcd(p, q) != 1:
+        raise ValueError(f"torus parameters must be coprime, got ({p},{q})")
     c = (p - 1) * (q - 1)
     s = c * pow(q, -1, p) % p
     return (c - s * q) // p, s
@@ -183,9 +175,8 @@ def alexander_oracle(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of T(p,q) as the classical rational-function
     quotient (1-t^{pq})(1-t) / ((1-t^p)(1-t^q)), computed by exact division
     of coefficient lists."""
-    if _is_unknot(p, q):
+    if _corner(p, q) == (0, 0):  # (p-1)(q-1) = 0: the unknot
         return LaurentPoly.one()
-    _check_params(p, q)
     num = [0] * (p * q + 2)
     num[0], num[1], num[p * q], num[p * q + 1] = 1, -1, -1, 1
     quot = _divide_one_minus(_divide_one_minus(num, p), q)

@@ -1,8 +1,11 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 
@@ -87,6 +90,35 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse_expr("")
 
+    def test_term_error_points_at_term(self):
+        with pytest.raises(ExprSyntaxError, match="'T\\(3,x\\)'") as info:
+            parse_expr("T(2,3) # T(3,x)")
+        assert info.value.position == 9
+        with pytest.raises(ExprSyntaxError, match="end of input") as info:
+            parse_expr("T(2,3) #  ")
+        assert info.value.position == 10
+
+    def test_unicode_whitespace_ignored(self):
+        # A no-break space, common in text copied from a PDF, is whitespace.
+        assert parse_expr("T(5,6) # T(2,5)\xa0# -T(5,7)") == \
+            parse_expr("T(5,6) # T(2,5) # -T(5,7)")
+        assert parse_expr("\v\f-\u20032*T(2,3)\xa0") == \
+            (Term(Torus(2, 3), 2, True),)
+
+    def test_whitespace_does_not_end_input(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("T(2,3)\vT(9,9)")
+        assert info.value.position == 7
+
+    def test_long_whitespace_run_fails_fast(self):
+        # A failed match backtracks over a run of whitespace in linear time.
+        for text in (" " * 50000 + "x", "-" + " " * 50000 + "2" + " " * 50000):
+            start = time.perf_counter()
+            with pytest.raises(ExprSyntaxError) as info:
+                parse_expr(text)
+            assert time.perf_counter() - start < 1.0
+            assert info.value.position == len(text) - len(text.lstrip())
+
     def test_literal_too_long_for_int(self):
         # int() refuses strings beyond sys.get_int_max_str_digits() digits.
         with pytest.raises(ExprSyntaxError) as info:
@@ -110,12 +142,20 @@ def _random_expr(rng: random.Random):
                                        else 1))
 
 
+def _spaced(text: str, rng: random.Random) -> str:
+    """text with a random run of whitespace around each token."""
+    runs = ["", " ", "\t", "\v", "\f", "\xa0", " \xa0\t"]
+    return "".join(rng.choice(runs) + token
+                   for token in re.findall(r"\d+|\S", text)) + rng.choice(runs)
+
+
 class TestRoundTrip:
     def test_parse_print_identity(self):
         rng = random.Random(71)
         for _ in range(60):
             e = _random_expr(rng)
-            assert parse_expr(expr_to_str(e)) == e
+            for text in (expr_to_str(e), _spaced(expr_to_str(e), rng)):
+                assert parse_expr(text) == e, repr(text)
 
     def test_print_examples(self):
         assert expr_to_str(parse_expr("T(5,6)#T(2,5)#-T(5,7)")) == \
@@ -332,6 +372,36 @@ class TestCLI:
     def test_parse_error_exit_code(self, capsys):
         assert main(["upsilon", "T(3,4"]) == 2
         assert "syntax error" in capsys.readouterr().err
+
+    def test_no_break_space_expression(self, capsys):
+        # The paper's K_5 with a no-break space has vanishing upsilon.
+        assert main(["upsilon", "--", "T(5,6) # T(2,5)\xa0# -T(5,7)"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0\t0", "2\t0"]
+
+    def test_vertical_tab_is_not_end_of_input(self, capsys):
+        assert main(["upsilon", "T(2,3)\vT(9,9)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "syntax error at position 7" in captured.err
+
+    def test_readme_command_lines(self, capsys):
+        # Every example of README's "Command line" block runs; a comment
+        # "-> value (...)", or one that is a polynomial, is its first line.
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        lines = block.split("```", 1)[0].splitlines()
+        assert len(lines) == 10
+        for line in lines:
+            command, comment = re.fullmatch(r"(.*?) {2,}# (.*)", line).groups()
+            argv = shlex.split(command)
+            assert argv[0] == "upsilonkit", line
+            assert main(argv[1:]) == 0, line
+            first = capsys.readouterr().out.splitlines()[0]
+            if comment.startswith("-> "):
+                assert first == comment[3:].split(" (")[0], line
+            elif re.fullmatch(r"[\dt^+\- ]+", comment):
+                assert first == comment, line
 
     def test_non_coprime_exit_code(self, capsys):
         assert main(["upsilon", "T(6,9)"]) == 2

@@ -91,13 +91,15 @@ class TestSemigroup:
         assert len(rs.runs) == 9999 and rs.tail_start == 99990000
         assert peak < 8 * 2**20
 
-    def test_bad_parameters(self):
-        with pytest.raises(ValueError):
-            semigroup_runs(4, 6)
-        with pytest.raises(ValueError):
-            semigroup_runs(4, 3)
-        with pytest.raises(ValueError):
-            semigroup_runs(0, 3)
+    @pytest.mark.parametrize("build", [semigroup_runs, build_staircase,
+                                       alexander_torus, alexander_oracle])
+    def test_bad_parameters(self, build):
+        with pytest.raises(ValueError, match="coprime"):
+            build(4, 6)
+        with pytest.raises(ValueError, match="p < q"):
+            build(4, 3)
+        with pytest.raises(ValueError, match="positive"):
+            build(0, 3)
 
 
 class TestAlexander:
