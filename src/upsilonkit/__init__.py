@@ -15,10 +15,8 @@ from .plfun import (
     pl_from_samples,
     pl_lower_envelope,
     pl_neg,
-    pl_to_json,
 )
 from .staircase import (
-    LaurentPoly,
     SemigroupRuns,
     Staircase,
     alexander_oracle,

@@ -5,7 +5,8 @@ Expressions use the grammar of upsilonkit.expr, e.g. "T(3,4)",
 written a/b or a.  Exit codes: 0 success, 1 verification mismatch,
 2 parse or validation errors, 3 internal error (a failed consistency check
 of the engine), 4 the output could not be written (a full disk, a closed
-pipe).
+pipe).  Every output format is written here, except the complex dump,
+which cfk writes beside its reader.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from fractions import Fraction
 
 from .expr import (DEFAULT_GENERATOR_LIMIT, ComplexTooLargeError, Unknot,
                    expected_generators, expr_to_str, parse_expr, realize)
-from .plfun import (_frac, ext_to_json, format_ext, pl_to_json,
-                    rational_to_json)
-from .staircase import LaurentPoly, alexander_torus
+from .plfun import Infinity, _frac, format_ext
+from .staircase import alexander_torus
 from .upsilon import jump_values, upsilon2, upsilon_pl
 from .cfk import complex_to_json
 from . import verify
@@ -59,6 +59,14 @@ class _Parser(argparse.ArgumentParser):
     def exit(self, status=0, message=None):
         sys.stdout.flush()
         super().exit(status, message)
+
+
+def _rational_json(x: Fraction) -> dict:
+    return {"num": x.numerator, "den": x.denominator}
+
+
+def _ext_json(x) -> dict:
+    return {"inf": x.sign} if isinstance(x, Infinity) else _rational_json(x)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,19 +136,24 @@ def _cmd_alexander(args) -> int:
             f"{expr_to_str(e)} has {terms} Alexander terms, "
             f"above the limit of {DEFAULT_GENERATOR_LIMIT}")
     atom = e[0].atom
-    poly = (LaurentPoly.one() if isinstance(atom, Unknot)
+    poly = (((0, 1),) if isinstance(atom, Unknot)
             else alexander_torus(atom.p, atom.q))
     if args.json:
-        print(json.dumps(poly.to_json()))
-    else:
-        print(poly)
+        print(json.dumps({"terms": [{"exp": e, "coef": c}
+                                    for e, c in poly]}))
+    else:  # 1 - t + t^3 ...: the first term is 1, every coefficient +-1
+        print("1" + "".join(f" {'+' if c > 0 else '-'} "
+                            f"{'t' if e == 1 else f't^{e}'}"
+                            for e, c in poly[1:]))
     return 0
 
 
 def _cmd_upsilon(args) -> int:
     f = upsilon_pl(_realize(args))
     if args.json:
-        print(json.dumps(pl_to_json(f)))
+        print(json.dumps({"breakpoints": [
+            {"t": _rational_json(t), "v": _rational_json(v)}
+            for t, v in f.breakpoints]}))
     else:
         sys.stdout.write("".join(f"{t}\t{v}\n" for t, v in f.breakpoints))
     return 0
@@ -149,7 +162,7 @@ def _cmd_upsilon(args) -> int:
 def _cmd_upsilon2(args) -> int:
     value = upsilon2(_realize(args), args.t, args.s)
     if args.json:
-        print(json.dumps(ext_to_json(value)))
+        print(json.dumps(_ext_json(value)))
     else:
         print(format_ext(value))
     return 0
@@ -158,8 +171,8 @@ def _cmd_upsilon2(args) -> int:
 def _cmd_jumps(args) -> int:
     reports = jump_values(_realize(args), max_t=args.max_t)
     if args.json:
-        print(json.dumps([{"t": rational_to_json(t), "is_jump": is_jump,
-                           "upsilon2": ext_to_json(value)}
+        print(json.dumps([{"t": _rational_json(t), "is_jump": is_jump,
+                           "upsilon2": _ext_json(value)}
                           for t, is_jump, value in reports]))
     else:
         sys.stdout.write("t\tjump\tupsilon2\n" + "".join(

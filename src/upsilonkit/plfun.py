@@ -86,16 +86,6 @@ def format_ext(x: ExtRational) -> str:
     return str(x)
 
 
-def rational_to_json(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def ext_to_json(x: ExtRational) -> dict:
-    if isinstance(x, Infinity):
-        return {"inf": x.sign}
-    return rational_to_json(x)
-
-
 T_MIN = Fraction(0)
 T_MAX = Fraction(2)
 
@@ -273,11 +263,3 @@ def pl_lower_envelope(lines: Sequence[tuple[Fraction, Fraction]]) -> PLFunction:
     samples.append((T_MAX, Fraction(2 * m + b, scale)))
     return PLFunction(tuple(samples))
 
-
-def pl_to_json(f: PLFunction) -> dict:
-    return {
-        "breakpoints": [
-            {"t": rational_to_json(t), "v": rational_to_json(v)}
-            for t, v in f.breakpoints
-        ]
-    }

@@ -31,51 +31,11 @@ identities over torus-knot families terminate uniformly.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
 from .plfun import PLFunction, pl_lower_envelope, pl_neg
-
-
-class LaurentPoly:
-    """Integer Laurent polynomial, stored sparsely as exponent -> coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, int] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self) -> list[tuple[int, int]]:
-        return sorted(self.terms.items())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
-            if e != 0 and abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}" if e == 0 else f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
-
-    def to_json(self) -> dict:
-        return {"terms": [{"exp": e, "coef": c} for e, c in self.sorted_terms()]}
 
 
 class SemigroupRuns(NamedTuple):
@@ -142,19 +102,19 @@ def semigroup_runs(p: int, q: int) -> SemigroupRuns:
     return SemigroupRuns(tuple(zip(starts, ends)), starts[-1])
 
 
-def alexander_torus(p: int, q: int) -> LaurentPoly:
-    """Alexander polynomial of T(p,q) from the semigroup runs.
+def alexander_torus(p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Alexander polynomial of T(p,q) from the semigroup runs, as the sorted
+    (exponent, coefficient) pairs of its nonzero terms.
 
     Each run contributes t^{s_i} - t^{e_i + 1} (ends inclusive) and the tail
-    contributes its leading term t^{(p-1)(q-1)}.
+    contributes its leading term t^{(p-1)(q-1)}.  These are already the
+    terms in increasing order, with no two sharing an exponent: a gap
+    follows every run, so s_i <= e_i < e_i + 1 < s_{i+1}, the tail's start
+    counted as s_{n+1}.
     """
     rs = semigroup_runs(p, q)
-    terms: dict[int, int] = {}
-    for s, e in rs.runs:
-        terms[s] = terms.get(s, 0) + 1
-        terms[e + 1] = terms.get(e + 1, 0) - 1
-    terms[rs.tail_start] = terms.get(rs.tail_start, 0) + 1
-    return LaurentPoly(terms)
+    return tuple(term for s, e in rs.runs
+                 for term in ((s, 1), (e + 1, -1))) + ((rs.tail_start, 1),)
 
 
 def _divide_one_minus(coeffs: list[int], n: int) -> list[int]:
@@ -171,21 +131,24 @@ def _divide_one_minus(coeffs: list[int], n: int) -> list[int]:
     return sums[:-n]
 
 
-def alexander_oracle(p: int, q: int) -> LaurentPoly:
+def alexander_oracle(p: int, q: int) -> tuple[tuple[int, int], ...]:
     """Alexander polynomial of T(p,q) as the classical rational-function
     quotient (1-t^{pq})(1-t) / ((1-t^p)(1-t^q)), computed by exact division
-    of coefficient lists."""
+    of coefficient lists, in the same form as alexander_torus."""
     if _corner(p, q) == (0, 0):  # (p-1)(q-1) = 0: the unknot
-        return LaurentPoly.one()
+        return ((0, 1),)
     num = [0] * (p * q + 2)
     num[0], num[1], num[p * q], num[p * q + 1] = 1, -1, -1, 1
     quot = _divide_one_minus(_divide_one_minus(num, p), q)
-    return LaurentPoly(dict(enumerate(quot)))
+    return tuple((e, c) for e, c in enumerate(quot) if c)
 
 
 def staircase_steps(p: int, q: int) -> list[int]:
-    """Alternating horizontal/vertical step lengths of the staircase."""
-    return list(build_staircase(p, q).steps)
+    """Alternating horizontal/vertical step lengths of the staircase, read
+    off consecutive whites: right a1 - a0, then down x0 - x1."""
+    whites = build_staircase(p, q).whites
+    return [step for (a0, x0), (a1, x1) in zip(whites, whites[1:])
+            for step in (a1 - a0, x0 - x1)]
 
 
 class Staircase(NamedTuple):
@@ -198,7 +161,6 @@ class Staircase(NamedTuple):
     (0, genus).
     """
 
-    steps: tuple[int, ...]
     whites: tuple[tuple[int, int], ...]
     blacks: tuple[tuple[int, int], ...]
     genus: int
@@ -209,18 +171,14 @@ def build_staircase(p: int, q: int) -> Staircase:
     rs = semigroup_runs(p, q)
     genus = (p - 1) * (q - 1) // 2
     starts = [s for s, _ in rs.runs] + [rs.tail_start]
-    alpha = [0]
-    steps: list[int] = []
-    for i, (s, e) in enumerate(rs.runs):
-        alpha.append(alpha[-1] + (e - s + 1))
-        steps += (e - s + 1, starts[i + 1] - e - 1)
+    alpha = list(accumulate((e - s + 1 for s, e in rs.runs), initial=0))
     whites = tuple(
         (alpha[i], alpha[i] - starts[i] + genus) for i in range(len(starts))
     )
     blacks = tuple(
         (alpha[i + 1], alpha[i] - starts[i] + genus) for i in range(len(rs.runs))
     )
-    return Staircase(tuple(steps), whites, blacks, genus)
+    return Staircase(whites, blacks, genus)
 
 
 def upsilon_staircase(p: int, q: int) -> PLFunction:

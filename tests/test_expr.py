@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from math import gcd
 from pathlib import Path
 
@@ -26,7 +27,9 @@ from upsilonkit.expr import (
     parse_expr,
     realize,
 )
-from upsilonkit.staircase import SemigroupRuns, semigroup_runs
+from upsilonkit.plfun import NEG_INF, POS_INF, pl_equal, pl_from_samples
+from upsilonkit.staircase import (SemigroupRuns, alexander_torus,
+                                  semigroup_runs, upsilon_staircase)
 
 
 class TestParse:
@@ -274,7 +277,47 @@ class TestRealize:
             assert validate(realize(parse_expr(text))) == [], text
 
 
+_T34_TERMS = ('{"terms": [{"exp": 0, "coef": 1}, {"exp": 1, "coef": -1}, '
+              '{"exp": 3, "coef": 1}, {"exp": 5, "coef": -1}, '
+              '{"exp": 6, "coef": 1}]}')
+_ZERO, _TWO = '{"num": 0, "den": 1}', '{"num": 2, "den": 1}'
+
+# Exact stdout of the text and JSON forms, one case per command.
+PINNED_OUTPUTS = [
+    (["alexander", "T(3,4)"], "1 - t + t^3 - t^5 + t^6\n"),
+    (["alexander", "U"], "1\n"),
+    (["alexander", "T(1,5)"], "1\n"),
+    (["alexander", "T(3,4)", "--json"], _T34_TERMS + "\n"),
+    (["alexander", "U", "--json"], '{"terms": [{"exp": 0, "coef": 1}]}\n'),
+    (["alexander", "T(1,5)", "--json"],
+     '{"terms": [{"exp": 0, "coef": 1}]}\n'),
+    (["upsilon", "U", "--json"],
+     f'{{"breakpoints": [{{"t": {_ZERO}, "v": {_ZERO}}}, '
+     f'{{"t": {_TWO}, "v": {_ZERO}}}]}}\n'),
+    (["upsilon", "T(3,4)", "--json"],
+     f'{{"breakpoints": [{{"t": {_ZERO}, "v": {_ZERO}}}, '
+     '{"t": {"num": 2, "den": 3}, "v": {"num": -2, "den": 1}}, '
+     '{"t": {"num": 4, "den": 3}, "v": {"num": -2, "den": 1}}, '
+     f'{{"t": {_TWO}, "v": {_ZERO}}}]}}\n'),
+    (["upsilon2", "T(3,4)", "--json", "--t", "2/3"],
+     '{"num": -4, "den": 3}\n'),
+    (["upsilon2", "T(3,4)", "--json", "--t", "1"], '{"inf": 1}\n'),
+    (["jumps", "T(3,4)", "--json"],
+     '[{"t": {"num": 2, "den": 3}, "is_jump": true, '
+     '"upsilon2": {"num": -4, "den": 3}}, '
+     '{"t": {"num": 1, "den": 1}, "is_jump": false, "upsilon2": {"inf": 1}}, '
+     '{"t": {"num": 4, "den": 3}, "is_jump": true, '
+     '"upsilon2": {"num": -4, "den": 3}}]\n'),
+]
+
+
 class TestCLI:
+    @pytest.mark.parametrize("args, stdout", PINNED_OUTPUTS,
+                             ids=[" ".join(a) for a, _ in PINNED_OUTPUTS])
+    def test_pinned_output(self, capsys, args, stdout):
+        assert main(args) == 0
+        assert capsys.readouterr().out == stdout
+
     def test_upsilon_text(self, capsys):
         assert main(["upsilon", "T(3,4)"]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -289,6 +332,24 @@ class TestCLI:
         data = json.loads(capsys.readouterr().out)
         assert data["breakpoints"][1] == {"t": {"num": 1, "den": 1},
                                           "v": {"num": -1, "den": 1}}
+
+    def test_upsilon_json_round_trip(self, capsys):
+        assert main(["upsilon", "T(3,4)", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        decoded = [(F(p["t"]["num"], p["t"]["den"]),
+                    F(p["v"]["num"], p["v"]["den"]))
+                   for p in data["breakpoints"]]
+        assert pl_equal(pl_from_samples(decoded), upsilon_staircase(3, 4))
+        assert data["breakpoints"][1] == {"t": {"num": 2, "den": 3},
+                                          "v": {"num": -2, "den": 1}}
+
+    def test_upsilon2_json_values(self, capsys, monkeypatch):
+        for value, encoded in [(POS_INF, {"inf": 1}), (NEG_INF, {"inf": -1}),
+                               (F(3, 7), {"num": 3, "den": 7})]:
+            monkeypatch.setattr("upsilonkit.cli.upsilon2",
+                                lambda c, t, s: value)
+            assert main(["upsilon2", "T(3,4)", "--t", "1", "--json"]) == 0
+            assert json.loads(capsys.readouterr().out) == encoded
 
     def test_upsilon2(self, capsys):
         assert main(["upsilon2", "T(7,8)", "--t", "4/7"]) == 0
@@ -313,6 +374,25 @@ class TestCLI:
     def test_alexander_text(self, capsys):
         assert main(["alexander", "T(3,4)"]) == 0
         assert capsys.readouterr().out.strip() == "1 - t + t^3 - t^5 + t^6"
+
+    def test_alexander_text_matches_terms(self, capsys):
+        for p, q in [(p, q) for p in range(1, 9) for q in range(p + 1, 12)
+                     if gcd(p, q) == 1]:
+            assert main(["alexander", f"T({p},{q})"]) == 0
+            words = capsys.readouterr().out.split()  # 1 - t + t^3 ...
+            read = [(0 if mono == "1" else int(mono[2:] or 1),
+                     1 if sign == "+" else -1)
+                    for sign, mono in zip(["+"] + words[1::2], words[0::2])]
+            assert read == list(alexander_torus(p, q)), (p, q)
+
+    def test_alexander_json_round_trip(self, capsys):
+        assert main(["alexander", "T(3,4)", "--json"]) == 0
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert tuple((t["exp"], t["coef"]) for t in terms) == \
+            alexander_torus(3, 4)
+        assert terms == [
+            {"exp": 0, "coef": 1}, {"exp": 1, "coef": -1}, {"exp": 3, "coef": 1},
+            {"exp": 5, "coef": -1}, {"exp": 6, "coef": 1}]
 
     def test_alexander_one_copy(self, capsys):
         assert main(["alexander", "1*T(3,4)"]) == 0

@@ -1,7 +1,7 @@
 """Repository-level checks: no tracked build artefacts, no correctness
 check that `python -O` would strip, no floating point in the package, no
-function name the benchmark tracer wraps missing from the package or
-rebound in `verify`, no private module-level function that nothing in the
+function name the benchmark tracer wraps or the benchmark imports missing
+from the package, none rebound in `verify`, no private module-level function that nothing in the
 package names, and a lean command-line import graph that loads every
 module the tracer reads."""
 
@@ -92,6 +92,40 @@ def test_traced_names_exist():
                for name in names
                if not callable(getattr(importlib.import_module(
                    f"upsilonkit.{layer}"), name, None))]
+    assert missing == []
+
+
+def benchmark_imports() -> list[tuple[str, str, str | None]]:
+    """(file, module, name) of every import from upsilonkit in
+    perfbench/*.py, function bodies included; name is None for a plain
+    `import upsilonkit...`."""
+    found = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name, None) for alias in node.names
+                          if alias.name.split(".")[0] == "upsilonkit"]
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "upsilonkit"):
+                found += [(path.name, node.module, alias.name)
+                          for alias in node.names]
+    return found
+
+
+def test_benchmark_imports_exist():
+    # A name the benchmark imports, such as the format_ext that
+    # workloads.run_in_process imports inside a function, would break its
+    # runs if it were removed; tier-1 never runs those imports.
+    imports = benchmark_imports()
+    assert imports
+    missing = []
+    for path, module, name in imports:
+        try:
+            found = importlib.import_module(module)
+            if name is not None and not hasattr(found, name):
+                importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            missing.append(f"{path}: {module} {name or ''}".rstrip())
     assert missing == []
 
 

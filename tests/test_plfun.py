@@ -13,7 +13,6 @@ from upsilonkit.plfun import (
     POS_INF,
     PLFunction,
     _frac,
-    ext_to_json,
     format_ext,
     pl_add,
     pl_constant,
@@ -21,7 +20,6 @@ from upsilonkit.plfun import (
     pl_from_samples,
     pl_lower_envelope,
     pl_neg,
-    pl_to_json,
 )
 from upsilonkit.staircase import build_staircase, upsilon_staircase
 from upsilonkit.upsilon import gamma_at, jump_values
@@ -49,11 +47,6 @@ class TestInfinity:
         assert format_ext(POS_INF) == "inf"
         assert format_ext(NEG_INF) == "-inf"
         assert format_ext(F(-20, 7)) == "-20/7"
-
-    def test_json(self):
-        assert ext_to_json(POS_INF) == {"inf": 1}
-        assert ext_to_json(NEG_INF) == {"inf": -1}
-        assert ext_to_json(F(3, 7)) == {"num": 3, "den": 7}
 
 
 class TestFromSamples:
@@ -417,16 +410,6 @@ def test_frac_returns_a_fraction_as_it_is():
             _frac(text)
     with pytest.raises(ZeroDivisionError):
         _frac("1/0")
-
-
-def test_json_round_trip():
-    f = pl_from_samples([(0, 0), (F(2, 3), -2), (F(4, 3), -2), (2, 0)])
-    d = pl_to_json(f)
-    decoded = [(F(p["t"]["num"], p["t"]["den"]), F(p["v"]["num"], p["v"]["den"]))
-               for p in d["breakpoints"]]
-    assert pl_equal(pl_from_samples(decoded), f)
-    assert d["breakpoints"][1] == {"t": {"num": 2, "den": 3},
-                                   "v": {"num": -2, "den": 1}}
 
 
 def test_float_inputs_rejected():

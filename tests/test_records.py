@@ -30,9 +30,8 @@ RECORDS = [
      "PLFunction[(0, 0), (2, -1)]"),
     (lambda: SemigroupRuns(((0, 0), (3, 3)), 5),
      "SemigroupRuns(runs=((0, 0), (3, 3)), tail_start=5)"),
-    (lambda: Staircase((1, 1), ((0, 1), (1, 0)), ((1, 1),), 1),
-     "Staircase(steps=(1, 1), whites=((0, 1), (1, 0)), blacks=((1, 1),), "
-     "genus=1)"),
+    (lambda: Staircase(((0, 1), (1, 0)), ((1, 1),), 1),
+     "Staircase(whites=((0, 1), (1, 0)), blacks=((1, 1),), genus=1)"),
     (lambda: PivotPair((0, 1), (1, 0), Fraction(1, 2)),
      "PivotPair(negative=(0, 1), positive=(1, 0), delta=Fraction(1, 2))"),
     (lambda: JumpReport(Fraction(2, 3), True, Fraction(-2)),
