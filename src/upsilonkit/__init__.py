@@ -17,8 +17,6 @@ from .plfun import (
     pl_neg,
 )
 from .staircase import (
-    SemigroupRuns,
-    Staircase,
     alexander_oracle,
     alexander_torus,
     build_staircase,

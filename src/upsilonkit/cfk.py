@@ -34,7 +34,7 @@ class BifilteredComplex:
     """Immutable bifiltered complex; equality is by identity.
 
     differential maps (source, target) generator index pairs to the set of
-    U-exponents with coefficient 1.  In every complex this artifact builds
+    int U-exponents with coefficient 1.  In every complex this artifact builds
     the exponent is 0, but the data model allows arbitrary exponents.
 
     The differential keeps the caller's key tuples, once each is checked to
@@ -50,13 +50,18 @@ class BifilteredComplex:
         n = len(self.generators)
         diff: dict[Entry, frozenset[int]] = {}
         for key, exps in differential.items():
-            i, j = key
-            if (type(key), type(i), type(j)) != (tuple, int, int):
+            if type(key) is not tuple or len(key) != 2 or \
+                    type(key[0]) is not int or type(key[1]) is not int:
                 raise ValueError(f"differential entry {key!r} is not a pair "
                                  f"of int indices")
+            i, j = key
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"differential entry ({i},{j}) out of range")
             exps = frozenset(exps)
+            for e in exps:
+                if type(e) is not int:
+                    raise ValueError(f"differential entry ({i},{j}) has "
+                                     f"exponent {e!r}, not an int")
             if exps:
                 diff[key] = exps
         self.differential: dict[Entry, frozenset[int]] = diff
@@ -73,17 +78,17 @@ def unknot_complex() -> BifilteredComplex:
     return BifilteredComplex([Generator("u", 0, 0, 0)], {})
 
 
-def from_staircase(st) -> BifilteredComplex:
-    """Complex of a staircase: whites at Maslov 0, blacks at Maslov 1, and
-    each black maps to its two adjacent whites with U-exponent 0."""
-    gens = [Generator(f"w{i}", 0, a, b) for i, (a, b) in enumerate(st.whites)]
-    nw = len(st.whites)
+def from_staircase(whites: Sequence[tuple[int, int]]) -> BifilteredComplex:
+    """Complex of the white dots (alg, alex) of build_staircase: whites at
+    Maslov 0, and between whites (a0, x0) and (a1, x1) a black at Maslov 1
+    at (a1, x0), which maps to both with U-exponent 0."""
+    gens = [Generator(f"w{i}", 0, a, x) for i, (a, x) in enumerate(whites)]
+    nw = len(whites)
     zero = frozenset({0})
     diff: dict[Entry, frozenset[int]] = {}
-    for i, (a, b) in enumerate(st.blacks):
-        gens.append(Generator(f"b{i}", 1, a, b))
-        diff[(nw + i, i)] = zero
-        diff[(nw + i, i + 1)] = zero
+    for i, ((_, x0), (a1, _)) in enumerate(zip(whites, whites[1:])):
+        gens.append(Generator(f"b{i}", 1, a1, x0))
+        diff[(nw + i, i)] = diff[(nw + i, i + 1)] = zero
     return BifilteredComplex(gens, diff)
 
 

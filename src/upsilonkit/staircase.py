@@ -33,20 +33,8 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import gcd
-from typing import NamedTuple
 
 from .plfun import PLFunction, pl_lower_envelope, pl_neg
-
-
-class SemigroupRuns(NamedTuple):
-    """Run decomposition of a numerical semigroup up to its conductor.
-
-    runs are inclusive (start, end) pairs with gaps of length >= 1 between
-    them; every integer >= tail_start belongs to the semigroup.
-    """
-
-    runs: tuple[tuple[int, int], ...]
-    tail_start: int
 
 
 def _corner(p: int, q: int) -> tuple[int, int]:
@@ -91,15 +79,15 @@ def torus_generators(p: int, q: int) -> int:
     return 2 * (r + 1) * (s + 1) - 1
 
 
-def semigroup_runs(p: int, q: int) -> SemigroupRuns:
-    """Runs of S = {ap+bq : a,b >= 0} up to the conductor (p-1)(q-1), from
-    the two lattice blocks of _corner; sorted, the k-th end closes the k-th
-    run and the last start is the tail's."""
+def semigroup_runs(p: int, q: int) -> tuple[list[int], list[int]]:
+    """Runs of S = {ap+bq : a,b >= 0} as (starts, ends), the two lattice
+    blocks of _corner, sorted: the n + 1 starts end with the tail's at the
+    conductor (p-1)(q-1), and the k-th inclusive end closes the k-th run."""
     r, s = _corner(p, q)
     starts = sorted(i * p + j * q for i in range(r + 1) for j in range(s + 1))
     ends = sorted(i * p + j * q - p * q - 1
                   for i in range(r + 1, q) for j in range(s + 1, p))
-    return SemigroupRuns(tuple(zip(starts, ends)), starts[-1])
+    return starts, ends
 
 
 def alexander_torus(p: int, q: int) -> tuple[tuple[int, int], ...]:
@@ -112,9 +100,9 @@ def alexander_torus(p: int, q: int) -> tuple[tuple[int, int], ...]:
     follows every run, so s_i <= e_i < e_i + 1 < s_{i+1}, the tail's start
     counted as s_{n+1}.
     """
-    rs = semigroup_runs(p, q)
-    return tuple(term for s, e in rs.runs
-                 for term in ((s, 1), (e + 1, -1))) + ((rs.tail_start, 1),)
+    starts, ends = semigroup_runs(p, q)
+    return tuple(term for s, e in zip(starts, ends)
+                 for term in ((s, 1), (e + 1, -1))) + ((starts[-1], 1),)
 
 
 def _divide_one_minus(coeffs: list[int], n: int) -> list[int]:
@@ -146,39 +134,24 @@ def alexander_oracle(p: int, q: int) -> tuple[tuple[int, int], ...]:
 def staircase_steps(p: int, q: int) -> list[int]:
     """Alternating horizontal/vertical step lengths of the staircase, read
     off consecutive whites: right a1 - a0, then down x0 - x1."""
-    whites = build_staircase(p, q).whites
+    whites = build_staircase(p, q)
     return [step for (a0, x0), (a1, x1) in zip(whites, whites[1:])
             for step in (a1 - a0, x0 - x1)]
 
 
-class Staircase(NamedTuple):
-    """Staircase data of an L-space knot in absolute coordinates.
+def build_staircase(p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Staircase of T(p,q) in absolute coordinates, as its white dots
+    (alg, alex) in walk order; the unknot gives a single white at the origin.
 
-    whites are the grading-0 lattice points, blacks the grading-1 points
-    between consecutive whites; the walk goes right by a step then down by a
-    step.  Normalization: min algebraic coordinate over whites is 0 and min
-    Alexander coordinate over whites is 0, so the first white sits at
-    (0, genus).
+    Normalization: the least alg and the least alex over the whites are 0,
+    so the first white sits at (0, genus).  The walk goes right by a step
+    then down by a step, and the black dot between whites (a0, x0) and
+    (a1, x1) sits at their corner (a1, x0).
     """
-
-    whites: tuple[tuple[int, int], ...]
-    blacks: tuple[tuple[int, int], ...]
-    genus: int
-
-
-def build_staircase(p: int, q: int) -> Staircase:
-    """Staircase of T(p,q); the unknot gives a single white at the origin."""
-    rs = semigroup_runs(p, q)
+    starts, ends = semigroup_runs(p, q)
     genus = (p - 1) * (q - 1) // 2
-    starts = [s for s, _ in rs.runs] + [rs.tail_start]
-    alpha = list(accumulate((e - s + 1 for s, e in rs.runs), initial=0))
-    whites = tuple(
-        (alpha[i], alpha[i] - starts[i] + genus) for i in range(len(starts))
-    )
-    blacks = tuple(
-        (alpha[i + 1], alpha[i] - starts[i] + genus) for i in range(len(rs.runs))
-    )
-    return Staircase(whites, blacks, genus)
+    alpha = accumulate((e - s + 1 for s, e in zip(starts, ends)), initial=0)
+    return tuple((a, a - s + genus) for a, s in zip(alpha, starts))
 
 
 def upsilon_staircase(p: int, q: int) -> PLFunction:
@@ -190,6 +163,5 @@ def upsilon_staircase(p: int, q: int) -> PLFunction:
     The envelope is taken of the integer lines t -> (alex-alg)*t + 2*alg,
     which give 2*gamma, so upsilon is -1 times it.
     """
-    st = build_staircase(p, q)
-    lines = [(alex - alg, 2 * alg) for alg, alex in st.whites]
+    lines = [(alex - alg, 2 * alg) for alg, alex in build_staircase(p, q)]
     return pl_neg(pl_lower_envelope(lines))

@@ -73,15 +73,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BifilteredComplex([Generator("x", 0, 0, 0)], {(0, 1): {0}})
 
-    @pytest.mark.parametrize("key", [(1.0, 0), (0, "1"), (True, 0), (0, False)],
-                             ids=["float", "str", "bool", "bool-target"])
+    @pytest.mark.parametrize("key", [(1.0, 0), (0, "1"), (True, 0), (0, False),
+                                     0, (0, 1, 0)],
+                             ids=["float", "str", "bool", "bool-target",
+                                  "int", "triple"])
     def test_index_not_an_int(self, key):
         # A float index passed the range check and failed later in
-        # validate; a str one failed the comparison with a TypeError.
+        # validate; a str one failed the comparison with a TypeError.  An
+        # int key failed to unpack with a TypeError, and a triple with a
+        # ValueError that did not name the entry.
         gens = [Generator("x", 1, 0, 0), Generator("y", 0, 0, 0)]
         with pytest.raises(ValueError, match=re.escape(f"entry {key!r} is "
                                                        "not a pair of int")):
             BifilteredComplex(gens, {key: {0}})
+
+    @pytest.mark.parametrize("exp", [0.0, "0", True],
+                             ids=["float", "str", "bool"])
+    def test_exponent_not_an_int(self, exp):
+        # A float exponent was kept in the complex, a str one failed later
+        # in validate with a TypeError, and True printed as U^True.
+        gens = [Generator("x", 1, 0, 0), Generator("y", 0, 0, 0)]
+        with pytest.raises(ValueError, match=re.escape(
+                f"entry (0,1) has exponent {exp!r}, not an int")):
+            BifilteredComplex(gens, {(0, 1): {exp}})
 
     def test_keeps_key_tuples(self):
         # The complex stores the caller's key, not a repacked copy.
@@ -156,11 +170,8 @@ class TestValidateViolations:
     def test_homology_violation_deleted_white(self):
         # dropping a middle white from the T(3,4) staircase kills the
         # grading-0 homology entirely
-        st = build_staircase(3, 4)
-        gens = ([Generator(f"w{i}", 0, a, b)
-                 for i, (a, b) in enumerate(st.whites) if i != 1]
-                + [Generator(f"b{i}", 1, a, b)
-                   for i, (a, b) in enumerate(st.blacks)])
+        gens = [g for i, g in enumerate(torus_complex(3, 4).generators)
+                if i != 1]
         diff = {(2, 0): {0}, (3, 1): {0}}
         c = BifilteredComplex(gens, diff)
         assert any("homology" in v for v in validate(c))

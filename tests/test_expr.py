@@ -28,8 +28,8 @@ from upsilonkit.expr import (
     realize,
 )
 from upsilonkit.plfun import NEG_INF, POS_INF, pl_equal, pl_from_samples
-from upsilonkit.staircase import (SemigroupRuns, alexander_torus,
-                                  semigroup_runs, upsilon_staircase)
+from upsilonkit.staircase import (alexander_torus, semigroup_runs,
+                                  upsilon_staircase)
 
 
 class TestParse:
@@ -236,8 +236,9 @@ class TestRealize:
             for q in range(p + 1, 120):
                 if gcd(p, q) == 1:
                     runs, tail = reference.semigroup_runs(p, q)
-                    assert semigroup_runs(p, q) == \
-                        SemigroupRuns(runs, tail), (p, q)
+                    starts = [s for s, _ in runs] + [tail]
+                    ends = [e for _, e in runs]
+                    assert semigroup_runs(p, q) == (starts, ends), (p, q)
                     assert expected_generators((Term(Torus(p, q)),)) == \
                         2 * len(runs) + 1, (p, q)
 
@@ -282,6 +283,17 @@ _T34_TERMS = ('{"terms": [{"exp": 0, "coef": 1}, {"exp": 1, "coef": -1}, '
               '{"exp": 6, "coef": 1}]}')
 _ZERO, _TWO = '{"num": 0, "den": 1}', '{"num": 2, "den": 1}'
 
+
+def _dump(gens, arrows):
+    """dump-complex stdout of the generators (name, maslov, alg, alex) and
+    the differential entries (source, target), all with U-exponent 0."""
+    return json.dumps({
+        "generators": [dict(zip(("name", "maslov", "alg", "alex"), g))
+                       for g in gens],
+        "differential": [{"source": i, "target": j, "exponents": [0]}
+                         for i, j in arrows],
+    }, indent=2) + "\n"
+
 # Exact stdout of the text and JSON forms, one case per command.
 PINNED_OUTPUTS = [
     (["alexander", "T(3,4)"], "1 - t + t^3 - t^5 + t^6\n"),
@@ -308,6 +320,19 @@ PINNED_OUTPUTS = [
      '{"t": {"num": 1, "den": 1}, "is_jump": false, "upsilon2": {"inf": 1}}, '
      '{"t": {"num": 4, "den": 3}, "is_jump": true, '
      '"upsilon2": {"num": -4, "den": 3}}]\n'),
+    (["dump-complex", "T(3,4)"],
+     _dump([("w0", 0, 0, 3), ("w1", 0, 1, 1), ("w2", 0, 3, 0),
+            ("b0", 1, 1, 3), ("b1", 1, 3, 1)],
+           [(3, 0), (3, 1), (4, 1), (4, 2)])),
+    (["dump-complex", "T(1,5)"], _dump([("w0", 0, 0, 0)], [])),
+    (["dump-complex", "U"], _dump([("u", 0, 0, 0)], [])),
+    (["dump-complex", "T(2,3) # -T(2,3)"],
+     _dump([("w0|w0*", 0, 0, 0), ("w0|w1*", 0, -1, 1),
+            ("w0|b0*", -1, -1, 0), ("w1|w0*", 0, 1, -1),
+            ("w1|w1*", 0, 0, 0), ("w1|b0*", -1, 0, -1),
+            ("b0|w0*", 1, 1, 0), ("b0|w1*", 1, 0, 1), ("b0|b0*", 0, 0, 0)],
+           [(0, 2), (1, 2), (3, 5), (4, 5), (6, 0), (6, 3), (6, 8),
+            (7, 1), (7, 4), (7, 8), (8, 2), (8, 5)])),
 ]
 
 
@@ -609,3 +634,19 @@ class TestCLI:
         assert main(["verify-paper", "--fast"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_readme_library_block():
+    # README's "Library" block runs line by line, and a comment that is a
+    # value, a Fraction or a tuple, is the value of its line.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1]
+    scope, checked = {}, 0
+    for line in block.split("```", 1)[0].splitlines():
+        code, comment = re.fullmatch(r"(.*?)(?: {2,}# (.*))?", line).groups()
+        if comment and re.fullmatch(r"Fraction\(.*\)|\(.*\)", comment):
+            assert eval(code, scope) == eval(comment, scope), line
+            checked += 1
+        else:
+            exec(code, scope)
+    assert checked == 2

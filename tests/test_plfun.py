@@ -258,7 +258,7 @@ class TestEnvelopeOracle:
     @pytest.mark.parametrize("p,q", STAIRCASE_PAIRS)
     def test_staircase_whites(self, p, q):
         lines = [(F(alex - alg, 2), F(alg))
-                 for alg, alex in build_staircase(p, q).whites]
+                 for alg, alex in build_staircase(p, q)]
         assert pl_lower_envelope(lines).breakpoints == lower_envelope(lines)
 
     @settings(max_examples=300, deadline=None)
@@ -287,7 +287,7 @@ class TestEnvelopeOracle:
         # The lines of 2*gamma have integer coefficients; -1 times their
         # envelope is upsilon, and -2 times the envelope of gamma's lines,
         # which test_staircase_whites checks against the reference.
-        whites = build_staircase(p, q).whites
+        whites = build_staircase(p, q)
         doubled = [(alex - alg, 2 * alg) for alg, alex in whites]
         halved = [(F(alex - alg, 2), F(alg)) for alg, alex in whites]
         ups = pl_neg(pl_lower_envelope(doubled))

@@ -9,7 +9,6 @@ import pytest
 from upsilonkit.cfk import Generator, SliceElement, Slices
 from upsilonkit.expr import Term, Torus, Unknot
 from upsilonkit.plfun import PLFunction
-from upsilonkit.staircase import SemigroupRuns, Staircase
 from upsilonkit.upsilon import JumpReport, PivotPair
 from upsilonkit.verify import CheckResult
 
@@ -28,10 +27,6 @@ RECORDS = [
     (lambda: PLFunction(((Fraction(0), Fraction(0)),
                          (Fraction(2), Fraction(-1)))),
      "PLFunction[(0, 0), (2, -1)]"),
-    (lambda: SemigroupRuns(((0, 0), (3, 3)), 5),
-     "SemigroupRuns(runs=((0, 0), (3, 3)), tail_start=5)"),
-    (lambda: Staircase(((0, 1), (1, 0)), ((1, 1),), 1),
-     "Staircase(whites=((0, 1), (1, 0)), blacks=((1, 1),), genus=1)"),
     (lambda: PivotPair((0, 1), (1, 0), Fraction(1, 2)),
      "PivotPair(negative=(0, 1), positive=(1, 0), delta=Fraction(1, 2))"),
     (lambda: JumpReport(Fraction(2, 3), True, Fraction(-2)),

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from reference import evaluate
+from upsilonkit.cfk import from_staircase
 from upsilonkit.plfun import pl_add, pl_constant, pl_equal
 from upsilonkit.staircase import (
     alexander_oracle,
@@ -29,47 +30,52 @@ def semigroup_by_enumeration(p, q, bound):
                    if a * p + b * q <= bound})
 
 
-def elements_upto(rs, bound):
+def elements_upto(starts, ends, bound):
     """The semigroup's elements up to bound, read off its runs and tail."""
-    out = [n for s, e in rs.runs for n in range(s, e + 1) if n <= bound]
-    out.extend(range(rs.tail_start, bound + 1))
+    out = [n for s, e in zip(starts, ends) for n in range(s, e + 1)
+           if n <= bound]
+    out.extend(range(starts[-1], bound + 1))
     return out
+
+
+def blacks(whites):
+    """The black dots of a staircase: the Maslov-1 generators of its
+    complex."""
+    return tuple((g.alg, g.alex) for g in from_staircase(whites).generators
+                 if g.maslov == 1)
 
 
 class TestSemigroup:
     def test_t34(self):
-        rs = semigroup_runs(3, 4)
-        assert rs.runs == ((0, 0), (3, 4))
-        assert rs.tail_start == 6
+        # runs {0}, {3, 4} and the tail from 6
+        assert semigroup_runs(3, 4) == ([0, 3, 6], [0, 4])
 
     def test_t23(self):
-        rs = semigroup_runs(2, 3)
-        assert rs.runs == ((0, 0),)
-        assert rs.tail_start == 2
+        assert semigroup_runs(2, 3) == ([0, 2], [0])
 
     def test_t79_prefix(self):
-        rs = semigroup_runs(7, 9)
-        assert elements_upto(rs, 21) == [0, 7, 9, 14, 16, 18, 21]
+        starts, ends = semigroup_runs(7, 9)
+        assert elements_upto(starts, ends, 21) == [0, 7, 9, 14, 16, 18, 21]
 
     def test_unknot_conventions(self):
         assert semigroup_runs(1, 5) == semigroup_runs(1, 2)
-        assert semigroup_runs(1, 5).tail_start == 0
-        assert semigroup_runs(1, 5).runs == ()
+        assert semigroup_runs(1, 5) == ([0], [])
 
     def test_against_enumeration(self):
         for p, q in coprime_pairs(12):
-            rs = semigroup_runs(p, q)
-            bound = rs.tail_start + 2 * p
-            assert elements_upto(rs, bound) == semigroup_by_enumeration(p, q, bound)
+            starts, ends = semigroup_runs(p, q)
+            bound = starts[-1] + 2 * p
+            assert elements_upto(starts, ends, bound) == \
+                semigroup_by_enumeration(p, q, bound)
 
     def test_run_gaps(self):
         for p, q in coprime_pairs(14):
-            rs = semigroup_runs(p, q)
-            assert rs.runs[0][0] == 0
-            for (s, e), (s2, _) in zip(rs.runs, rs.runs[1:]):
+            starts, ends = semigroup_runs(p, q)
+            assert starts[0] == 0
+            assert len(starts) == len(ends) + 1
+            for s, e, s2 in zip(starts, ends, starts[1:]):
                 assert s <= e <= s2 - 2
-            assert rs.runs[-1][1] <= rs.tail_start - 2
-            assert rs.tail_start == (p - 1) * (q - 1)
+            assert starts[-1] == (p - 1) * (q - 1)
 
     @pytest.mark.parametrize("build", [semigroup_runs, build_staircase,
                                        alexander_torus, alexander_oracle])
@@ -83,11 +89,11 @@ class TestSemigroup:
         # below the conductor would peak near 96 MiB.
         tracemalloc.start()
         try:
-            rs = semigroup_runs(10000, 10001)
+            starts, ends = semigroup_runs(10000, 10001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rs.runs) == 9999 and rs.tail_start == 99990000
+        assert len(ends) == 9999 and starts[-1] == 99990000
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("build", [semigroup_runs, build_staircase,
@@ -158,10 +164,9 @@ class TestSteps:
     def test_steps_from_runs(self):
         # [e_1-s_1+1, s_2-e_1-1, ..., e_n-s_n+1, s_{n+1}-e_n-1]
         for p, q in coprime_pairs(14):
-            rs = semigroup_runs(p, q)
-            starts = [s for s, _ in rs.runs[1:]] + [rs.tail_start]
+            starts, ends = semigroup_runs(p, q)
             assert staircase_steps(p, q) == [
-                step for (s, e), s2 in zip(rs.runs, starts)
+                step for s, e, s2 in zip(starts, ends, starts[1:])
                 for step in (e - s + 1, s2 - e - 1)]
 
     def test_step_sums_equal_genus(self):
@@ -174,51 +179,50 @@ class TestSteps:
 
 class TestStaircase:
     def test_t34_golden(self):
-        st = build_staircase(3, 4)
-        assert st.whites == ((0, 3), (1, 1), (3, 0))
-        assert st.blacks == ((1, 3), (3, 1))
-        assert st.genus == 3
+        whites = build_staircase(3, 4)
+        assert whites == ((0, 3), (1, 1), (3, 0))
+        assert blacks(whites) == ((1, 3), (3, 1))
+        assert whites[0][1] == 3  # the genus
 
     def test_t23(self):
-        st = build_staircase(2, 3)
-        assert st.whites == ((0, 1), (1, 0))
-        assert st.blacks == ((1, 1),)
-        assert st.genus == 1
+        whites = build_staircase(2, 3)
+        assert whites == ((0, 1), (1, 0))
+        assert blacks(whites) == ((1, 1),)
+        assert whites[0][1] == 1  # the genus
 
     def test_t78_relative_prefix(self):
-        st = build_staircase(7, 8)
-        relative = [(a, alex - st.genus) for a, alex in st.whites]
-        assert len(st.whites) == 7
+        whites = build_staircase(7, 8)
+        relative = [(a, alex - 21) for a, alex in whites]  # genus 21
+        assert len(whites) == 7
         assert relative[:3] == [(0, 0), (1, -6), (3, -11)]
 
     def test_unknot(self):
-        st = build_staircase(1, 9)
-        assert st.whites == ((0, 0),)
-        assert st.blacks == ()
+        whites = build_staircase(1, 9)
+        assert whites == ((0, 0),)
+        assert blacks(whites) == ()
         assert staircase_steps(1, 9) == []
-        assert st.genus == 0
-        assert build_staircase(9, 1) == st
+        assert build_staircase(9, 1) == whites
 
     def test_walk_and_normalization(self):
         for p, q in coprime_pairs(14):
-            st = build_staircase(p, q)
+            whites = build_staircase(p, q)
             steps = staircase_steps(p, q)
-            assert len(st.whites) == len(st.blacks) + 1
-            assert min(a for a, _ in st.whites) == 0
-            assert min(b for _, b in st.whites) == 0
-            assert st.whites[0] == (0, st.genus)
-            for i, (bx, by) in enumerate(st.blacks):
-                wx, wy = st.whites[i]
-                nx, ny = st.whites[i + 1]
+            assert len(whites) == len(blacks(whites)) + 1
+            assert min(a for a, _ in whites) == 0
+            assert min(b for _, b in whites) == 0
+            assert whites[0] == (0, (p - 1) * (q - 1) // 2)
+            for i, (bx, by) in enumerate(blacks(whites)):
+                wx, wy = whites[i]
+                nx, ny = whites[i + 1]
                 assert by == wy and bx == wx + steps[2 * i]
                 assert nx == bx and ny == by - steps[2 * i + 1]
 
     def test_whites_count_matches_alexander(self):
         for p, q in coprime_pairs(14):
             positives = sum(1 for _, c in alexander_torus(p, q) if c > 0)
-            assert len(build_staircase(p, q).whites) == positives
-            assert len(build_staircase(p, q).whites) == \
-                len(semigroup_runs(p, q).runs) + 1
+            assert len(build_staircase(p, q)) == positives
+            assert len(build_staircase(p, q)) == \
+                len(semigroup_runs(p, q)[1]) + 1
 
 
 class TestUpsilonStaircase:
@@ -244,8 +248,7 @@ class TestUpsilonStaircase:
 
     def test_value_at_1_is_minus_genus_like(self):
         # upsilon(1) of T(p,q) is -2*min over whites of (alg+alex)/2
-        st = build_staircase(5, 6)
-        want = -min(a + b for a, b in st.whites)
+        want = -min(a + b for a, b in build_staircase(5, 6))
         assert evaluate(upsilon_staircase(5, 6), 1) == want
 
     def test_recursion_small(self):
