@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 from .f2 import Basis, functional, reduce_pair, span_basis
 
 Entry = tuple[int, int]  # (source index, target index)
+Level = tuple[int, int]  # (alg, alex)
 
 
 class Generator(NamedTuple):
@@ -146,20 +147,13 @@ def shift_filtration(c: BifilteredComplex, da: int, db: int) -> BifilteredComple
     return BifilteredComplex(gens, c.differential)
 
 
-class SliceElement(NamedTuple):
-    """Basis element U^n * generator of a fixed-grading slice."""
-    gen_index: int
-    u_exp: int
-    alg: int
-    alex: int
-
-
 class Slices(NamedTuple):
     """Finite GF(2) model of the complex: its grading-0 and grading-1 slices.
 
-    A grading-m slice lists U^{(maslov - m)/2} x for every generator x whose
-    grading is congruent to m mod 2, with the induced bifiltration.  Slices
-    two gradings apart are U-translates of each other, so these two carry all
+    A grading-m slice lists U^n x, n = (maslov - m)/2, for every generator
+    x with maslov = m mod 2, as the tuple of their levels (alg - n, alex - n)
+    in generator order, one shared tuple per distinct level.  Slices two
+    gradings apart are U-translates of each other, so these two carry all
     the homology.  d0 maps grading 0 to grading -1 and d1 maps grading 1 to
     grading 0, both as columns: one bitset per source element over the
     target slice.  phi is the essential functional, a bitset over the
@@ -167,8 +161,8 @@ class Slices(NamedTuple):
     boundary and 1 on the cycles generating the homology.
     """
 
-    basis0: tuple[SliceElement, ...]
-    basis1: tuple[SliceElement, ...]
+    basis0: tuple[Level, ...]
+    basis1: tuple[Level, ...]
     d0: list[int]
     d1: list[int]
     phi: int
@@ -179,12 +173,14 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     there are none, the slices the homology check ran on."""
     violations: list[str] = []
     gens = c.generators
-    bases: tuple[list[SliceElement], ...] = ([], [])
+    bases: tuple[list[Level], ...] = ([], [])
     pos: list[int] = []
-    for i, g in enumerate(gens):
+    shared: dict[Level, Level] = {}
+    for g in gens:
         n, m = divmod(g.maslov, 2)
         pos.append(len(bases[m]))
-        bases[m].append(SliceElement(i, n, g.alg - n, g.alex - n))
+        level = g.alg - n, g.alex - n
+        bases[m].append(shared.setdefault(level, level))
     basis0, basis1 = map(tuple, bases)
     # An entry x -> U^n y that drops the grading by 1 maps each translate
     # of x in a slice onto the translate of y in the slice one grading
@@ -213,9 +209,10 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     # d^2 = 0: slices -1 and -2 are the U-translates of slices 1 and 0 with
     # the same columns, so d^2 vanishes iff d1 d0 and d0 d1 do.  Both land in
     # the basis of the source's parity, one U-translate down: the component
-    # at bit k is U^n.z with n = u_exp(z) + 1 - u_exp(x).
-    for basis, first, second in ((basis0, d0, d1), (basis1, d1, d0)):
-        for x, col in zip(basis, first):
+    # at bit k is U^n.z with n = u(z) + 1 - u(x), u = maslov // 2.
+    at: Optional[list[Generator]] = None  # slice 0's generators, then 1's
+    for off, first, second in ((0, d0, d1), (len(d0), d1, d0)):
+        for j, col in enumerate(first, off):
             dd = 0
             while col:
                 k = col.bit_length() - 1
@@ -224,11 +221,11 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
             while dd:
                 k = dd.bit_length() - 1
                 dd ^= 1 << k
-                z = basis[k]
+                at = at or sorted(gens, key=lambda g: g.maslov % 2)
+                x, z = at[j], at[off + k]
                 violations.append(
-                    f"d^2: component U^{z.u_exp + 1 - x.u_exp}."
-                    f"{gens[z.gen_index].name} of "
-                    f"d^2({gens[x.gen_index].name}) is nonzero")
+                    f"d^2: component U^{z.maslov // 2 + 1 - x.maslov // 2}."
+                    f"{z.name} of d^2({x.name}) is nonzero")
     if violations:
         return violations, None
 

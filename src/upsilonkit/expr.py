@@ -147,6 +147,8 @@ def expected_generators(e: KnotExpr, stop: int | None = None) -> int:
     stop.bit_length()."""
     total = 1
     for t in e:
+        if t.n < 0:
+            raise ValueError(f"{t!r} has a negative number of copies")
         if isinstance(t.atom, Torus):
             n = t.n if stop is None else min(t.n, stop.bit_length())
             total *= torus_generators(t.atom.p, t.atom.q) ** n
@@ -161,11 +163,14 @@ DEFAULT_GENERATOR_LIMIT = 20000
 def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
             ) -> BifilteredComplex:
     """Bifiltered complex of a knot expression, tensoring its summands
-    (every copy of every term) from left to right.
+    (every copy of every term) from left to right, or the unknot's if none.
 
     Refuses complexes beyond max_generators generators, or summands (tensor
     products grow multiplicatively); pass None to lift the limit.
     """
+    for t in e:
+        if t.n < 0:
+            raise ValueError(f"{t!r} has a negative number of copies")
     if max_generators is not None:
         # n copies cost n - 1 tensor products even when each has one
         # generator.  Neither count lists a semigroup's runs.
@@ -188,4 +193,4 @@ def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
             summand = dual(summand)
         for _ in range(t.n):
             out = summand if out is None else tensor(out, summand)
-    return out
+    return unknot_complex() if out is None else out

@@ -55,9 +55,9 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
-from .cfk import BifilteredComplex, validated_slices
+from .cfk import BifilteredComplex, Level, validated_slices
 from .f2 import Basis, functional, reduce_pair
 from .plfun import (NEG_INF, POS_INF, ExtRational, PLFunction, is_finite,
                     pl_from_samples, _frac)
@@ -84,14 +84,13 @@ class JumpReport(NamedTuple):
     upsilon2: ExtRational
 
 
-Level = tuple[int, int]
 # A certified interval: (contact level, witness cycle, lo, hi), lo and hi
 # Fractions built once per sweep from the integer bounds of _certify.
 Interval = tuple[Level, int, Fraction, Fraction]
 _LO, _HI = itemgetter(2), itemgetter(3)
 
 
-def _keys(levels: list[Level], t: Fraction, side: int = 0,
+def _keys(levels: Sequence[Level], t: Fraction, side: int = 0,
           w: int = 1) -> list[int]:
     """Integer keys that order the (alg, alex) levels as f_t does (side 0),
     as f does just above t (side +1) or just below t (side -1).
@@ -154,12 +153,11 @@ class _Engine:
         violations, slices = validated_slices(c)
         if violations:
             raise InvalidComplexError(violations)
-        basis0, basis1, self.d0cols, self.d1cols, self.phi = slices
+        basis0, self.lev1, self.d0cols, self.d1cols, self.phi = slices
         self.dim0 = len(basis0)
-        self.lev1 = [(e.alg, e.alex) for e in basis1]
         members: dict[Level, list[int]] = {}
-        for i, e in enumerate(basis0):
-            members.setdefault((e.alg, e.alex), []).append(i)
+        for i, level in enumerate(basis0):
+            members.setdefault(level, []).append(i)
         self.levels = list(members)
         self._at = {lev: k for k, lev in enumerate(self.levels)}
         self._members = list(members.values())

@@ -37,6 +37,11 @@ def slices(c):
     return sl
 
 
+def levels(c, m):
+    """The reference levels of the grading-m slice, in slice order."""
+    return [(alg, alex) for _, _, alg, alex in slice_levels(c, m)]
+
+
 def signature(c):
     """Multiset of (maslov, alg, alex) plus entry count; equal for complexes
     that agree up to generator relabeling."""
@@ -160,6 +165,14 @@ class TestValidateViolations:
         assert validate(chain([(0, 5, 5), (1, 0, 0), (2, 0, 0)], 0)) == [
             "filtration: entry b->U^0.a increases a filtration level",
             d2.format(0)]
+        # Odd gradings away from slice position 0: c -> b -> U^2.a with a
+        # and c of gradings -1 and -3, behind x and y in the odd slice.
+        c = BifilteredComplex(
+            [Generator("x", 1, 0, 0), Generator("y", -1, 0, 0),
+             Generator("a", -1, 0, 0), Generator("b", -4, 0, 0),
+             Generator("c", -3, 0, 0)],
+            {(3, 2): {2}, (4, 3): {0}})
+        assert validate(c) == [d2.format(2)]
 
     def test_homology_violation_extra_generator(self):
         # two essential grading-0 classes
@@ -352,36 +365,66 @@ class TestNonzeroExponents:
         assert d.differential[(4, 3)] == frozenset({1})
 
     def test_slice_translate_alignment(self):
-        sl = slices(stabilized_t23())
+        c = stabilized_t23()
+        sl = slices(c)
+        assert list(sl.basis1) == levels(c, 1)
         # x has grading -1, so its slice-1 translate is U^{-1} x at (6,6)
-        x = [e for e in sl.basis1 if e.u_exp == -1]
-        assert len(x) == 1 and (x[0].alg, x[0].alex) == (6, 6)
+        odd = [g for g in c.generators if g.maslov % 2]
+        x = [k for k, g in enumerate(odd) if (g.maslov - 1) // 2 == -1]
+        assert len(x) == 1 and sl.basis1[x[0]] == (6, 6)
         # b0 and the translate of x hit slice 0
         assert len(span_basis(sl.d1)) == 2
 
 
 class TestGradingSlice:
     def test_t34_grading0(self):
-        sl = slices(torus_complex(3, 4))
+        c = torus_complex(3, 4)
+        sl = slices(c)
+        assert list(sl.basis0) == levels(c, 0)
         assert len(sl.basis0) == 3
-        assert all(e.u_exp == 0 for e in sl.basis0)
+        assert all(g.maslov // 2 == 0 for g in c.generators
+                   if g.maslov % 2 == 0)
         assert len(sl.d1) == 2  # from the two blacks
         assert len(span_basis(sl.d1)) == 2
 
     def test_unknot_grading1_empty(self):
-        sl = slices(unknot_complex())
+        c = unknot_complex()
+        sl = slices(c)
         assert sl.basis1 == ()
+        assert list(sl.basis0) == levels(c, 0) and levels(c, 1) == []
 
     def test_tensor_translate(self):
         c = tensor(torus_complex(2, 3), torus_complex(2, 3))
         sl = slices(c)
+        assert list(sl.basis0) == levels(c, 0)
         assert len(sl.basis0) == 5
-        translated = [e for e in sl.basis0 if e.u_exp == 1]
+        even = [g for g in c.generators if g.maslov % 2 == 0]
+        translated = [k for k, g in enumerate(even) if g.maslov // 2 == 1]
         assert len(translated) == 1
-        e = translated[0]
-        g = c.generators[e.gen_index]
+        g = even[translated[0]]
         assert g.maslov == 2
-        assert (e.alg, e.alex) == (g.alg - 1, g.alex - 1)
+        assert sl.basis0[translated[0]] == (g.alg - 1, g.alex - 1)
+
+    def test_slices_share_levels(self):
+        # The slice bases hold one tuple object per distinct level: K_7's
+        # 2821 slice elements sit at 496 levels.
+        sl = slices(realize(parse_expr("T(7,8) # T(2,7) # -T(7,9)")))
+        elements = sl.basis0 + sl.basis1
+        assert len(elements) == 2821
+        assert len({id(e) for e in elements}) == len(set(elements)) == 496
+
+    def test_validation_memory(self):
+        # A record per slice element took the peak of validating K_7 to
+        # about 1.0 MiB; shared level tuples keep it near 0.73 MiB.
+        c = realize(parse_expr("T(7,8) # T(2,7) # -T(7,9)"))
+        tracemalloc.start()
+        try:
+            violations, sl = validated_slices(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert violations == [] and len(sl.basis0) + len(sl.basis1) == 2821
+        assert peak < 0.85 * 2**20
 
     def test_boundary_composition_zero(self):
         for c in (torus_complex(3, 4),

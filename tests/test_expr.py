@@ -174,6 +174,27 @@ class TestRealize:
     def test_unknot(self):
         assert len(realize(parse_expr("U"))) == 1
 
+    @pytest.mark.parametrize("e", [(), (Term(Torus(2, 3), 0),)],
+                             ids=["no-term", "zero-copies"])
+    def test_no_summand_is_the_unknot(self, e):
+        # The parser never builds these, but the library takes them: a sum
+        # of no summands is the unknot, as expected_generators counts it.
+        c = realize(e)
+        assert [tuple(g) for g in c.generators] == [("u", 0, 0, 0)]
+        assert c.differential == {}
+        assert expected_generators(e) == len(c) == 1
+        assert pl_equal(upsilonkit.upsilon_pl(c), upsilonkit.pl_constant(0))
+
+    @pytest.mark.parametrize("max_generators", [None, 20000])
+    def test_negative_copies_refused(self, max_generators):
+        e = (Term(Torus(2, 5)), Term(Torus(2, 3), -1, True))
+        message = re.escape("Term(atom=Torus(p=2, q=3), n=-1, mirror=True) "
+                            "has a negative number of copies")
+        with pytest.raises(ValueError, match=message):
+            realize(e, max_generators=max_generators)
+        with pytest.raises(ValueError, match=message):
+            expected_generators(e)
+
     def test_torus_sizes(self):
         assert len(realize(parse_expr("T(2,5)#T(5,6)"))) == 45
         assert expected_generators(parse_expr("T(2,5)#T(5,6)")) == 45

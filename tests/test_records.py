@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from upsilonkit.cfk import Generator, SliceElement, Slices
+from upsilonkit.cfk import Generator, Slices
 from upsilonkit.expr import Term, Torus, Unknot
 from upsilonkit.plfun import PLFunction
 from upsilonkit.upsilon import JumpReport, PivotPair
@@ -16,11 +16,8 @@ from upsilonkit.verify import CheckResult
 RECORDS = [
     (lambda: Generator("w0", 0, 0, 1),
      "Generator(name='w0', maslov=0, alg=0, alex=1)"),
-    (lambda: SliceElement(0, 0, 0, 1),
-     "SliceElement(gen_index=0, u_exp=0, alg=0, alex=1)"),
-    (lambda: Slices((SliceElement(0, 0, 0, 1),), (), [0], [], 1),
-     "Slices(basis0=(SliceElement(gen_index=0, u_exp=0, alg=0, alex=1),), "
-     "basis1=(), d0=[0], d1=[], phi=1)"),
+    (lambda: Slices(((0, 1),), (), [0], [], 1),
+     "Slices(basis0=((0, 1),), basis1=(), d0=[0], d1=[], phi=1)"),
     (lambda: Torus(2, 3), "Torus(p=2, q=3)"),
     (lambda: Term(Torus(2, 3)), "Term(atom=Torus(p=2, q=3), n=1, mirror=False)"),
     (lambda: Term(Unknot(), 2, True), "Term(atom=Unknot(), n=2, mirror=True)"),

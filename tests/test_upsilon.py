@@ -657,8 +657,11 @@ class TestCertificates:
             t = F(2, 3)
             c = torus_complex(3, 4)
             g = gamma_at(c, t)
-            outside = [k for k, e in enumerate(validated_slices(c)[1].basis0)
-                       if _f(t, (e.alg, e.alex)) > g]
+            basis0 = validated_slices(c)[1].basis0
+            assert list(basis0) == [(alg, alex) for _, _, alg, alex
+                                    in slice_levels(c, 0)]
+            outside = [k for k, level in enumerate(basis0)
+                       if _f(t, level) > g]
             assert outside
             extra = 1 << outside[0]
             sides, mask = _Engine.sides, _Engine.mask
@@ -710,7 +713,8 @@ class TestCertificates:
         # gamma2 raises, not -infinity.
         c, t = torus_complex(3, 4), F(2, 3)
         eng = _engine(c)
-        eng.lev1[eng.lev1.index((1, 3))] = (0, 1)
+        k = eng.lev1.index((1, 3))
+        eng.lev1 = eng.lev1[:k] + ((0, 1),) + eng.lev1[k + 1:]
         assert is_jump_value(c, t)
         with pytest.raises(AssertionError, match="closes the secondary scan"):
             gamma2(c, t, t)
@@ -792,7 +796,9 @@ class TestIntervalCertificate:
             list(base.generators) + [Generator("w", 1, 1, 2),
                                      Generator("y", 0, 1, 2)],
             {**base.differential, (k, k + 1): {0}})
-        levels = [(e.alg, e.alex) for e in validated_slices(c)[1].basis0]
+        levels = list(validated_slices(c)[1].basis0)
+        assert levels == [(alg, alex) for _, _, alg, alex
+                          in slice_levels(c, 0)]
         y = 1 << levels.index((1, 2))
         corrupt_sweeps(lambda self, t, level, z, lam, below:
                        (level, z | y, lam, below))
