@@ -39,15 +39,11 @@ from .cfk import (
 from .upsilon import (
     InvalidComplexError,
     JumpReport,
-    PivotPair,
     candidate_parameters,
-    check_subadditivity,
-    cycle_space,
     gamma2,
     gamma_at,
     is_jump_value,
     jump_values,
-    pivot_points,
     upsilon2,
     upsilon_pl,
 )

@@ -36,7 +36,8 @@ class BifilteredComplex:
 
     differential maps (source, target) generator index pairs to the set of
     int U-exponents with coefficient 1.  In every complex this artifact builds
-    the exponent is 0, but the data model allows arbitrary exponents.
+    the exponent is 0, but the data model allows arbitrary exponents.  A
+    generator's name must be a str, its grading and levels ints, not bools.
 
     The differential keeps the caller's key tuples, once each is checked to
     be a pair of ints (not bools) in range: a repacked (i, j) would be a
@@ -49,6 +50,15 @@ class BifilteredComplex:
                  differential: Mapping[Entry, Iterable[int]]):
         self.generators: tuple[Generator, ...] = tuple(generators)
         n = len(self.generators)
+        for k, (name, maslov, alg, alex) in enumerate(self.generators):
+            if type(name) is not str:
+                raise ValueError(f"generator {k} has name {name!r}, not a str")
+            if not type(maslov) is type(alg) is type(alex) is int:
+                field, value = next((f, v) for f, v in zip(
+                    Generator._fields[1:], (maslov, alg, alex))
+                    if type(v) is not int)
+                raise ValueError(f"generator {k} has {field} {value!r}, "
+                                 f"not an int")
         diff: dict[Entry, frozenset[int]] = {}
         for key, exps in differential.items():
             if type(key) is not tuple or len(key) != 2 or \

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from .expr import (DEFAULT_GENERATOR_LIMIT, ComplexTooLargeError, Unknot,
@@ -126,9 +127,8 @@ def _realize(args):
 def _cmd_alexander(args) -> int:
     e = parse_expr(args.expr)
     if len(e) != 1 or e[0].n != 1 or e[0].mirror:
-        print("alexander: only certified for torus knots, got "
-              f"{expr_to_str(e)}", file=sys.stderr)
-        return 2
+        raise ValueError("alexander: only certified for torus knots, got "
+                         f"{expr_to_str(e)}")
     # The polynomial has as many terms as the staircase has generators.
     terms = expected_generators(e)
     if terms > DEFAULT_GENERATOR_LIMIT:
@@ -208,8 +208,11 @@ def main(argv=None) -> int:
         "dump-complex": _cmd_dump,
     }
     try:
-        args = _build_parser().parse_args(argv)
-        status = handlers[args.command](args)
+        with warnings.catch_warnings():  # restores showwarning on exit
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            args = _build_parser().parse_args(argv)
+            status = handlers[args.command](args)
         sys.stdout.flush()
         return status
     except ValueError as exc:
@@ -226,7 +229,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

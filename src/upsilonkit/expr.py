@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import re
 import warnings
-from math import gcd
 from typing import NamedTuple, Union
 
 from .cfk import BifilteredComplex, dual, from_staircase, tensor, unknot_complex
-from .staircase import build_staircase, torus_generators
+from .staircase import _corner, build_staircase, torus_generators
 
 
 class ExprSyntaxError(ValueError):
@@ -78,14 +77,13 @@ KnotExpr = tuple[Term, ...]  # nonempty; the connected sum of its terms
 
 
 def make_torus(p: int, q: int) -> Torus:
-    """Validated torus node; reorders to p < q with a warning if needed."""
-    if p < 1 or q < 1:
-        raise ValueError(f"torus parameters must be positive, got T({p},{q})")
-    if q < p:
+    """Torus node judged by staircase._corner; reorders to p < q with a
+    warning if needed, and refuses T(1,1), which _corner takes for the
+    unknot."""
+    if 0 < q < p:
         warnings.warn(f"torus parameters reordered: T({p},{q}) = T({q},{p})")
         p, q = q, p
-    if gcd(p, q) != 1:
-        raise ValueError(f"torus parameters must be coprime, got T({p},{q})")
+    _corner(p, q)
     if p == q:
         raise ValueError(f"torus parameters must differ, got T({p},{q})")
     return Torus(p, q)

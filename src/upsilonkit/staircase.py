@@ -61,11 +61,11 @@ def _corner(p: int, q: int) -> tuple[int, int]:
     Monthly 103 (1996).
     """
     if p < 1 or q < 1:
-        raise ValueError(f"torus parameters must be positive, got ({p},{q})")
-    if p >= q > 1:  # T(n,1) is the unknot
-        raise ValueError(f"torus parameters must satisfy p < q, got ({p},{q})")
+        raise ValueError(f"torus parameters must be positive, got T({p},{q})")
     if gcd(p, q) != 1:
-        raise ValueError(f"torus parameters must be coprime, got ({p},{q})")
+        raise ValueError(f"torus parameters must be coprime, got T({p},{q})")
+    if p >= q > 1:  # T(n,1) is the unknot
+        raise ValueError(f"torus parameters must satisfy p < q, got T({p},{q})")
     c = (p - 1) * (q - 1)
     s = c * pow(q, -1, p) % p
     return (c - s * q) // p, s

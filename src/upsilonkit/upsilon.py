@@ -159,7 +159,6 @@ class _Engine:
         for i, level in enumerate(basis0):
             members.setdefault(level, []).append(i)
         self.levels = list(members)
-        self._at = {lev: k for k, lev in enumerate(self.levels)}
         self._members = list(members.values())
         self._masks = [sum(1 << i for i in m) for m in self._members]
         self._w = 2 * max((abs(A - a) for a, A in self.levels), default=0) + 1
@@ -202,7 +201,7 @@ class _Engine:
         masks.  At side 0 and a contact level beside t, it is the sublevel
         set at gamma(t)."""
         keys = _keys(self.levels, t, side, self._w)
-        top = keys[self._at[level]]
+        top = _keys([level], t, side, self._w)[0]
         return sum(m for m, k in zip(self._masks, keys) if k <= top)
 
     def _sweep(self, t: Fraction, side: int) -> tuple[Level, int, int, int]:
@@ -408,10 +407,11 @@ def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     return witness, [inside[p][0] for p in sorted(inside)]
 
 
-def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction,
-                   found: Optional[tuple[int, Basis, int]]) -> ExtRational:
-    """Incremental minimal-r scan for the secondary invariant, going on from
-    found = eng.meet(t): its elimination, and its top for gamma(t).
+def _secondary(eng: _Engine, t: Fraction,
+               s: Fraction) -> tuple[ExtRational, ExtRational]:
+    """(gamma2, upsilon2) at t, s: (-infinity, +infinity) off the jumps, else
+    (g2, -2*(g2 - gamma(t))) from the incremental minimal-r scan, going on
+    from eng.meet(t): its elimination, and its top for gamma(t).
 
     The question is whether some chain x in M+ with d0 x = 0 and
     phi(x) = 1 (an essential cycle z+) and some allowed grading-1 chain w
@@ -436,8 +436,9 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction,
     of the f_s scan, so moving them into it changes no value there; off the
     diagonal that is open.
     """
+    found = eng.meet(t)
     if found is None:
-        return NEG_INF
+        return NEG_INF, POS_INF
     mlo, reducer, top_t = found
 
     def closes(col: int) -> bool:
@@ -457,7 +458,8 @@ def _gamma2_engine(eng: _Engine, t: Fraction, s: Fraction,
     rest.sort(key=lambda kv: kv[0])
     for key, col in rest:
         if closes(col):
-            return Fraction(key, 2 * s.denominator)
+            g2 = Fraction(key, 2 * s.denominator)
+            return g2, -2 * (g2 - Fraction(top_t, 2 * t.denominator))
     raise AssertionError(
         "secondary invariant scan exhausted all grading-1 thresholds without "
         "solving; complex invalid")
@@ -468,16 +470,8 @@ def gamma2(c: BifilteredComplex, t, s) -> ExtRational:
     below and just above t become homologous in C^t_{gamma(t)} + C^s_r;
     -infinity exactly when one essential cycle lies in both masks, that is
     when t is no jump."""
-    eng, t = _engine(c), _parameter(t, "t", closed=False)
-    return _gamma2_engine(eng, t, _parameter(s, "s", closed=True), eng.meet(t))
-
-
-def _upsilon2(eng: _Engine, t: Fraction, s: Fraction) -> ExtRational:
-    """-2*(gamma2 - gamma) from one meet at t, gamma(t) read off its top."""
-    found = eng.meet(t)
-    g2 = _gamma2_engine(eng, t, s, found)
-    return (POS_INF if found is None
-            else -2 * (g2 - Fraction(found[2], 2 * t.denominator)))
+    t = _parameter(t, "t", closed=False)
+    return _secondary(_engine(c), t, _parameter(s, "s", closed=True))[0]
 
 
 def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
@@ -488,7 +482,7 @@ def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
     """
     t = _parameter(t, "t", closed=False)
     s = t if s is None else _parameter(s, "s", closed=True)
-    return _upsilon2(_engine(c), t, s)
+    return _secondary(_engine(c), t, s)[1]
 
 
 def is_jump_value(c: BifilteredComplex, t) -> bool:
@@ -509,7 +503,7 @@ def jump_values(c: BifilteredComplex,
     inside the current interval is reported as no jump with no lookup.  At
     an interval end one meet decides the jump, and at a jump the gamma2
     scan goes on from its elimination, so t is a jump exactly when its
-    value is finite (see _gamma2_engine).  An end of a table interval in
+    value is finite (see _secondary).  An end of a table interval in
     (0,2) that is no candidate would be a lost jump: that raises."""
     eng = _engine(c)
     max_t = None if max_t is None else _frac(max_t)
@@ -520,7 +514,7 @@ def jump_values(c: BifilteredComplex,
             break
         while hi < t:
             hi = eng.interval(hi, 1)[3]
-        u2 = POS_INF if t < hi else _upsilon2(eng, t, t)
+        u2 = POS_INF if t < hi else _secondary(eng, t, t)[1]
         out.append(JumpReport(t=t, is_jump=is_finite(u2), upsilon2=u2))
     for end in sorted({end for entry in eng._intervals
                        for end in entry[2:] if 0 < end < 2}):

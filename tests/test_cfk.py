@@ -2,6 +2,7 @@ import itertools
 import re
 import tracemalloc
 from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 
@@ -101,6 +102,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(
                 f"entry (0,1) has exponent {exp!r}, not an int")):
             BifilteredComplex(gens, {(0, 1): {exp}})
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", 1), ("maslov", 0.0), ("alg", 0.5), ("alg", F(1, 2)),
+        ("alg", True), ("alex", False)],
+        ids=["name-int", "maslov-float", "alg-float", "alg-fraction",
+             "alg-bool", "alex-bool"])
+    def test_generator_field_type_refused(self, field, value):
+        # A Fraction level gave upsilon over half-integer levels, a float
+        # one failed deep in the engine with a TypeError, and True was
+        # taken as 1.
+        bad = Generator("y", 0, 0, 0)._replace(**{field: value})
+        kind = "a str" if field == "name" else "an int"
+        with pytest.raises(ValueError, match=re.escape(
+                f"generator 1 has {field} {value!r}, not {kind}")):
+            BifilteredComplex([Generator("x", 1, 0, 0), bad], {})
 
     def test_keeps_key_tuples(self):
         # The complex stores the caller's key, not a repacked copy.

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction as F
 from math import gcd
 from pathlib import Path
@@ -356,6 +357,27 @@ PINNED_OUTPUTS = [
             (7, 1), (7, 4), (7, 8), (8, 2), (8, 5)])),
 ]
 
+# The whole stderr of each refusal, exit code 2; a warning is one line.
+REFUSALS = [
+    (["upsilon", "T(4,6)"],
+     "error: torus parameters must be coprime, got T(4,6)\n"),
+    (["upsilon", "T(0,5)"],
+     "error: torus parameters must be positive, got T(0,5)\n"),
+    (["upsilon", "T(5,0)"],
+     "error: torus parameters must be positive, got T(5,0)\n"),
+    (["upsilon", "T(3,3)"],
+     "error: torus parameters must be coprime, got T(3,3)\n"),
+    (["upsilon", "T(1,1)"],
+     "error: torus parameters must differ, got T(1,1)\n"),
+    (["upsilon", "T(6,4)"],
+     "warning: torus parameters reordered: T(6,4) = T(4,6)\n"
+     "error: torus parameters must be coprime, got T(4,6)\n"),
+    (["alexander", "2*U"],
+     "error: alexander: only certified for torus knots, got 2*U\n"),
+    (["alexander", "-T(2,3)"],
+     "error: alexander: only certified for torus knots, got -T(2,3)\n"),
+]
+
 
 class TestCLI:
     @pytest.mark.parametrize("args, stdout", PINNED_OUTPUTS,
@@ -531,6 +553,24 @@ class TestCLI:
 
     def test_non_coprime_exit_code(self, capsys):
         assert main(["upsilon", "T(6,9)"]) == 2
+
+    @pytest.mark.parametrize("args, stderr", REFUSALS,
+                             ids=[" ".join(a) for a, _ in REFUSALS])
+    def test_refusal_stderr(self, capsys, args, stderr):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == stderr
+
+    def test_warning_leaves_no_state(self, capsys):
+        filters, show = warnings.filters[:], warnings.showwarning
+        assert main(["upsilon", "T(3,2)"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "0\t0\n1\t-1\n2\t0\n"
+        assert captured.err == ("warning: torus parameters reordered: "
+                                "T(3,2) = T(2,3)\n")
+        assert warnings.filters == filters
+        assert warnings.showwarning is show
 
     def test_leading_minus_expression(self, capsys):
         assert main(["upsilon", "--", "-T(2,3)"]) == 0

@@ -2,8 +2,8 @@
 check that `python -O` would strip, no floating point in the package, no
 function name the benchmark tracer wraps or the benchmark imports missing
 from the package, none rebound in `verify`, no private module-level function that nothing in the
-package names, and a lean command-line import graph that loads every
-module the tracer reads."""
+package names, no entry point but `__main__.py`, and a lean command-line
+import graph that loads every module the tracer reads."""
 
 import ast
 import importlib
@@ -73,6 +73,22 @@ def test_no_orphaned_private_helpers():
                and not any(node.name in names
                            for m, names in enumerate(named) if m != k)]
     assert orphans == []
+
+
+def is_main_guard(node) -> bool:
+    # `if __name__ == "__main__":`, either way round.
+    def part(n):
+        return (isinstance(n, ast.Name) and n.id == "__name__"
+                or isinstance(n, ast.Constant) and n.value == "__main__")
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and all(map(part, [node.test.left, *node.test.comparators])))
+
+
+def test_one_entry_point():
+    # `python -m upsilonkit` runs __main__.py; a script block in any other
+    # module would be a second entry point to keep in step with it.
+    assert [where for where in src_nodes_where(is_main_guard)
+            if Path(where.rsplit(":", 1)[0]).name != "__main__.py"] == []
 
 
 def traced_layers() -> dict[str, tuple[str, ...]]:

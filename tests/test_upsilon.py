@@ -709,7 +709,7 @@ class TestCertificates:
     def test_first_phase_closing_raises(self):
         # Moving a grading-1 level of T(3,4) below the support line at 2/3,
         # under levels of its own boundary, lets it close the first phase
-        # at a jump, which a filtered d1 never does (see _gamma2_engine):
+        # at a jump, which a filtered d1 never does (see _secondary):
         # gamma2 raises, not -infinity.
         c, t = torus_complex(3, 4), F(2, 3)
         eng = _engine(c)
