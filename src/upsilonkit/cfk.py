@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .f2 import Basis, functional, reduce_pair, span_basis
+from .f2 import Basis, functional, image, reduce_pair, span_basis
 
 Entry = tuple[int, int]  # (source index, target index)
 Level = tuple[int, int]  # (alg, alex)
@@ -213,6 +213,7 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
                 violations.append(
                     f"filtration: entry {gi.name}->U^{n}.{gj.name} increases "
                     f"a filtration level")
+    del pos, shared  # freed before the elimination, where memory peaks
     if not graded:
         return violations, None
 
@@ -223,11 +224,7 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     at: Optional[list[Generator]] = None  # slice 0's generators, then 1's
     for off, first, second in ((0, d0, d1), (len(d0), d1, d0)):
         for j, col in enumerate(first, off):
-            dd = 0
-            while col:
-                k = col.bit_length() - 1
-                col ^= 1 << k
-                dd ^= second[k]
+            dd = image(second, col)
             while dd:
                 k = dd.bit_length() - 1
                 dd ^= 1 << k

@@ -62,12 +62,11 @@ class _Parser(argparse.ArgumentParser):
         super().exit(status, message)
 
 
-def _rational_json(x: Fraction) -> dict:
+def _json(x) -> dict:
+    """json.dumps hook: a Fraction as num and den, an infinity as its sign."""
+    if isinstance(x, Infinity):
+        return {"inf": x.sign}
     return {"num": x.numerator, "den": x.denominator}
-
-
-def _ext_json(x) -> dict:
-    return {"inf": x.sign} if isinstance(x, Infinity) else _rational_json(x)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,8 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "torus knots, mirrors and connected sums.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_expr_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add_expr_command(name: str, run, help_text: str):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("expr", help="knot expression, e.g. 'T(3,4) # -T(2,5)'")
         p.add_argument("--max-generators", type=int,
                        default=DEFAULT_GENERATOR_LIMIT,
@@ -86,33 +86,36 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"(default {DEFAULT_GENERATOR_LIMIT})")
         return p
 
-    p = sub.add_parser("alexander",
-                       help="Alexander polynomial of a torus knot")
+    p = sub.add_parser("alexander", help="Alexander polynomial of a torus knot")
+    p.set_defaults(run=_cmd_alexander)
     p.add_argument("expr")
     p.add_argument("--json", action="store_true")
 
-    p = add_expr_command("upsilon", "upsilon as a piecewise-linear function")
+    p = add_expr_command("upsilon", _cmd_upsilon,
+                         "upsilon as a piecewise-linear function")
     p.add_argument("--json", action="store_true")
 
-    p = add_expr_command("upsilon2", "secondary upsilon at parameters t, s")
+    p = add_expr_command("upsilon2", _cmd_upsilon2,
+                         "secondary upsilon at parameters t, s")
     p.add_argument("--t", type=_rational, required=True,
                    help="parameter t in (0,2)")
     p.add_argument("--s", type=_rational, default=None,
                    help="parameter s in [0,2]; defaults to t")
     p.add_argument("--json", action="store_true")
 
-    p = add_expr_command("jumps", "jump-value report over the candidate "
-                                  "parameters")
+    p = add_expr_command("jumps", _cmd_jumps,
+                         "jump-value report over the candidate parameters")
     p.add_argument("--max-t", type=_rational, default=None)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify-paper",
-                       help="recompute the published claims; nonzero exit on "
-                            "any mismatch")
+    p = sub.add_parser("verify-paper", help="recompute the published claims; "
+                       "nonzero exit on any mismatch")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--fast", action="store_true",
                    help="trimmed parameter ranges")
 
-    add_expr_command("dump-complex", "JSON dump of the realized complex")
+    add_expr_command("dump-complex", _cmd_dump,
+                     "JSON dump of the realized complex")
     return parser
 
 
@@ -139,8 +142,7 @@ def _cmd_alexander(args) -> int:
     poly = (((0, 1),) if isinstance(atom, Unknot)
             else alexander_torus(atom.p, atom.q))
     if args.json:
-        print(json.dumps({"terms": [{"exp": e, "coef": c}
-                                    for e, c in poly]}))
+        print(json.dumps({"terms": [{"exp": e, "coef": c} for e, c in poly]}))
     else:  # 1 - t + t^3 ...: the first term is 1, every coefficient +-1
         print("1" + "".join(f" {'+' if c > 0 else '-'} "
                             f"{'t' if e == 1 else f't^{e}'}"
@@ -151,9 +153,8 @@ def _cmd_alexander(args) -> int:
 def _cmd_upsilon(args) -> int:
     f = upsilon_pl(_realize(args))
     if args.json:
-        print(json.dumps({"breakpoints": [
-            {"t": _rational_json(t), "v": _rational_json(v)}
-            for t, v in f.breakpoints]}))
+        points = [{"t": t, "v": v} for t, v in f.breakpoints]
+        print(json.dumps({"breakpoints": points}, default=_json))
     else:
         sys.stdout.write("".join(f"{t}\t{v}\n" for t, v in f.breakpoints))
     return 0
@@ -161,19 +162,15 @@ def _cmd_upsilon(args) -> int:
 
 def _cmd_upsilon2(args) -> int:
     value = upsilon2(_realize(args), args.t, args.s)
-    if args.json:
-        print(json.dumps(_ext_json(value)))
-    else:
-        print(format_ext(value))
+    print(json.dumps(value, default=_json) if args.json else format_ext(value))
     return 0
 
 
 def _cmd_jumps(args) -> int:
     reports = jump_values(_realize(args), max_t=args.max_t)
     if args.json:
-        print(json.dumps([{"t": _rational_json(t), "is_jump": is_jump,
-                           "upsilon2": _ext_json(value)}
-                          for t, is_jump, value in reports]))
+        print(json.dumps([{"t": t, "is_jump": is_jump, "upsilon2": value}
+                          for t, is_jump, value in reports], default=_json))
     else:
         sys.stdout.write("t\tjump\tupsilon2\n" + "".join(
             f"{t}\t{'yes' if is_jump else 'no'}\t{format_ext(value)}\n"
@@ -199,23 +196,15 @@ def _cmd_dump(args) -> int:
 
 
 def main(argv=None) -> int:
-    handlers = {
-        "alexander": _cmd_alexander,
-        "upsilon": _cmd_upsilon,
-        "upsilon2": _cmd_upsilon2,
-        "jumps": _cmd_jumps,
-        "verify-paper": _cmd_verify,
-        "dump-complex": _cmd_dump,
-    }
     try:
         with warnings.catch_warnings():  # restores showwarning on exit
             warnings.showwarning = lambda message, *_: print(
                 f"warning: {message}", file=sys.stderr)
             args = _build_parser().parse_args(argv)
-            status = handlers[args.command](args)
+            status = args.run(args)
         sys.stdout.flush()
         return status
-    except ValueError as exc:
+    except (ValueError, Warning) as exc:  # Warning: under -W error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -137,22 +137,30 @@ def expr_to_str(e: KnotExpr) -> str:
     return " # ".join(map(str, e))
 
 
-def expected_generators(e: KnotExpr, stop: int | None = None) -> int:
-    """Generator count of realize(e), computed without building or sieving
-    anything: counts multiply under tensor products.  With stop set, it may
-    return a partial product above stop instead, which keeps the numbers
-    small: n copies of a factor of at least 3 exceed stop once n reaches
+def _generator_count(e: KnotExpr, stop: int | None) -> tuple[int, bool]:
+    """(count, exact): the generator count of realize(e), a product over the
+    tensor factors, after refusing negative copy counts.  With stop set, it
+    may be a partial product above stop, exact False, which keeps numbers
+    small: n copies of a factor of at least 3 pass stop once n reaches
     stop.bit_length()."""
-    total = 1
     for t in e:
         if t.n < 0:
             raise ValueError(f"{t!r} has a negative number of copies")
-        if isinstance(t.atom, Torus):
-            n = t.n if stop is None else min(t.n, stop.bit_length())
-            total *= torus_generators(t.atom.p, t.atom.q) ** n
-            if stop is not None and total > stop:
-                break
-    return total
+    total = 1
+    for t in e:
+        g = torus_generators(*t.atom) if isinstance(t.atom, Torus) else 1
+        if stop is not None and g > 1:
+            if total > stop:
+                return total, False
+            if t.n > stop.bit_length():
+                return total * g ** stop.bit_length(), False
+        total *= g ** t.n
+    return total, True
+
+
+def expected_generators(e: KnotExpr) -> int:
+    """Generator count of realize(e), computed without building anything."""
+    return _generator_count(e, None)[0]
 
 
 DEFAULT_GENERATOR_LIMIT = 20000
@@ -166,19 +174,14 @@ def realize(e: KnotExpr, max_generators: int | None = DEFAULT_GENERATOR_LIMIT
     Refuses complexes beyond max_generators generators, or summands (tensor
     products grow multiplicatively); pass None to lift the limit.
     """
-    for t in e:
-        if t.n < 0:
-            raise ValueError(f"{t!r} has a negative number of copies")
+    size, exact = _generator_count(e, max_generators)
     if max_generators is not None:
         # n copies cost n - 1 tensor products even when each has one
         # generator.  Neither count lists a semigroup's runs.
-        size = sum(t.n for t in e)
-        need = f"has {size} summands"
-        if size <= max_generators:
-            size = expected_generators(e, stop=max_generators)
-            capped = any(t.n > max_generators.bit_length() for t in e)
-            need = f"needs {'at least ' if capped else ''}{size} generators"
-        if size > max_generators:
+        summands = sum(t.n for t in e)
+        need = (f"has {summands} summands" if summands > max_generators else
+                f"needs {'' if exact else 'at least '}{size} generators")
+        if max(size, summands) > max_generators:
             raise ComplexTooLargeError(
                 f"{expr_to_str(e)} {need}, above the limit of "
                 f"{max_generators}; raise or disable the limit to proceed")

@@ -5,12 +5,13 @@ arbitrary dimensions cost nothing extra.  Everything the homology engine
 needs (ranks, the cycles of a column reduction over a sublevel mask and the
 essential class) is Gaussian elimination with the highest set bit as pivot,
 and `reduce_pair` is the only place that eliminates; `functional`
-back-substitutes a functional with given values on a reduced basis.
+back-substitutes a functional with given values on a reduced basis, and
+`image` applies a matrix given by its columns.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # Pivot -> (row, tag): each row's pivot is its highest set bit, and the tag
 # is whatever the caller carries along with the row (a combination of
@@ -34,6 +35,16 @@ def reduce_pair(v: int, tag: int, basis: Basis) -> tuple[int, int]:
         v ^= row[0]
         tag ^= row[1]
     return v, tag
+
+
+def image(cols: Sequence[int], v: int) -> int:
+    """The sum of the columns at the set bits of v."""
+    out = 0
+    while v:
+        k = v.bit_length() - 1
+        out ^= cols[k]
+        v ^= 1 << k
+    return out
 
 
 def functional(rows: Basis) -> int:

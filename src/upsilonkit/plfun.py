@@ -105,14 +105,14 @@ class PLFunction(NamedTuple):
 _Point = tuple[Fraction, int, int, int]
 
 
-def _scaled(*point_lists) -> tuple[int, list[list[_Point]]]:
-    """The lcm of every denominator in the lists of points (t, v), and each
-    list in integer form under that scale, with d = 1."""
-    scale = lcm(*(x.denominator for pts in point_lists for pt in pts
+def _scaled(*pair_lists) -> tuple[int, list[list[_Point]]]:
+    """The lcm of every denominator in the lists of pairs (t, v), points or
+    lines, and each list in integer form under that scale, with d = 1."""
+    scale = lcm(*(x.denominator for pts in pair_lists for pt in pts
                   for x in pt))
     return scale, [[(t, t.numerator * (scale // t.denominator),
                      v.numerator * (scale // v.denominator), 1)
-                    for t, v in pts] for pts in point_lists]
+                    for t, v in pts] for pts in pair_lists]
 
 
 def _canonicalize(points: list[_Point], scale: int) -> PLFunction:
@@ -228,13 +228,11 @@ def pl_lower_envelope(lines: Sequence[tuple[Fraction, Fraction]]) -> PLFunction:
     """
     if not lines:
         raise ValueError("empty family of lines")
-    exact = [(m if isinstance(m, int) else _frac(m),
-              b if isinstance(b, int) else _frac(b)) for m, b in lines]
-    scale = lcm(*(x.denominator for line in exact for x in line))
+    scale, [scaled] = _scaled([(m if isinstance(m, int) else _frac(m),
+                                b if isinstance(b, int) else _frac(b))
+                               for m, b in lines])
     lowest: dict[int, int] = {}
-    for m, b in exact:
-        m = m.numerator * (scale // m.denominator)
-        b = b.numerator * (scale // b.denominator)
+    for _, m, b, _ in scaled:
         if m not in lowest or b < lowest[m]:
             lowest[m] = b
     # (takeover num, den, slope, intercept).  The steepest line holds from

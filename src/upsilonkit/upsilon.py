@@ -58,7 +58,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .cfk import BifilteredComplex, Level, validated_slices
-from .f2 import Basis, functional, reduce_pair
+from .f2 import Basis, functional, image, reduce_pair
 from .plfun import (NEG_INF, POS_INF, ExtRational, PLFunction, is_finite,
                     pl_from_samples, _frac)
 
@@ -247,11 +247,7 @@ class _Engine:
         S, and [lo, hi] holds t+ (lo <= t < hi) or t- (lo < t <= hi).
         """
         level, z, lam, below = self._sweep(t, side)
-        dz, q, rest = 0, self.phi, z
-        while rest:
-            low = rest & -rest
-            dz ^= self.d0cols[low.bit_length() - 1]
-            rest ^= low
+        dz, q = image(self.d0cols, z), self.phi
         for i, col in enumerate(self.d0cols):
             if (col & lam).bit_count() & 1:
                 q ^= 1 << i

@@ -247,9 +247,22 @@ class TestRealize:
                             ("T(2,100000001)", "needs 100000001 generators"),
                             ("T(4999,10000)", "needs 24994999 generators"),
                             ("1000000*T(2,3)", "above the limit of 20000"),
-                            ("100*T(2,3)", "needs at least 14348907 ")):
+                            ("100*T(2,3)", "needs at least 14348907 "),
+                            # a count cut short is a lower bound
+                            ("T(4999,10000) # T(2,3)",
+                             "needs at least 24994999 "),
+                            ("T(2,3) # T(4999,10000)", "needs 74984997 ")):
             with pytest.raises(ComplexTooLargeError, match=match):
                 realize(parse_expr(text))
+        assert expected_generators(parse_expr("100*T(2,3)")) == 3 ** 100
+
+    def test_size_guard_counts_past_trivial_factors(self):
+        # Copies of a one-generator torus cut no count short: 20 is above
+        # the 5 copies a factor of at least 3 needs to pass 21.
+        assert len(realize(parse_expr("20*T(1,3) # T(2,3)"),
+                           max_generators=21)) == 3
+        with pytest.raises(ComplexTooLargeError, match="needs 25 generators"):
+            realize(parse_expr("20*T(1,3) # T(2,25)"), max_generators=21)
 
     def test_closed_form_matches_sieve(self):
         # The sieve is the reference: the same runs, and 2*runs + 1
@@ -571,6 +584,27 @@ class TestCLI:
                                 "T(3,2) = T(2,3)\n")
         assert warnings.filters == filters
         assert warnings.showwarning is show
+
+    def test_warning_as_error_exit_code(self, capsys):
+        # Under a warning filter of "error" the reorder warning is raised:
+        # an input error, exit 2, not a traceback.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["upsilon", "T(4,3)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: torus parameters reordered: "
+                                "T(4,3) = T(3,4)\n")
+
+    def test_warning_as_error_exit_code_subprocess(self):
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "upsilonkit", "upsilon",
+             "T(4,3)"], cwd=Path(upsilonkit.__file__).resolve().parents[1],
+            capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == ("error: torus parameters reordered: "
+                              "T(4,3) = T(3,4)\n")
 
     def test_leading_minus_expression(self, capsys):
         assert main(["upsilon", "--", "-T(2,3)"]) == 0

@@ -1,6 +1,7 @@
 import random
 
-from upsilonkit.f2 import functional, reduce_pair, span_basis
+import reference
+from upsilonkit.f2 import functional, image, reduce_pair, span_basis
 
 
 def _random_rows(rng, nrows, ncols):
@@ -95,3 +96,15 @@ class TestMatrixOps:
             nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
             rows = _random_rows(rng, nrows, ncols)
             assert _transpose(_transpose(rows, ncols), nrows) == rows
+
+
+def test_image_matches_reference():
+    # The sum of the columns at the set bits of v, v = 0 and no columns
+    # included.
+    rng = random.Random(23)
+    assert image([], 0) == 0
+    for _ in range(200):
+        ncols, dim = rng.randint(0, 12), rng.randint(0, 10)
+        cols = _random_rows(rng, ncols, dim)
+        for v in (0, rng.getrandbits(ncols), (1 << ncols) - 1):
+            assert image(cols, v) == reference.apply(cols, v), (cols, v)

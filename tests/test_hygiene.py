@@ -2,9 +2,11 @@
 check that `python -O` would strip, no floating point in the package, no
 function name the benchmark tracer wraps or the benchmark imports missing
 from the package, none rebound in `verify`, no private module-level function that nothing in the
-package names, no entry point but `__main__.py`, and a lean command-line
-import graph that loads every module the tracer reads."""
+package names, no entry point but `__main__.py`, a lean command-line
+import graph that loads every module the tracer reads, and a handler bound
+to every subcommand."""
 
+import argparse
 import ast
 import importlib
 import shutil
@@ -181,3 +183,15 @@ print(isinstance(checks, list) and all(map(callable, checks)))
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]", "[]", "True"]
+
+
+def test_every_subcommand_has_a_handler():
+    # main runs the handler its subparser binds as the default of "run"; a
+    # subcommand declared without one would fail there with a traceback.
+    from upsilonkit.cli import _build_parser
+    [commands] = [action.choices for action in _build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert commands
+    unbound = [name for name, sub in commands.items()
+               if not callable(sub.get_default("run"))]
+    assert unbound == []
