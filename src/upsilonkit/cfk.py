@@ -240,15 +240,19 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     # apart carry identical boundary matrices (a uniform U-shift), so
     # rank(out of grading 2) = rank(out of grading 0) etc.
     # Eliminating d0 with combination tags finds the grading-0 cycles; the
-    # first one outside the boundaries joins their basis tagged 1.
+    # first one outside the boundaries joins their basis tagged 1.  From
+    # then on only the rank is read, so the rows drop their tags.
     span = span_basis(d1)
     r1 = len(span)
     reducer: Basis = {}
     essential = False
     for j, col in enumerate(d0):
-        v, combo = reduce_pair(col, 1 << j, reducer)
+        v, combo = reduce_pair(col, 0 if essential else 1 << j, reducer)
         if v == 0 and not essential:
             essential = reduce_pair(combo, 1, span)[0] != 0
+            if essential:
+                for p, (row, _) in reducer.items():
+                    reducer[p] = row, 0
     r0 = len(reducer)
     h0 = len(basis0) - r0 - r1
     h1 = len(basis1) - r1 - r0

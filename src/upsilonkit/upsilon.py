@@ -32,8 +32,11 @@ M+ just below and above it at once, so only an interval end can be one.
 Every value at t depends only on the two certified intervals beside t,
 read once by _Engine.sides: gamma(t) and the pivots come from their
 contact levels, and t is no jump when one interval covers both sides.
-Else one column sweep over their masks, the meet, hands its elimination
-and gamma(t) on to the secondary invariant, which measures how far the
+Else one column elimination over their masks, the meet, hands its rows
+and gamma(t) on to the secondary invariant.  The elements strictly below
+the support line lie in both masks, and when sides(t) sweeps at t+ the
+meet starts from that sweep's rows over them, so it eliminates only the
+elements of M+ on the line.  The secondary invariant measures how far the
 support line must retreat, along a second direction s, before the cycles
 from just below t and just above t become homologous:
 
@@ -154,7 +157,6 @@ class _Engine:
         if violations:
             raise InvalidComplexError(violations)
         basis0, self.lev1, self.d0cols, self.d1cols, self.phi = slices
-        self.dim0 = len(basis0)
         members: dict[Level, list[int]] = {}
         for i, level in enumerate(basis0):
             members.setdefault(level, []).append(i)
@@ -215,10 +217,12 @@ class _Engine:
         Returns (L, z, lam, S), S the union of the masks of the levels
         below L in that order and lam a functional on the grading -1 slice
         with phi = lam o d0 on S, back-substituted in increasing pivot
-        order over the rows whose combination lies in S.
+        order over the rows whose combination lies in S.  Just above t,
+        the rows (pivot -> (residue, combination)) go into the meet's
+        _rows when it has set one.
         """
         keys = _keys(self.levels, t, side, self._w)
-        reducer: Basis = {}
+        reducer: Basis = vars(self).get("_rows", {}) if side > 0 else {}
         phi, below = self.phi, 0
         for k in sorted(range(len(self.levels)), key=keys.__getitem__):
             for i in self._members[k]:
@@ -285,24 +289,48 @@ class _Engine:
         both sides, which answers with no mask).  Else (M-, basis, top),
         top the side-0 key 2v*gamma(t) of sides(t): after checking that the
         two witnesses and masks lie in the sublevel set at gamma(t), it
-        eliminates the columns (d0 e_i, e_i outside M-) for i in M+, tagged
+        eliminates the columns (e_i outside M-, d0 e_i) for i in M+, tagged
         phi_i, where a zero residue with an odd tag is an essential cycle
-        in M- and M+.  The d0 part sits above the slice-0 coordinates, so a
-        further column with no d0 part is a plain slice-0 vector."""
-        below, above, top = self.sides(t)
+        in M- and M+.  The slice-0 coordinates sit above the d0 part, at
+        bit len(lev1) on, since slice -1 lists the grading-1 generators:
+        a further column with no d0 part is a plain slice-0 vector.
+
+        The elements B strictly below the support line come first in the
+        order at t+ and lie in M- and M+, so their columns here are d0 e_i
+        alone, as in a sweep at t+.  While sides(t) runs, _rows collects
+        the rows of its sweep at t+, if it makes one; the meet removes the
+        attribute on return.  The rows whose combination lies in B, tagged
+        with the parity of phi on the combination, start this elimination,
+        and only the elements of M+ on the line are left to eliminate.  B
+        holds no essential cycle, so every dependency the sweep dropped
+        there has an even tag.  With no rows, as when the interval at t+
+        comes from the table, the same loop eliminates all of M+."""
+        self._rows = rows = {}
+        try:
+            below, above, top = self.sides(t)
+        finally:
+            del self._rows
         if below is above:
             return None
         mlo, mhi = self.mask(t, -1, below[0]), self.mask(t, 1, above[0])
         if (mlo | mhi | below[1] | above[1]) & ~self.mask(t, 0, below[0]):
             raise AssertionError(
                 "a cycle from either side of t leaves the sublevel set at t")
-        phi, reducer = self.phi, {}
-        for i, col in enumerate(self.d0cols):
-            if mhi >> i & 1:
-                v, odd = reduce_pair(col << self.dim0 | ((1 << i) & ~mlo),
-                                     phi >> i & 1, reducer)
-                if v == 0 and odd:
-                    return None
+        phi, shift = self.phi, len(self.lev1)
+        taken = sum(m for m, k in zip(self._masks, _keys(self.levels, t))
+                    if k < top) if rows else 0
+        rest, out = ~taken, ~mlo
+        reducer = {p: (row, (combo & phi).bit_count() & 1)
+                   for p, (row, combo) in rows.items() if not combo & rest}
+        rows.clear()  # frees the combinations before the elimination
+        todo = mhi & rest
+        while todo:
+            i = (todo & -todo).bit_length() - 1
+            todo ^= 1 << i
+            v, odd = reduce_pair(((1 << i) & out) << shift | self.d0cols[i],
+                                 phi >> i & 1, reducer)
+            if v == 0 and odd:
+                return None
         return mlo, reducer, top
 
 
@@ -414,7 +442,11 @@ def _secondary(eng: _Engine, t: Fraction,
     leave x + d1 w inside M- (an essential cycle z-, homologous to z+).
     One elimination answers it: the columns of the meet, then (d1 w
     outside M-), tagged 0, for the grading-1 elements inside
-    C^t_{gamma(t)} and then the others in increasing f_s order.  A
+    C^t_{gamma(t)} and then the others in increasing f_s order.  These
+    have no d0 part, so they sit at the meet's slice-0 bits, len(lev1) on;
+    the meet's rows for the elements below the support line are the
+    rows of the sweep at t+ when sides(t) made one.  The grading-1 keys
+    at t serve s = t, the diagonal of jump_values, as well.  A
     dependency with an odd tag is such a pair; solvability is monotone
     along the scan, and gamma2 is the threshold at which the first one
     appears, -infinity when meet finds one (t is no jump).
@@ -436,12 +468,14 @@ def _secondary(eng: _Engine, t: Fraction,
     if found is None:
         return NEG_INF, POS_INF
     mlo, reducer, top_t = found
+    shift, out = len(eng.lev1), ~mlo
 
     def closes(col: int) -> bool:
-        v, odd = reduce_pair(col & ~mlo, 0, reducer)
+        v, odd = reduce_pair((col & out) << shift, 0, reducer)
         return v == 0 and odd == 1
 
-    keys_t, keys_s = _keys(eng.lev1, t), _keys(eng.lev1, s)
+    keys_t = _keys(eng.lev1, t)
+    keys_s = keys_t if s == t else _keys(eng.lev1, s)
     rest: list[tuple[int, int]] = []
     for i, col in enumerate(eng.d1cols):
         if keys_t[i] <= top_t:

@@ -168,6 +168,18 @@ SMALL_COMPLEXES = [
 ]
 
 
+# The small complexes, the p = 5 and 7 families and their duals, and two
+# tensors with the twin unknot, whose levels each hold two essential cycles.
+WALKED_COMPLEXES = SMALL_COMPLEXES + [
+    ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5)),
+    ("-(T(5,6)#T(2,5)#-T(5,7))", lambda: dual(_vanishing_family(5))),
+    ("T(7,8)#T(2,7)#-T(7,9)", lambda: _vanishing_family(7)),
+    ("-(T(7,8)#T(2,7)#-T(7,9))", lambda: dual(_vanishing_family(7))),
+    ("T(3,4)#twin", lambda: tensor(torus_complex(3, 4), _twin_unknot())),
+    ("-T(2,5)#twin",
+     lambda: tensor(dual(torus_complex(2, 5)), _twin_unknot()))]
+
+
 class TestGammaOracle:
     @pytest.mark.parametrize("name,make", SMALL_COMPLEXES)
     def test_gamma_matches_brute_force(self, name, make):
@@ -441,14 +453,7 @@ class TestIntervalTable:
             assert lo <= a < b <= hi, (name, m)
         assert all(is_essential(c, z) for _, z, _, _ in eng._intervals), name
 
-    @pytest.mark.parametrize("name,make", SMALL_COMPLEXES + [
-        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5)),
-        ("-(T(5,6)#T(2,5)#-T(5,7))", lambda: dual(_vanishing_family(5))),
-        ("T(7,8)#T(2,7)#-T(7,9)", lambda: _vanishing_family(7)),
-        ("-(T(7,8)#T(2,7)#-T(7,9))", lambda: dual(_vanishing_family(7))),
-        ("T(3,4)#twin", lambda: tensor(torus_complex(3, 4), _twin_unknot())),
-        ("-T(2,5)#twin",
-         lambda: tensor(dual(torus_complex(2, 5)), _twin_unknot()))])
+    @pytest.mark.parametrize("name,make", WALKED_COMPLEXES)
     def test_matches_reference_intervals(self, monkeypatch, name, make):
         # Every certified interval equals the reference sweep and bounds,
         # element by element, at its sweep point.  Tensored with the twin
@@ -754,7 +759,7 @@ class TestIntervalCertificate:
         # Flip lam on the pivot of d0 e_j for an element j below the
         # contact level, so j lands in Q.
         def change(self, t, level, z, lam, below):
-            j = next(j for j in range(self.dim0)
+            j = next(j for j in range(len(self.d0cols))
                      if below >> j & 1 and self.d0cols[j])
             return level, z, lam ^ 1 << self.d0cols[j].bit_length() - 1, below
 
@@ -909,14 +914,7 @@ class TestJumps:
         assert not by_t[F(1)].is_jump and by_t[F(1)].upsilon2 is POS_INF
         assert by_t[F(4, 3)].is_jump and by_t[F(4, 3)].upsilon2 == F(-4, 3)
 
-    @pytest.mark.parametrize("name,make", SMALL_COMPLEXES + [
-        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5)),
-        ("-(T(5,6)#T(2,5)#-T(5,7))", lambda: dual(_vanishing_family(5))),
-        ("T(7,8)#T(2,7)#-T(7,9)", lambda: _vanishing_family(7)),
-        ("-(T(7,8)#T(2,7)#-T(7,9))", lambda: dual(_vanishing_family(7))),
-        ("T(3,4)#twin", lambda: tensor(torus_complex(3, 4), _twin_unknot())),
-        ("-T(2,5)#twin",
-         lambda: tensor(dual(torus_complex(2, 5)), _twin_unknot()))])
+    @pytest.mark.parametrize("name,make", WALKED_COMPLEXES)
     def test_meets_only_at_interval_ends(self, monkeypatch, calls, name,
                                          make):
         # jump_values reads the candidates along the walk 0+, hi+, ... and
@@ -969,6 +967,139 @@ class TestJumps:
         c = torus_complex(3, 4)
         assert not is_jump_value(c, F(3, 4))
         assert not is_jump_value(c, F(11, 7))
+
+
+def _held_dicts(eng):
+    """The dicts reachable from the engine's attributes through lists,
+    tuples, sets and dicts, other than its attribute dict itself."""
+    seen, stack, found = set(), [vars(eng)], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            if obj is not vars(eng):
+                found.append(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+    return found
+
+
+class TestMeetRows:
+    """The meet at an interval end starts from the rows of the sweep at t+
+    when sides(t) runs that sweep, and from no rows when the interval comes
+    from the table; the engine keeps no rows once a call returns."""
+
+    @pytest.mark.parametrize("name,make", WALKED_COMPLEXES)
+    def test_with_and_without_sweep_rows(self, monkeypatch, name, make):
+        # jump_values on a fresh engine sweeps at t+ inside every meet; after
+        # upsilon_pl every interval comes from the table.  Both report the
+        # reference's secondary value.  A meet that starts from rows
+        # eliminates the elements of M+ on the support line, |M+ minus B|
+        # columns with B the elements strictly below it; one that starts
+        # from none eliminates all of M+ (both until a column closes).
+        count, reduce = [0], upsilon.reduce_pair
+
+        def counting(*args):
+            count[0] += 1
+            return reduce(*args)
+
+        meets, handed, in_sides = [], [], []
+        meet, sides, sweep = _Engine.meet, _Engine.sides, _Engine._sweep
+
+        def recorded_sweep(self, t, side):
+            result = sweep(self, t, side)
+            handed.append(side > 0 and bool(vars(self).get("_rows")))
+            return result
+
+        def recorded_sides(self, t):
+            start = count[0]
+            result = sides(self, t)
+            in_sides.append(count[0] - start)
+            return result
+
+        def recorded_meet(self, t):
+            start, k = count[0], len(handed)
+            found = meet(self, t)
+            meets.append((t, any(handed[k:]),
+                          count[0] - start - in_sides[-1], found is not None))
+            return found
+
+        monkeypatch.setattr(upsilon, "reduce_pair", counting)
+        monkeypatch.setattr(_Engine, "_sweep", recorded_sweep)
+        monkeypatch.setattr(_Engine, "sides", recorded_sides)
+        monkeypatch.setattr(_Engine, "meet", recorded_meet)
+        c = make()
+        reports = jump_values(c)
+        fresh = list(meets)
+        meets.clear()
+        tabled = make()
+        upsilon_pl(tabled)
+        assert jump_values(tabled) == reports, name
+        monkeypatch.undo()
+        assert fresh and not any(took for _, took, *_ in meets), name
+        if name.startswith(("T(5", "-(T(5", "T(7", "-(T(7")):
+            assert all(took for _, took, *_ in fresh), name
+
+        d0 = boundary(c, 0)
+        levels = [(alg, alex) for _, _, alg, alex in slice_levels(c, 0)]
+        met = sorted({t for t, *_ in fresh + meets})
+        expected = dict(zip(met, secondary(c, met, [None])))
+        for t, is_jump, u2 in reports:
+            if t not in expected:
+                assert (is_jump, u2) == (False, POS_INF), (name, t)
+        for (t, took, eliminated, jump), swept_here in [
+                (m, True) for m in fresh] + [(m, False) for m in meets]:
+            level = certified_interval(c, t, 1)[0]
+            g, slope = _f(t, level), level[1] - level[0]
+            below = [j for j, lev in enumerate(levels) if _f(t, lev) < g]
+            on = [j for j, lev in enumerate(levels)
+                  if _f(t, lev) == g and lev[1] - lev[0] <= slope]
+            ref_jump, [g2] = expected[t]
+            assert jump == ref_jump, (name, t)
+            report = reports[candidate_parameters(c).index(t)]
+            assert report == (t, jump, -2 * (g2 - g) if jump else POS_INF)
+            # At t+ the sweep reduces B first, so an element of B with a
+            # nonzero boundary leaves a row.
+            assert took or not swept_here or not any(d0[j] for j in below)
+            if jump:
+                assert eliminated == len(on) + (0 if took else len(below))
+
+    @pytest.mark.parametrize("call", [
+        "upsilon_pl", "gamma_at", "upsilon2", "is_jump_value", "jump_values",
+        "all"])
+    def test_no_rows_left_on_the_engine(self, call):
+        # The weak-keyed engine cache keeps an engine as long as its
+        # complex lives, so rows left on it would stay alive with it.
+        calls = {"upsilon_pl": upsilon_pl,
+                 "gamma_at": lambda c: gamma_at(c, F(4, 5)),
+                 "upsilon2": lambda c: upsilon2(c, F(4, 5)),
+                 "is_jump_value": lambda c: is_jump_value(c, F(6, 5)),
+                 "jump_values": jump_values}
+        c = _vanishing_family(5)
+        names = set(vars(_Engine(c))) | {"candidates"}
+        for fn in calls.values() if call == "all" else [calls[call]]:
+            fn(c)
+            assert set(vars(_engine(c))) <= names, call
+            assert _held_dicts(_engine(c)) == [], call
+
+    def test_no_rows_left_after_a_raise(self, monkeypatch):
+        # A check that raises inside the meet's sides(t), after the sweep at
+        # t+, leaves no rows on the engine.
+        certify = _Engine._certify
+
+        def patched(self, t, side):
+            level, z, lo, hi = certify(self, t, side)
+            return ((1, 2) if level == (1, 1) else level), z, lo, hi
+
+        monkeypatch.setattr(_Engine, "_certify", patched)
+        c = torus_complex(3, 4)
+        with pytest.raises(AssertionError, match="gamma not continuous"):
+            is_jump_value(c, F(2, 3))
+        assert "_rows" not in vars(_engine(c))
+        assert _held_dicts(_engine(c)) == []
 
 
 class TestSubadditivity:
