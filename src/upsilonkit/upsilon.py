@@ -57,7 +57,8 @@ import weakref
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .cfk import BifilteredComplex, Level, validated_slices
@@ -122,6 +123,14 @@ def _collinearity_parameters(levels: list[Level]) -> tuple[Fraction, ...]:
     on A/X and increases with it, so the distinct differences (A, X) are
     reduced by their gcd and one Fraction is built per distinct parameter.
 
+    Each level is packed into the integer key a*S + x, with R the range of
+    the alex values and S = 2R + 1, so the differences of all pairs are
+    taken in C, and each distinct one is decoded once.  The keys sort as
+    the levels do, since for a < a' the gap a'S + x' - aS - x is at least
+    S - R > 0.  For P before Q the difference is d = AS - X with A >= 0
+    and |X| <= R, so d + R = AS + (R - X) with 0 <= R - X <= 2R < S:
+    divmod(d + R, S) is (A, R - X), and distinct (A, X) give distinct d.
+
     The reduced pairs sort by the integer key A * M // X with
     M = (max A + X)^2, and distinct pairs get distinct keys in the order
     of A/X: if A/X < A'/X' then the integer A'X - AX' is at least 1, and
@@ -129,10 +138,21 @@ def _collinearity_parameters(levels: list[Level]) -> tuple[Fraction, ...]:
     A'M/X' >= AM/X + 1, and the floor of the left side exceeds the floor
     of AM/X.
     """
-    pts = sorted(set(levels))
-    diffs = {(a2 - a1, x1 - x2) for i, (a1, x1) in enumerate(pts)
-             for a2, x2 in pts[i + 1:] if a2 > a1 and x1 > x2}
-    pairs = {(A // g, X // g) for A, X in diffs for g in (math.gcd(A, X),)}
+    pts = set(levels)
+    alex = [x for _, x in pts] or [0]
+    r = max(alex) - min(alex)
+    s = 2 * r + 1
+    keys = sorted(a * s + x for a, x in pts)
+    diffs = set()
+    for i, k in enumerate(keys):
+        diffs.update(map(sub, keys[i + 1:], repeat(k)))
+    pairs = set()
+    for d in diffs:
+        A, q = divmod(d + r, s)
+        X = r - q
+        if A > 0 and X > 0:
+            g = math.gcd(A, X)
+            pairs.add((A // g, X // g))
     m = max((A + X for A, X in pairs), default=0) ** 2
     return tuple(Fraction(2 * A, A + X)
                  for A, X in sorted(pairs, key=lambda p: p[0] * m // p[1]))
@@ -228,9 +248,10 @@ class _Engine:
             for i in self._members[k]:
                 v, combo = reduce_pair(self.d0cols[i], 1 << i, reducer)
                 if v == 0 and ((combo & phi).bit_count() & 1):
+                    rest = ~below
                     lam = functional({p: (row, (rcombo & phi).bit_count())
                                       for p, (row, rcombo) in reducer.items()
-                                      if not rcombo & ~below})
+                                      if not rcombo & rest})
                     return self.levels[k], combo, lam, below
             below |= self._masks[k]
         raise AssertionError("no essential cycle found; complex invalid")
@@ -339,6 +360,11 @@ _engines: "weakref.WeakKeyDictionary[BifilteredComplex, _Engine]" = (
 
 
 def _engine(c: BifilteredComplex) -> _Engine:
+    """The engine of c, built on first use.  The cache holds it only while
+    c lives, and no engine field refers to c, so each public function binds
+    the engine and drops its own c before any sweep: a complex that only
+    the call held is freed then, and a caller who keeps c keeps the cache
+    entry."""
     eng = _engines.get(c)
     if eng is None:
         eng = _Engine(c)
@@ -358,13 +384,16 @@ def _parameter(x, name: str, closed: bool) -> Fraction:
 def candidate_parameters(c: BifilteredComplex) -> tuple[Fraction, ...]:
     """Parameters in (0,2) where upsilon can have a breakpoint and where the
     secondary invariant can be finite."""
-    return _engine(c).candidates
+    eng = _engine(c)
+    del c  # freed here if only the call held it; see _engine
+    return eng.candidates
 
 
 def gamma_at(c: BifilteredComplex, t) -> Fraction:
     """Minimal level s with an essential grading-0 cycle in the f_t sublevel
     subcomplex at level s."""
     eng, t = _engine(c), _parameter(t, "t", closed=True)
+    del c  # freed here if only the call held it; see _engine
     return Fraction(eng.sides(t)[2], 2 * t.denominator)
 
 
@@ -378,6 +407,7 @@ def upsilon_pl(c: BifilteredComplex) -> PLFunction:
     the interval above t, up to 2.
     """
     eng, t, samples = _engine(c), Fraction(0), []
+    del c  # freed here if only the call held it; see _engine
     while True:
         _, above, top = eng.sides(t)
         samples.append((t, Fraction(-top, t.denominator)))
@@ -397,6 +427,7 @@ def pivot_points(c: BifilteredComplex, t) -> PivotPair:
     """
     t = _parameter(t, "t", closed=False)
     eng = _engine(c)
+    del c  # freed here if only the call held it; see _engine
     below = max((x for x in eng.candidates if x < t), default=Fraction(0))
     above = min((x for x in eng.candidates if x > t), default=Fraction(2))
     lower, upper, _ = eng.sides(t)
@@ -414,6 +445,7 @@ def cycle_space(c: BifilteredComplex, t_side) -> tuple[int, list[int]]:
     pivot_points).  Built on demand; the engine itself reads masks."""
     t_side = _parameter(t_side, "t_side", closed=False)
     eng = _engine(c)
+    del c  # freed here if only the call held it; see _engine
     if t_side in eng.candidates:
         raise ValueError(
             f"t_side={t_side} is a collinearity parameter; cycle spaces are "
@@ -501,7 +533,9 @@ def gamma2(c: BifilteredComplex, t, s) -> ExtRational:
     -infinity exactly when one essential cycle lies in both masks, that is
     when t is no jump."""
     t = _parameter(t, "t", closed=False)
-    return _secondary(_engine(c), t, _parameter(s, "s", closed=True))[0]
+    eng = _engine(c)
+    del c  # freed here if only the call held it; see _engine
+    return _secondary(eng, t, _parameter(s, "s", closed=True))[0]
 
 
 def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
@@ -512,13 +546,17 @@ def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
     """
     t = _parameter(t, "t", closed=False)
     s = t if s is None else _parameter(s, "s", closed=True)
-    return _secondary(_engine(c), t, s)[1]
+    eng = _engine(c)
+    del c  # freed here if only the call held it; see _engine
+    return _secondary(eng, t, s)[1]
 
 
 def is_jump_value(c: BifilteredComplex, t) -> bool:
     """Whether no essential cycle lies in both sublevel masks either side of
     t: the meet that gamma2 starts with, so upsilon2 is finite exactly here."""
-    return _engine(c).meet(_parameter(t, "t", closed=False)) is not None
+    eng = _engine(c)
+    del c  # freed here if only the call held it; see _engine
+    return eng.meet(_parameter(t, "t", closed=False)) is not None
 
 
 def jump_values(c: BifilteredComplex,
@@ -536,6 +574,7 @@ def jump_values(c: BifilteredComplex,
     value is finite (see _secondary).  An end of a table interval in
     (0,2) that is no candidate would be a lost jump: that raises."""
     eng = _engine(c)
+    del c  # freed here if only the call held it; see _engine
     max_t = None if max_t is None else _frac(max_t)
     cands = eng.candidates
     out, hi = [], Fraction(0)

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -220,11 +222,22 @@ def _level_sets(draw):
 
 
 class TestCandidates:
-    @pytest.mark.parametrize("name,make", SMALL_COMPLEXES)
+    @pytest.mark.parametrize("name,make", WALKED_COMPLEXES)
     def test_matches_pairwise_fractions(self, name, make):
         c = make()
         levels = [(alg, alex) for _, _, alg, alex in slice_levels(c, 0)]
         assert candidate_parameters(c) == collinearity_parameters(levels)
+
+    def test_torus_level_sets(self):
+        # The grading-0 levels of the 64 torus knots T(p,q) with q <= 16.
+        tori = [(p, q) for q in range(3, 17) for p in range(2, q)
+                if math.gcd(p, q) == 1]
+        assert len(tori) == 64
+        for p, q in tori:
+            levels = [(alg, alex) for _, _, alg, alex
+                      in slice_levels(torus_complex(p, q), 0)]
+            assert _collinearity_parameters(levels) == \
+                collinearity_parameters(levels), (p, q)
 
     @settings(max_examples=300, deadline=None)
     @given(_level_sets())
@@ -1100,6 +1113,51 @@ class TestMeetRows:
             is_jump_value(c, F(2, 3))
         assert "_rows" not in vars(_engine(c))
         assert _held_dicts(_engine(c)) == []
+
+
+K5 = "T(5,6) # T(2,5) # -T(5,7)"
+
+
+class TestRelease:
+    """The public functions hold the engine and drop the complex before the
+    walk, so a complex that only the call holds is freed then."""
+
+    @pytest.mark.parametrize("call", [
+        lambda box: jump_values(box.pop()),
+        lambda box: upsilon_pl(box.pop()),
+        lambda box: upsilon2(box.pop(), F(4, 5))],
+        ids=["jump_values", "upsilon_pl", "upsilon2"])
+    def test_complex_freed_before_the_walk(self, monkeypatch, call):
+        # box.pop() is passed as the only reference; no *args tuple or
+        # local of the caller holds it during the call.
+        box = [realize(parse_expr(K5))]
+        freed = weakref.finalize(box[0], lambda: None)
+        alive_at_first_interval = []
+        interval = _Engine.interval
+
+        def spy(self, t, side):
+            if not alive_at_first_interval:
+                alive_at_first_interval.append(freed.alive)
+            return interval(self, t, side)
+
+        monkeypatch.setattr(_Engine, "interval", spy)
+        got = call(box)
+        assert alive_at_first_interval == [False]
+        kept = realize(parse_expr(K5))
+        assert call([kept]) == got
+        # A caller that keeps its complex keeps the cached engine.
+        assert _engine(kept)._intervals
+
+    def test_engine_holds_no_complex(self):
+        c = realize(parse_expr(K5))
+        ref = weakref.ref(c)
+        eng = _Engine(c)
+        del c
+        assert ref() is None
+        kept = _Engine(realize(parse_expr(K5)))
+        assert eng.candidates == kept.candidates
+        for t in (F(0), *kept.candidates, F(1, 3), F(2)):
+            assert eng.sides(t) == kept.sides(t), t
 
 
 class TestSubadditivity:
