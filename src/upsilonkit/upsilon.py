@@ -190,28 +190,30 @@ class _Engine:
     def candidates(self) -> tuple[Fraction, ...]:
         return _collinearity_parameters(self.levels)
 
-    def interval(self, t: Fraction, side: int) -> Interval:
+    def interval(self, t: Fraction, side: int,
+                 rows: Optional[Basis] = None) -> Interval:
         """The certified interval just above t (side +1: lo <= t < hi) or
         just below it (side -1: lo < t <= hi): the entry with the largest lo
-        short of t if it covers t, else a new one from a sweep, which
-        replaces the entries it contains."""
+        short of t if it covers t, else a new one from a sweep (its rows
+        go into rows), which replaces the entries it contains."""
         table = self._intervals
         k = (bisect_right if side > 0 else bisect_left)(table, t, key=_LO)
         if k and (t < table[k - 1][3] or side < 0 and t == table[k - 1][3]):
             return table[k - 1]
-        entry = self._certify(t, side)
+        entry = self._certify(t, side, rows)
         table[bisect_left(table, entry[2], key=_LO):
               bisect_right(table, entry[3], key=_HI)] = [entry]
         return entry
 
-    def sides(self, t: Fraction) -> tuple[Interval, Interval, int]:
+    def sides(self, t: Fraction, rows: Optional[Basis] = None
+              ) -> tuple[Interval, Interval, int]:
         """(below, above, top): the certified intervals just below and just
         above t, one entry twice when it covers both sides or t is 0 or 2,
         and the side-0 key top = 2v*gamma(t), t = u/v, of their contact
-        levels.  The keys must agree, since gamma is continuous; a
-        disagreement means a wrong certified interval."""
+        levels, which must agree, since gamma is continuous (else a
+        certified interval is wrong).  rows goes to the lookup above t."""
         below = self.interval(t, -1 if t else 1)
-        above = self.interval(t, 1) if below[3] == t < 2 else below
+        above = self.interval(t, 1, rows) if below[3] == t < 2 else below
         lo, hi = _keys([below[0], above[0]], t)
         if lo != hi:
             raise AssertionError(f"gamma not continuous at t={t}")
@@ -226,7 +228,8 @@ class _Engine:
         top = _keys([level], t, side, self._w)[0]
         return sum(m for m, k in zip(self._masks, keys) if k <= top)
 
-    def _sweep(self, t: Fraction, side: int) -> tuple[Level, int, int, int]:
+    def _sweep(self, t: Fraction, side: int,
+               rows: Optional[Basis] = None) -> tuple[Level, int, int, int]:
         """Processes the levels in increasing order just above (side +1) or
         just below (side -1) t, where no two share a key, and each level's
         slice elements in increasing index, while column-reducing the
@@ -237,12 +240,10 @@ class _Engine:
         Returns (L, z, lam, S), S the union of the masks of the levels
         below L in that order and lam a functional on the grading -1 slice
         with phi = lam o d0 on S, back-substituted in increasing pivot
-        order over the rows whose combination lies in S.  Just above t,
-        the rows (pivot -> (residue, combination)) go into the meet's
-        _rows when it has set one.
-        """
+        order over the rows whose combination lies in S.  The rows
+        (pivot -> (residue, combination)) go into rows when it is given."""
         keys = _keys(self.levels, t, side, self._w)
-        reducer: Basis = vars(self).get("_rows", {}) if side > 0 else {}
+        reducer: Basis = {} if rows is None else rows
         phi, below = self.phi, 0
         for k in sorted(range(len(self.levels)), key=keys.__getitem__):
             for i in self._members[k]:
@@ -256,7 +257,8 @@ class _Engine:
             below |= self._masks[k]
         raise AssertionError("no essential cycle found; complex invalid")
 
-    def _certify(self, t: Fraction, side: int) -> Interval:
+    def _certify(self, t: Fraction, side: int,
+                 rows: Optional[Basis] = None) -> Interval:
         """(L, z, lo, hi) from the sweep at t+ or t-, with gamma = f(L) on
         [lo, hi].
 
@@ -271,7 +273,7 @@ class _Engine:
         Fractions once, at the end.  Checked: d0 z = 0, phi(z) = 1, Q misses
         S, and [lo, hi] holds t+ (lo <= t < hi) or t- (lo < t <= hi).
         """
-        level, z, lam, below = self._sweep(t, side)
+        level, z, lam, below = self._sweep(t, side, rows)
         dz, q = image(self.d0cols, z), self.phi
         for i, col in enumerate(self.d0cols):
             if (col & lam).bit_count() & 1:
@@ -318,19 +320,15 @@ class _Engine:
 
         The elements B strictly below the support line come first in the
         order at t+ and lie in M- and M+, so their columns here are d0 e_i
-        alone, as in a sweep at t+.  While sides(t) runs, _rows collects
-        the rows of its sweep at t+, if it makes one; the meet removes the
-        attribute on return.  The rows whose combination lies in B, tagged
-        with the parity of phi on the combination, start this elimination,
-        and only the elements of M+ on the line are left to eliminate.  B
+        alone, as in a sweep at t+.  The rows of that sweep, if sides(t)
+        makes one, fill the dict the meet hands it.  Those whose combination
+        lies in B, tagged with the parity of phi on it, start this
+        elimination, so only the elements of M+ on the line are left.  B
         holds no essential cycle, so every dependency the sweep dropped
         there has an even tag.  With no rows, as when the interval at t+
         comes from the table, the same loop eliminates all of M+."""
-        self._rows = rows = {}
-        try:
-            below, above, top = self.sides(t)
-        finally:
-            del self._rows
+        rows: Basis = {}
+        below, above, top = self.sides(t, rows)
         if below is above:
             return None
         mlo, mhi = self.mask(t, -1, below[0]), self.mask(t, 1, above[0])
@@ -392,7 +390,7 @@ def candidate_parameters(c: BifilteredComplex) -> tuple[Fraction, ...]:
 def gamma_at(c: BifilteredComplex, t) -> Fraction:
     """Minimal level s with an essential grading-0 cycle in the f_t sublevel
     subcomplex at level s."""
-    eng, t = _engine(c), _parameter(t, "t", closed=True)
+    t, eng = _parameter(t, "t", closed=True), _engine(c)
     del c  # freed here if only the call held it; see _engine
     return Fraction(eng.sides(t)[2], 2 * t.denominator)
 
@@ -533,9 +531,10 @@ def gamma2(c: BifilteredComplex, t, s) -> ExtRational:
     -infinity exactly when one essential cycle lies in both masks, that is
     when t is no jump."""
     t = _parameter(t, "t", closed=False)
+    s = _parameter(s, "s", closed=True)
     eng = _engine(c)
     del c  # freed here if only the call held it; see _engine
-    return _secondary(eng, t, _parameter(s, "s", closed=True))[0]
+    return _secondary(eng, t, s)[0]
 
 
 def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
@@ -554,9 +553,10 @@ def upsilon2(c: BifilteredComplex, t, s=None) -> ExtRational:
 def is_jump_value(c: BifilteredComplex, t) -> bool:
     """Whether no essential cycle lies in both sublevel masks either side of
     t: the meet that gamma2 starts with, so upsilon2 is finite exactly here."""
+    t = _parameter(t, "t", closed=False)
     eng = _engine(c)
     del c  # freed here if only the call held it; see _engine
-    return eng.meet(_parameter(t, "t", closed=False)) is not None
+    return eng.meet(t) is not None
 
 
 def jump_values(c: BifilteredComplex,
@@ -573,9 +573,9 @@ def jump_values(c: BifilteredComplex,
     scan goes on from its elimination, so t is a jump exactly when its
     value is finite (see _secondary).  An end of a table interval in
     (0,2) that is no candidate would be a lost jump: that raises."""
+    max_t = None if max_t is None else _frac(max_t)
     eng = _engine(c)
     del c  # freed here if only the call held it; see _engine
-    max_t = None if max_t is None else _frac(max_t)
     cands = eng.candidates
     out, hi = [], Fraction(0)
     for t in cands:

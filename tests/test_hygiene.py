@@ -3,8 +3,8 @@ check that `python -O` would strip, no floating point in the package, no
 function name the benchmark tracer wraps or the benchmark imports missing
 from the package, none rebound in `verify`, no private module-level function that nothing in the
 package names, no entry point but `__main__.py`, a lean command-line
-import graph that loads every module the tracer reads, and a handler bound
-to every subcommand."""
+import graph that loads every module the tracer reads, a handler bound
+to every subcommand, and no engine attribute set outside its constructor."""
 
 import argparse
 import ast
@@ -195,3 +195,46 @@ def test_every_subcommand_has_a_handler():
     unbound = [name for name, sub in commands.items()
                if not callable(sub.get_default("run"))]
     assert unbound == []
+
+
+def self_attributes_set(method) -> list[str]:
+    """name:line of every self.<name> that method assigns, augments or
+    deletes, tuple and list targets included."""
+    targets = []
+    for node in ast.walk(method):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets += node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+    found = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        elif (isinstance(target, ast.Attribute)
+              and isinstance(target.value, ast.Name)
+              and target.value.id == "self"):
+            found.append(f"{target.attr}:{target.lineno}")
+    return found
+
+
+def test_engine_state_set_in_the_constructor_only():
+    # The engine is cached for as long as its complex lives, so an
+    # attribute that a later call sets would outlive that call, and one
+    # that a call parks for the methods it calls is a hidden argument.
+    # Only __init__ sets attributes; later calls only update the interval
+    # table it made, and the cached candidate list is set by
+    # functools.cached_property.
+    path = ROOT / "src" / "upsilonkit" / "upsilon.py"
+    [engine] = [node for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.ClassDef) and node.name == "_Engine"]
+    methods = [node for node in engine.body
+               if isinstance(node, ast.FunctionDef)]
+    assert {"__init__", "meet", "interval"} <= {m.name for m in methods}
+    assert self_attributes_set(
+        next(m for m in methods if m.name == "__init__"))
+    assert [f"{m.name} sets {where}" for m in methods
+            if m.name != "__init__"
+            for where in self_attributes_set(m)] == []

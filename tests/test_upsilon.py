@@ -42,14 +42,15 @@ def _reference_ends(c):
 @pytest.fixture
 def calls(monkeypatch):
     """calls(name) wraps the _Engine method name and returns the list of
-    the argument tuples of its calls, in order; with returns=True, the
-    list of (arguments, result) pairs."""
+    the (t, side) of its calls in order: their first two arguments (t alone
+    for the meet), without the rows dict that a meet hands down.  With
+    returns=True, the list of ((t, side), result) pairs."""
     def record(name, returns=False):
         seen, method = [], getattr(_Engine, name)
 
         def recorded(self, *args):
             result = method(self, *args)
-            seen.append((args, result) if returns else args)
+            seen.append((args[:2], result) if returns else args[:2])
             return result
 
         monkeypatch.setattr(_Engine, name, recorded)
@@ -297,6 +298,37 @@ class TestGammaValues:
         with pytest.raises(InvalidComplexError):
             gamma_at(bad, F(1))
 
+    @pytest.mark.parametrize("call,error", [
+        (lambda c: gamma_at(c, F(5, 2)), ValueError),
+        (lambda c: gamma_at(c, 0.5), TypeError),
+        (lambda c: is_jump_value(c, F(2)), ValueError),
+        (lambda c: is_jump_value(c, 0.5), TypeError),
+        (lambda c: gamma2(c, F(1), F(3)), ValueError),
+        (lambda c: gamma2(c, F(1), 0.5), TypeError),
+        (lambda c: upsilon2(c, F(1), F(3)), ValueError),
+        (lambda c: pivot_points(c, F(0)), ValueError),
+        (lambda c: cycle_space(c, 0.5), TypeError),
+        (lambda c: jump_values(c, max_t="1e9"), ValueError),
+        (lambda c: jump_values(c, max_t=0.5), TypeError)],
+        ids=["gamma_at", "gamma_at-float", "is_jump_value",
+             "is_jump_value-float", "gamma2-s", "gamma2-s-float",
+             "upsilon2-s", "pivot_points", "cycle_space-float",
+             "jump_values-max_t", "jump_values-max_t-float"])
+    def test_parameter_checked_before_the_engine(self, monkeypatch, call,
+                                                 error):
+        # Validation reads the whole complex, so a bad parameter is refused
+        # first: on an invalid complex the parameter's own error comes, not
+        # InvalidComplexError, and no engine is built.
+        built, init = [], _Engine.__init__
+        monkeypatch.setattr(_Engine, "__init__",
+                            lambda self, c: built.append(c) or init(self, c))
+        bad = BifilteredComplex(
+            [Generator("a", 0, 0, 0), Generator("b", 0, 0, 0)], {})
+        with pytest.raises(error) as raised:
+            call(bad)
+        assert type(raised.value) is error
+        assert built == []
+
 
 class TestUpsilonPL:
     def test_t34(self):
@@ -475,8 +507,10 @@ class TestIntervalTable:
         # the witness.
         made = []
         certify = _Engine._certify
-        monkeypatch.setattr(_Engine, "_certify", lambda self, t, side:
-                            made.append((t, side, certify(self, t, side)))
+        monkeypatch.setattr(_Engine, "_certify",
+                            lambda self, t, side, rows=None:
+                            made.append((t, side,
+                                         certify(self, t, side, rows)))
                             or made[-1][2])
         c = make()
         upsilon_pl(c)
@@ -688,8 +722,8 @@ class TestCertificates:
                 level, witness, lo, hi = entry
                 return level, witness | extra, lo, hi
 
-            def patched_sides(self, t):
-                below, above, top = sides(self, t)
+            def patched_sides(self, t, rows=None):
+                below, above, top = sides(self, t, rows)
                 if below is above:
                     return below, above, top
                 return grown(below), grown(above), top
@@ -761,8 +795,8 @@ class TestIntervalCertificate:
         def corrupt(change):
             sweep = _Engine._sweep
 
-            def patched(self, t, side):
-                return change(self, t, *sweep(self, t, side))
+            def patched(self, t, side, rows=None):
+                return change(self, t, *sweep(self, t, side, rows))
 
             monkeypatch.setattr(_Engine, "_sweep", patched)
             return sweep
@@ -845,8 +879,8 @@ class TestOtherConsistencyChecks:
         # and every reader of the intervals beside t checks it.
         certify = _Engine._certify
 
-        def patched(self, t, side):
-            level, z, lo, hi = certify(self, t, side)
+        def patched(self, t, side, rows=None):
+            level, z, lo, hi = certify(self, t, side, rows)
             return ((1, 2) if level == (1, 1) else level), z, lo, hi
 
         monkeypatch.setattr(_Engine, "_certify", patched)
@@ -1022,14 +1056,14 @@ class TestMeetRows:
         meets, handed, in_sides = [], [], []
         meet, sides, sweep = _Engine.meet, _Engine.sides, _Engine._sweep
 
-        def recorded_sweep(self, t, side):
-            result = sweep(self, t, side)
-            handed.append(side > 0 and bool(vars(self).get("_rows")))
+        def recorded_sweep(self, t, side, rows=None):
+            result = sweep(self, t, side, rows)
+            handed.append(bool(rows))
             return result
 
-        def recorded_sides(self, t):
+        def recorded_sides(self, t, rows=None):
             start = count[0]
-            result = sides(self, t)
+            result = sides(self, t, rows)
             in_sides.append(count[0] - start)
             return result
 
@@ -1103,8 +1137,8 @@ class TestMeetRows:
         # t+, leaves no rows on the engine.
         certify = _Engine._certify
 
-        def patched(self, t, side):
-            level, z, lo, hi = certify(self, t, side)
+        def patched(self, t, side, rows=None):
+            level, z, lo, hi = certify(self, t, side, rows)
             return ((1, 2) if level == (1, 1) else level), z, lo, hi
 
         monkeypatch.setattr(_Engine, "_certify", patched)
@@ -1122,31 +1156,45 @@ class TestRelease:
     """The public functions hold the engine and drop the complex before the
     walk, so a complex that only the call holds is freed then."""
 
-    @pytest.mark.parametrize("call", [
-        lambda box: jump_values(box.pop()),
-        lambda box: upsilon_pl(box.pop()),
-        lambda box: upsilon2(box.pop(), F(4, 5))],
-        ids=["jump_values", "upsilon_pl", "upsilon2"])
-    def test_complex_freed_before_the_walk(self, monkeypatch, call):
+    @pytest.mark.parametrize("call,spied", [
+        (lambda box: jump_values(box.pop()), "interval"),
+        (lambda box: upsilon_pl(box.pop()), "interval"),
+        (lambda box: upsilon2(box.pop(), F(4, 5)), "interval"),
+        (lambda box: gamma_at(box.pop(), F(4, 5)), "interval"),
+        (lambda box: gamma2(box.pop(), F(4, 5), F(1)), "interval"),
+        (lambda box: is_jump_value(box.pop(), F(4, 5)), "interval"),
+        (lambda box: pivot_points(box.pop(), F(4, 5)), "interval"),
+        (lambda box: cycle_space(box.pop(), F(49, 100)), "interval"),
+        (lambda box: candidate_parameters(box.pop()), "candidates")],
+        ids=["jump_values", "upsilon_pl", "upsilon2", "gamma_at", "gamma2",
+             "is_jump_value", "pivot_points", "cycle_space",
+             "candidate_parameters"])
+    def test_complex_freed_before_the_walk(self, monkeypatch, call, spied):
         # box.pop() is passed as the only reference; no *args tuple or
-        # local of the caller holds it during the call.
+        # local of the caller holds it during the call.  The spy is on the
+        # first interval lookup, or on the candidate list for the one
+        # function that looks up no interval.
         box = [realize(parse_expr(K5))]
         freed = weakref.finalize(box[0], lambda: None)
-        alive_at_first_interval = []
-        interval = _Engine.interval
+        alive_at_first_use = []
+        owner, name = ((_Engine, "interval") if spied == "interval"
+                       else (upsilon, "_collinearity_parameters"))
+        method = getattr(owner, name)
 
-        def spy(self, t, side):
-            if not alive_at_first_interval:
-                alive_at_first_interval.append(freed.alive)
-            return interval(self, t, side)
+        def spy(*args):
+            if not alive_at_first_use:
+                alive_at_first_use.append(freed.alive)
+            return method(*args)
 
-        monkeypatch.setattr(_Engine, "interval", spy)
+        monkeypatch.setattr(owner, name, spy)
         got = call(box)
-        assert alive_at_first_interval == [False]
+        assert alive_at_first_use == [False]
         kept = realize(parse_expr(K5))
         assert call([kept]) == got
         # A caller that keeps its complex keeps the cached engine.
-        assert _engine(kept)._intervals
+        held = vars(_engine(kept))
+        assert held["_intervals"] if spied == "interval" else (
+            "candidates" in held)
 
     def test_engine_holds_no_complex(self):
         c = realize(parse_expr(K5))
