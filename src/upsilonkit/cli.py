@@ -12,7 +12,6 @@ which cfk writes beside its reader.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -67,6 +66,12 @@ def _json(x) -> dict:
     if isinstance(x, Infinity):
         return {"inf": x.sign}
     return {"num": x.numerator, "den": x.denominator}
+
+
+def _dumps(obj, **kw) -> str:
+    """obj as JSON through _json; json loads on the first JSON write."""
+    import json
+    return json.dumps(obj, default=_json, **kw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,7 +147,7 @@ def _cmd_alexander(args) -> int:
     poly = (((0, 1),) if isinstance(atom, Unknot)
             else alexander_torus(atom.p, atom.q))
     if args.json:
-        print(json.dumps({"terms": [{"exp": e, "coef": c} for e, c in poly]}))
+        print(_dumps({"terms": [{"exp": e, "coef": c} for e, c in poly]}))
     else:  # 1 - t + t^3 ...: the first term is 1, every coefficient +-1
         print("1" + "".join(f" {'+' if c > 0 else '-'} "
                             f"{'t' if e == 1 else f't^{e}'}"
@@ -154,7 +159,7 @@ def _cmd_upsilon(args) -> int:
     f = upsilon_pl(_realize(args))
     if args.json:
         points = [{"t": t, "v": v} for t, v in f.breakpoints]
-        print(json.dumps({"breakpoints": points}, default=_json))
+        print(_dumps({"breakpoints": points}))
     else:
         sys.stdout.write("".join(f"{t}\t{v}\n" for t, v in f.breakpoints))
     return 0
@@ -162,15 +167,15 @@ def _cmd_upsilon(args) -> int:
 
 def _cmd_upsilon2(args) -> int:
     value = upsilon2(_realize(args), args.t, args.s)
-    print(json.dumps(value, default=_json) if args.json else format_ext(value))
+    print(_dumps(value) if args.json else format_ext(value))
     return 0
 
 
 def _cmd_jumps(args) -> int:
     reports = jump_values(_realize(args), max_t=args.max_t)
     if args.json:
-        print(json.dumps([{"t": t, "is_jump": is_jump, "upsilon2": value}
-                          for t, is_jump, value in reports], default=_json))
+        print(_dumps([{"t": t, "is_jump": is_jump, "upsilon2": value}
+                      for t, is_jump, value in reports]))
     else:
         sys.stdout.write("t\tjump\tupsilon2\n" + "".join(
             f"{t}\t{'yes' if is_jump else 'no'}\t{format_ext(value)}\n"
@@ -191,7 +196,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    print(json.dumps(complex_to_json(_realize(args)), indent=2))
+    print(_dumps(complex_to_json(_realize(args)), indent=2))
     return 0
 
 

@@ -6,7 +6,8 @@ maps as bitset columns, the Euler characteristic, the lower envelope of a
 family of lines, the canonical form and the sum of piecewise-linear
 functions on Fractions, the collinearity parameters of a level set, one gamma
 sweep per chamber, the certified interval of one sweep, the cycle spaces
-of a complex, and the jump test and secondary invariant computed on them.
+of a complex, the jump test and secondary invariant computed on them, and
+the secondary invariant of a staircase in closed form.
 
 The semigroup tests compare the closed-form runs with the sieve, so they do
 not trust the lattice corner; the value tests interpolate breakpoints
@@ -24,7 +25,8 @@ engine's certified intervals or its essential functional, and the
 interval-table test sweeps and bounds element by element, so it does not
 trust the engine's grouping of the slice by level; the jump and
 secondary-invariant tests intersect affine cycle spaces, so they do not
-trust the engine's mask sweeps.
+trust the engine's mask sweeps; the staircase formula reads the white
+dots alone, so it trusts no slice, sweep or elimination.
 """
 
 from fractions import Fraction
@@ -437,3 +439,29 @@ def secondary(c, ts, ss):
             values.append(value)
         out.append((jump, values))
     return out
+
+
+def staircase_gamma2(whites, t, s):
+    """gamma2(t, s) of the staircase complex of whites, its (alg, alex) white
+    dots in walk order, in closed form; None stands for -infinity (t is no
+    jump).
+
+    Slice 0 is the whites and d0 = 0, so every white is an essential cycle
+    and gamma(t) is the least f_t over them.  Of the whites on that support
+    line, the one with the largest slope alex - alg is the minimizer just
+    below t, and the one with the smallest slope the minimizer just above.
+    When they coincide, that white lies in both sublevel masks.  Otherwise
+    the only grading-1 chain whose boundary is their sum is the sum of the
+    blacks between them, the black between whites (a0, x0) and (a1, x1)
+    sitting at (a1, x0), so gamma2 is the largest f_s over those blacks.
+    """
+    t, s = Fraction(t), Fraction(s)
+    gamma = min(_f(t, w) for w in whites)
+    line = [i for i, w in enumerate(whites) if _f(t, w) == gamma]
+    slope = [alex - alg for alg, alex in whites]
+    below = max(line, key=slope.__getitem__)
+    above = min(line, key=slope.__getitem__)
+    if below == above:
+        return None
+    lo, hi = sorted((below, above))
+    return max(_f(s, (whites[i + 1][0], whites[i][1])) for i in range(lo, hi))

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reference import evaluate
+from reference import evaluate, staircase_gamma2
 from upsilonkit.cfk import from_staircase
-from upsilonkit.plfun import pl_add, pl_constant, pl_equal
+from upsilonkit.plfun import NEG_INF, pl_add, pl_constant, pl_equal
 from upsilonkit.staircase import (
     alexander_oracle,
     alexander_torus,
@@ -16,6 +17,7 @@ from upsilonkit.staircase import (
     staircase_steps,
     upsilon_staircase,
 )
+from upsilonkit.upsilon import candidate_parameters, gamma2
 
 
 def coprime_pairs(qmax, pmin=2):
@@ -257,3 +259,50 @@ class TestUpsilonStaircase:
             a, b = sorted((p, q - p))
             rhs = pl_add(upsilon_staircase(a, b), upsilon_staircase(p, p + 1))
             assert pl_equal(lhs, rhs), (p, q)
+
+
+@st.composite
+def staircases(draw):
+    """The whites of a staircase of 1 to 6 stairs, each going right and then
+    down by 1 to 4, ending at alex 0."""
+    steps = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                          min_size=1, max_size=6))
+    alg, alex = 0, sum(down for _, down in steps)
+    whites = [(alg, alex)]
+    for right, down in steps:
+        alg, alex = alg + right, alex - down
+        whites.append((alg, alex))
+    return tuple(whites)
+
+
+class TestStaircaseGamma2:
+    """The closed form of reference.staircase_gamma2, from the white dots
+    alone, against the engine's gamma2 on the staircase complex."""
+
+    @staticmethod
+    def agree(whites, c, t, s):
+        want = staircase_gamma2(whites, t, s)
+        return gamma2(c, t, s) == (NEG_INF if want is None else want)
+
+    def test_torus_staircases(self):
+        # Every candidate t of every torus staircase with p < q <= 12, at
+        # the diagonal and at five fixed s.
+        cases, mismatches = 0, []
+        for p, q in coprime_pairs(12):
+            whites = build_staircase(p, q)
+            c = from_staircase(whites)
+            for t in candidate_parameters(c):
+                for s in (t, F(0), F(1, 3), F(1), F(5, 3), F(2)):
+                    cases += 1
+                    if not self.agree(whites, c, t, s):
+                        mismatches.append((p, q, t, s))
+        assert mismatches == []
+        assert cases == 5244
+
+    @settings(max_examples=150, deadline=None)
+    @given(staircases(), st.data())
+    def test_random_staircases(self, whites, data):
+        c = from_staircase(whites)
+        for t in candidate_parameters(c):
+            s = data.draw(st.fractions(0, 2, max_denominator=12), label="s")
+            assert self.agree(whites, c, t, s), (t, s)
