@@ -161,8 +161,9 @@ class Slices(NamedTuple):
     """Finite GF(2) model of the complex: its grading-0 and grading-1 slices.
 
     A grading-m slice lists U^n x, n = (maslov - m)/2, for every generator
-    x with maslov = m mod 2, as the tuple of their levels (alg - n, alex - n)
-    in generator order, one shared tuple per distinct level.  Slices two
+    x with maslov = m mod 2, as the tuple of their levels (alg - n, alex - n),
+    one shared tuple per level, numbered by descending (alg + alex, alg),
+    ties in generator order, so each level is one index range.  Slices two
     gradings apart are U-translates of each other, so these two carry all
     the homology.  d0 maps grading 0 to grading -1 and d1 maps grading 1 to
     grading 0, both as columns: one bitset per source element over the
@@ -183,14 +184,17 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     there are none, the slices the homology check ran on."""
     violations: list[str] = []
     gens = c.generators
+    members: dict[Level, list[int]] = {}
+    for i, (_, maslov, a, x) in enumerate(gens):
+        members.setdefault((a - maslov // 2, x - maslov // 2), []).append(i)
     bases: tuple[list[Level], ...] = ([], [])
-    pos: list[int] = []
-    shared: dict[Level, Level] = {}
-    for g in gens:
-        n, m = divmod(g.maslov, 2)
-        pos.append(len(bases[m]))
-        level = g.alg - n, g.alex - n
-        bases[m].append(shared.setdefault(level, level))
+    pos = [0] * len(gens)  # each generator's index in its slice
+    for level in sorted(members, key=lambda lv: (-lv[0] - lv[1], -lv[0])):
+        for i in members[level]:
+            basis = bases[gens[i].maslov % 2]
+            pos[i] = len(basis)
+            basis.append(level)
+    del members
     basis0, basis1 = map(tuple, bases)
     # An entry x -> U^n y that drops the grading by 1 maps each translate
     # of x in a slice onto the translate of y in the slice one grading
@@ -213,7 +217,6 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
                 violations.append(
                     f"filtration: entry {gi.name}->U^{n}.{gj.name} increases "
                     f"a filtration level")
-    del pos, shared  # freed before the elimination, where memory peaks
     if not graded:
         return violations, None
 
@@ -221,18 +224,20 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     # the same columns, so d^2 vanishes iff d1 d0 and d0 d1 do.  Both land in
     # the basis of the source's parity, one U-translate down: the component
     # at bit k is U^n.z with n = u(z) + 1 - u(x), u = maslov // 2.
-    at: Optional[list[Generator]] = None  # slice 0's generators, then 1's
+    at: Optional[list[int]] = None  # slice 0's generators, then 1's
     for off, first, second in ((0, d0, d1), (len(d0), d1, d0)):
         for j, col in enumerate(first, off):
             dd = image(second, col)
             while dd:
                 k = dd.bit_length() - 1
                 dd ^= 1 << k
-                at = at or sorted(gens, key=lambda g: g.maslov % 2)
-                x, z = at[j], at[off + k]
+                at = at or sorted(range(len(gens)), key=lambda i: (
+                    gens[i].maslov % 2, pos[i]))
+                x, z = gens[at[j]], gens[at[off + k]]
                 violations.append(
                     f"d^2: component U^{z.maslov // 2 + 1 - x.maslov // 2}."
                     f"{z.name} of d^2({x.name}) is nonzero")
+    del pos  # freed before the elimination, where memory peaks
     if violations:
         return violations, None
 

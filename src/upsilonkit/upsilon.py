@@ -20,8 +20,8 @@ meets the elements Q on which phi and lam o d0 differ, so f(L) bounds
 gamma from below while no element of Q falls below L, and from above while
 no element of z rises above it.  A walk 0+, hi+, ... makes one sweep per
 linear piece of gamma, and a query at one t sweeps at t- and t+ at most.
-The orders, masks and bounds are constant on a level, so the engine
-groups the slice by level once: a sweep sorts the distinct levels, and a
+The orders, masks and bounds are constant on a level, and each level is
+one index range of the slice: a sweep sorts the distinct levels, and a
 certificate makes one bound per level that meets z or Q.
 
 The cycles just below or above t are read off the mask M there, the slice
@@ -164,9 +164,9 @@ class _Engine:
     Holds the grading-0/1 slice data as bitset columns and the essential
     functional phi from validation, which vanishes on boundaries but not on
     the essential class, so "is this cycle homologically essential" is a
-    single popcount.  The grading-0 slice is grouped by level once: the
-    distinct levels in order of first appearance, the elements at each in
-    increasing index, their bitset masks and each level's position.  Each
+    single popcount.  Each level of the grading-0 slice is one index range:
+    the distinct levels in slice order, the start of each range (and the
+    slice's length after the last) and their bitset masks.  Each
     table entry comes from one sweep just above or below some t; no entry
     contains another, so lo and hi increase together.  The collinearity
     candidates are listed on first use.
@@ -177,12 +177,10 @@ class _Engine:
         if violations:
             raise InvalidComplexError(violations)
         basis0, self.lev1, self.d0cols, self.d1cols, self.phi = slices
-        members: dict[Level, list[int]] = {}
-        for i, level in enumerate(basis0):
-            members.setdefault(level, []).append(i)
-        self.levels = list(members)
-        self._members = list(members.values())
-        self._masks = [sum(1 << i for i in m) for m in self._members]
+        s = [i for i, lv in enumerate(basis0) if not i or lv != basis0[i - 1]]
+        self.levels = [basis0[i] for i in s]
+        self._starts = s = s + [len(basis0)]
+        self._masks = [(1 << e) - (1 << b) for b, e in zip(s, s[1:])]
         self._w = 2 * max((abs(A - a) for a, A in self.levels), default=0) + 1
         self._intervals: list[Interval] = []
 
@@ -244,9 +242,9 @@ class _Engine:
         (pivot -> (residue, combination)) go into rows when it is given."""
         keys = _keys(self.levels, t, side, self._w)
         reducer: Basis = {} if rows is None else rows
-        phi, below = self.phi, 0
+        phi, below, s = self.phi, 0, self._starts
         for k in sorted(range(len(self.levels)), key=keys.__getitem__):
-            for i in self._members[k]:
+            for i in range(s[k], s[k + 1]):
                 v, combo = reduce_pair(self.d0cols[i], 1 << i, reducer)
                 if v == 0 and ((combo & phi).bit_count() & 1):
                     rest = ~below
@@ -365,8 +363,7 @@ def _engine(c: BifilteredComplex) -> _Engine:
     entry."""
     eng = _engines.get(c)
     if eng is None:
-        eng = _Engine(c)
-        _engines[c] = eng
+        eng = _engines[c] = _Engine(c)
     return eng
 
 
@@ -600,6 +597,4 @@ def check_subadditivity(a: BifilteredComplex, b: BifilteredComplex, t,
     """Diagonal subadditivity of the secondary invariant under connected sum:
     upsilon2 of tensor_complex, the tensor of a and b, is at least the
     minimum of the summands'."""
-    lhs = upsilon2(tensor_complex, t)
-    rhs = min(upsilon2(a, t), upsilon2(b, t))
-    return lhs >= rhs
+    return upsilon2(tensor_complex, t) >= min(upsilon2(a, t), upsilon2(b, t))

@@ -1,8 +1,9 @@
 """Reference constructions for the tests, written from the definitions and
 sharing no code with upsilonkit: the runs of a numerical semigroup by a
 sieve, the value of a piecewise-linear function, the tensor product of
-two complexes with a set per differential entry, grading slices, boundary
-maps as bitset columns, the Euler characteristic, the lower envelope of a
+two complexes with a set per differential entry, a renumbering of the
+generators, grading slices in the engine's numbering, boundary maps as
+bitset columns, the Euler characteristic, the lower envelope of a
 family of lines, the canonical form and the sum of piecewise-linear
 functions on Fractions, the collinearity parameters of a level set, one gamma
 sweep per chamber, the certified interval of one sweep, the cycle spaces
@@ -81,16 +82,25 @@ def tensor(a, b):
     return gens, {e: exps for e, exps in diff.items() if exps}
 
 
+def relabel(c, order):
+    """(generators, differential) of c renumbered: the generator at index
+    order[k] moves to index k, and every entry follows its generators."""
+    new = {i: k for k, i in enumerate(order)}
+    return ([c.generators[i] for i in order],
+            {(new[i], new[j]): exps for (i, j), exps in c.differential.items()})
+
+
 def slice_levels(c, m):
     """(generator index, U-exponent, alg, alex) of each element of the
     grading-m slice: U^{(maslov - m)/2} x for every generator x whose grading
-    has the parity of m."""
+    has the parity of m, in the numbering of the engine's slices, by
+    descending (alg + alex, alg), ties in generator order."""
     out = []
     for i, g in enumerate(c.generators):
         if (g.maslov - m) % 2 == 0:
             n = (g.maslov - m) // 2
             out.append((i, n, g.alg - n, g.alex - n))
-    return out
+    return sorted(out, key=lambda e: (e[2] + e[3], e[2]), reverse=True)
 
 
 def boundary(c, m):

@@ -190,6 +190,24 @@ class TestValidateViolations:
             {(3, 2): {2}, (4, 3): {0}})
         assert validate(c) == [d2.format(2)]
 
+    def test_d_squared_names_the_callers_generators(self):
+        # Three chains x -> y -> z with d^2(x) = z.  The slices number r
+        # before c (levels (3,3) and (-1,-1)) and w before u, so the
+        # messages come in slice order, and each still names the
+        # generators of the caller's complex.
+        gens = [Generator(name, maslov, a, a) for name, maslov, a in [
+            ("a", 0, 0), ("b", 1, 0), ("c", 2, 0), ("p", 0, 4), ("q", 1, 4),
+            ("r", 2, 4), ("u", 3, 6), ("v", 2, 6), ("w", 1, 6)]]
+        index = {g.name: i for i, g in enumerate(gens)}
+        c = BifilteredComplex(gens, {(index[x], index[y]): {0} for x, y in
+                                     ("ba", "cb", "qp", "rq", "uv", "vw")})
+        assert [gens[i].name for i, *_ in slice_levels(c, 0)] == list("vprac")
+        assert [gens[i].name for i, *_ in slice_levels(c, 1)] == list("wuqb")
+        assert validated_slices(c) == ([
+            "d^2: component U^0.p of d^2(r) is nonzero",
+            "d^2: component U^0.a of d^2(c) is nonzero",
+            "d^2: component U^0.w of d^2(u) is nonzero"], None)
+
     def test_homology_violation_extra_generator(self):
         # two essential grading-0 classes
         c = BifilteredComplex(
@@ -385,8 +403,8 @@ class TestNonzeroExponents:
         sl = slices(c)
         assert list(sl.basis1) == levels(c, 1)
         # x has grading -1, so its slice-1 translate is U^{-1} x at (6,6)
-        odd = [g for g in c.generators if g.maslov % 2]
-        x = [k for k, g in enumerate(odd) if (g.maslov - 1) // 2 == -1]
+        x = [k for k, (_, n, _, _) in enumerate(slice_levels(c, 1))
+             if n == -1]
         assert len(x) == 1 and sl.basis1[x[0]] == (6, 6)
         # b0 and the translate of x hit slice 0
         assert len(span_basis(sl.d1)) == 2
@@ -414,12 +432,13 @@ class TestGradingSlice:
         sl = slices(c)
         assert list(sl.basis0) == levels(c, 0)
         assert len(sl.basis0) == 5
-        even = [g for g in c.generators if g.maslov % 2 == 0]
-        translated = [k for k, g in enumerate(even) if g.maslov // 2 == 1]
+        translated = [(k, i) for k, (i, n, _, _)
+                      in enumerate(slice_levels(c, 0)) if n == 1]
         assert len(translated) == 1
-        g = even[translated[0]]
+        [(k, i)] = translated
+        g = c.generators[i]
         assert g.maslov == 2
-        assert sl.basis0[translated[0]] == (g.alg - 1, g.alex - 1)
+        assert sl.basis0[k] == (g.alg - 1, g.alex - 1)
 
     def test_slices_share_levels(self):
         # The slice bases hold one tuple object per distinct level: K_7's

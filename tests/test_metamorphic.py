@@ -1,7 +1,7 @@
 """Metamorphic tests: filtered changes of basis, acyclic stabilisations,
-filtration shifts and reordered tensor factors leave the jump set and the
-secondary invariant at every jump unchanged, and upsilon too, up to the
-linear term -2 f_t of a shift.
+filtration shifts, reordered tensor factors and renumbered generators leave
+the jump set and the secondary invariant at every jump unchanged, and
+upsilon too, up to the linear term -2 f_t of a shift.
 
 The variants are complexes that `realize()` never builds: nonzero
 U-exponents, several generators at one level, and arrows that keep both
@@ -15,7 +15,7 @@ from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
-from reference import secondary
+from reference import relabel, secondary
 from upsilonkit.cfk import (BifilteredComplex, Generator, shift_filtration,
                             validate)
 from upsilonkit.expr import parse_expr, realize
@@ -93,8 +93,8 @@ def stabilize(c, maslov, alg, alex, n):
 @st.composite
 def variants(draw):
     """(expr, variant, shift): the knot of expr with its tensor factors in
-    a drawn order, basis changes and stabilisations, then every filtration
-    level moved by shift."""
+    a drawn order, basis changes and stabilisations, its generators in a
+    drawn numbering, then every filtration level moved by shift."""
     expr = draw(st.sampled_from(KNOTS))
     c = realize(parse_expr(" # ".join(
         draw(st.permutations(expr.split(" # "))))))
@@ -107,6 +107,7 @@ def variants(draw):
         partners = basis_partners(c, x)
         if partners:
             c = change_basis(c, x, *draw(st.sampled_from(partners)))
+    c = BifilteredComplex(*relabel(c, draw(st.permutations(range(len(c))))))
     shift = (draw(small), draw(small))
     return expr, shift_filtration(c, *shift), shift
 

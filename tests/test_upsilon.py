@@ -582,8 +582,9 @@ class TestCycleSpace:
     def test_t34_minus_side(self):
         c = torus_complex(3, 4)
         delta = pivot_points(c, F(2, 3)).delta
-        # the lone white at (0,3) is slice index 0
-        assert cycle_space(c, F(2, 3) - delta) == (0b001, [])
+        # the lone white at (0,3) is slice index 1, after (3,0): the slice
+        # runs by descending (alg + alex, alg)
+        assert cycle_space(c, F(2, 3) - delta) == (0b010, [])
 
     def test_dual_all_whites_cycle(self):
         c = dual(torus_complex(2, 5))
