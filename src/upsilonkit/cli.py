@@ -74,6 +74,9 @@ def _dumps(obj, **kw) -> str:
     return json.dumps(obj, default=_json, **kw)
 
 
+_JSON_HELP = "JSON output instead of text"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="upsilonkit",
@@ -94,11 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alexander", help="Alexander polynomial of a torus knot")
     p.set_defaults(run=_cmd_alexander)
     p.add_argument("expr")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help=_JSON_HELP)
 
     p = add_expr_command("upsilon", _cmd_upsilon,
                          "upsilon as a piecewise-linear function")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help=_JSON_HELP)
 
     p = add_expr_command("upsilon2", _cmd_upsilon2,
                          "secondary upsilon at parameters t, s")
@@ -106,12 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="parameter t in (0,2)")
     p.add_argument("--s", type=_rational, default=None,
                    help="parameter s in [0,2]; defaults to t")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help=_JSON_HELP)
 
     p = add_expr_command("jumps", _cmd_jumps,
                          "jump-value report over the candidate parameters")
-    p.add_argument("--max-t", type=_rational, default=None)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--max-t", type=_rational, default=None,
+                   help="only candidates t <= MAX_T")
+    p.add_argument("--json", action="store_true", help=_JSON_HELP)
 
     p = sub.add_parser("verify-paper", help="recompute the published claims; "
                        "nonzero exit on any mismatch")

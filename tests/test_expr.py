@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import pytest
 import reference
 import upsilonkit
 from upsilonkit.cfk import complex_from_json, tensor, validate
-from upsilonkit.cli import main
+from upsilonkit.cli import _build_parser, main
 from upsilonkit.expr import (
     ComplexTooLargeError,
     ExprSyntaxError,
@@ -626,6 +627,16 @@ class TestCLI:
             main(["upsilon", "-h"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: upsilonkit upsilon")
+
+    def test_every_option_has_help(self):
+        # Each subcommand's --help describes every option it lists.
+        [sub] = [a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        bare = [(name, action.option_strings[0])
+                for name, parser in sub.choices.items()
+                for action in parser._actions
+                if action.option_strings and not action.help]
+        assert bare == []
 
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def failing_check(c):

@@ -1,6 +1,6 @@
-"""A work ledger beside the timings: the engine's sweeps, meets, gamma2
-scans, kernel calls, row XORs and the 64-bit words those XORs touch, on two
-fixed workloads, counted from outside.
+"""A work ledger beside the timings: the engine's sweeps, interval
+lookups, meets, gamma2 scans, kernel calls, row XORs and the 64-bit words
+those XORs touch, on two fixed workloads, counted from outside.
 
 The counts do not depend on the host, so they show a change of work that
 a timing on a noisy host cannot.  The kernel is wrapped under the name the
@@ -8,8 +8,9 @@ engine calls, `upsilon.reduce_pair`; the wrapper replays the kernel's loop
 to count the rows it XORs in, then calls the real kernel, so the kernel
 itself carries no counter.  An XOR touches the words of the vector, whose
 highest bit is the row's pivot, and those of the longer of the two tags.
-A gamma2 scan is a `_secondary` call at a jump, where the minimal-r scan
-runs.  The validation in cfk is not counted.
+An interval lookup is an `_Engine.interval` call, from the table or by a
+sweep.  A gamma2 scan is a `_secondary` call at a jump, where the minimal-r
+scan runs.  The validation in cfk is not counted.
 
 A change that moves a count updates it here and says why.
 """
@@ -63,6 +64,8 @@ def ledger(monkeypatch):
     real_secondary = upsilon._secondary
     monkeypatch.setattr(upsilon._Engine, "_sweep",
                         counted("sweeps", upsilon._Engine._sweep))
+    monkeypatch.setattr(upsilon._Engine, "interval",
+                        counted("intervals", upsilon._Engine.interval))
     monkeypatch.setattr(upsilon._Engine, "meet",
                         counted("meets", upsilon._Engine.meet))
     monkeypatch.setattr(upsilon, "reduce_pair", kernel)
@@ -72,14 +75,16 @@ def ledger(monkeypatch):
 
 def test_verify_fast(ledger):
     assert all(r.ok for r in verify.run_all(fast=True))
-    assert ledger == {"sweeps": 363, "meets": 265, "gamma2 scans": 75,
+    assert ledger == {"sweeps": 363, "intervals": 894, "meets": 265,
+                      "gamma2 scans": 75,
                       "kernel calls": 2395, "xors": 2268, "words": 15268}
 
 
 def test_jumps_on_k7(ledger):
     reports = upsilon.jump_values(realize(parse_expr(K7)))
     assert sum(is_jump for _, is_jump, _ in reports) > 0
-    assert ledger == {"sweeps": 8, "meets": 7, "gamma2 scans": 4,
+    assert ledger == {"sweeps": 8, "intervals": 22, "meets": 7,
+                      "gamma2 scans": 4,
                       "kernel calls": 7598, "xors": 8269, "words": 273805}
 
 

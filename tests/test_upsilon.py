@@ -222,6 +222,35 @@ def _level_sets(draw):
     return levels
 
 
+def _takes_bitset(levels):
+    """Whether _collinearity_parameters lists the differences of levels'
+    packed keys a*S + x from a bitset."""
+    pts = set(levels)
+    xs = [x for _, x in pts]
+    s = 2 * (max(xs) - min(xs)) + 1
+    keys = [a * s + x for a, x in pts]
+    return upsilon._bitset_pays(max(keys) - min(keys), len(keys))
+
+
+def _both_paths(levels):
+    """_collinearity_parameters of levels sent down the bitset path, then
+    down the pairwise path, whatever their span."""
+    got = []
+    for bitset in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(upsilon, "_bitset_pays", lambda span, n: bitset)
+            got.append(_collinearity_parameters(levels))
+    return got
+
+
+# The paper's family and its mirror at p = 5 and 7: dense level sets.
+DENSE_COMPLEXES = [
+    ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5)),
+    ("-(T(5,6)#T(2,5)#-T(5,7))", lambda: dual(_vanishing_family(5))),
+    ("T(7,8)#T(2,7)#-T(7,9)", lambda: _vanishing_family(7)),
+    ("-(T(7,8)#T(2,7)#-T(7,9))", lambda: dual(_vanishing_family(7)))]
+
+
 class TestCandidates:
     @pytest.mark.parametrize("name,make", WALKED_COMPLEXES)
     def test_matches_pairwise_fractions(self, name, make):
@@ -237,8 +266,36 @@ class TestCandidates:
         for p, q in tori:
             levels = [(alg, alex) for _, _, alg, alex
                       in slice_levels(torus_complex(p, q), 0)]
-            assert _collinearity_parameters(levels) == \
-                collinearity_parameters(levels), (p, q)
+            expected = collinearity_parameters(levels)
+            assert _collinearity_parameters(levels) == expected, (p, q)
+            assert _both_paths(levels) == [expected] * 2, (p, q)
+
+    @pytest.mark.parametrize("name,make", DENSE_COMPLEXES)
+    def test_dense_level_sets(self, name, make):
+        # The family's keys span at most 2 words per level (K_7: 73 words
+        # for 319 levels), so its candidates come from the bitset.
+        levels = [(alg, alex) for _, _, alg, alex in slice_levels(make(), 0)]
+        assert _takes_bitset(levels), name
+        assert _collinearity_parameters(levels) == \
+            collinearity_parameters(levels), name
+
+    @pytest.mark.parametrize("name,levels", [
+        ("Farey", [(0, 1346269), (832040, 0), (0, 2178309), (1346269, 0)]),
+        ("corners", [(a, x) for a in (-10**9, 0, 10**9)
+                     for x in (-10**9, 10**9)]),
+        ("T(50,51)", build_staircase(50, 51))])
+    def test_memory(self, name, levels):
+        # Wide spans take the pairwise path: bitsets as long as the span
+        # peak at 7 MiB on the 50 whites of T(50,51) and need more memory
+        # than any host has for coordinates near 10^9.
+        assert not _takes_bitset(levels), name
+        tracemalloc.start()
+        try:
+            _collinearity_parameters(levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (name, peak)
 
     @settings(max_examples=300, deadline=None)
     @given(_level_sets())
@@ -247,8 +304,9 @@ class TestCandidates:
     @example([(3, -2)] * 4)
     @example([(-1, 5), (2, 1), (-1, 5), (2, 1)])
     def test_level_sets(self, levels):
-        assert _collinearity_parameters(levels) == \
-            collinearity_parameters(levels)
+        expected = collinearity_parameters(levels)
+        assert _collinearity_parameters(levels) == expected
+        assert _both_paths(levels) == [expected] * 2
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
@@ -261,6 +319,7 @@ class TestCandidates:
         levels = [(a + k * da, x + k * dx) for k in ks]
         got = _collinearity_parameters(levels)
         assert got == collinearity_parameters(levels)
+        assert _both_paths(levels) == [got] * 2
         assert len(got) == (da * dx < 0 and len(set(levels)) > 1)
 
     @settings(max_examples=200, deadline=None)
@@ -670,6 +729,21 @@ class TestSecondaryOracle:
                    for s in S_VALUES]
             assert got == values, (name, t)
 
+    def test_off_diagonal_tie(self):
+        # At t = 2/3 and s = 4/5 the grading-1 levels (1, 5), holding two
+        # elements, and (3, 2) of T(3,4) # T(2,5) tie under f_s at the
+        # value gamma2 = 13/5: the scan sorts levels, and two tied index
+        # ranges go in in slice order.
+        c = tensor(torus_complex(3, 4), torus_complex(2, 5))
+        t, s = F(2, 3), F(4, 5)
+        tied = [(a, x) for _, _, a, x in slice_levels(c, 1)
+                if s / 2 * x + (1 - s / 2) * a == F(13, 5)]
+        assert sorted(set(tied)) == [(1, 5), (3, 2)]
+        assert len(tied) == 3
+        [(jump, [value])] = secondary(c, [t], [s])
+        assert jump
+        assert value == gamma2(c, t, s) == F(13, 5)
+
     def test_p7_family_at_its_jumps(self):
         c = _vanishing_family(7)
         jumps = [r.t for r in jump_values(c) if r.is_jump]
@@ -763,11 +837,11 @@ class TestCertificates:
         # Moving a grading-1 level of T(3,4) below the support line at 2/3,
         # under levels of its own boundary, lets it close the first phase
         # at a jump, which a filtered d1 never does (see _secondary):
-        # gamma2 raises, not -infinity.
+        # gamma2 raises, not -infinity.  The scan reads grading-1 levels
+        # from the engine's per-level slice-1 data.
         c, t = torus_complex(3, 4), F(2, 3)
         eng = _engine(c)
-        k = eng.lev1.index((1, 3))
-        eng.lev1 = eng.lev1[:k] + ((0, 1),) + eng.lev1[k + 1:]
+        eng.levels1[eng.levels1.index((1, 3))] = (0, 1)
         assert is_jump_value(c, t)
         with pytest.raises(AssertionError, match="closes the secondary scan"):
             gamma2(c, t, t)
@@ -983,6 +1057,27 @@ class TestJumps:
         assert reports == [JumpReport(t, is_jump_value(fresh, t),
                                       upsilon2(fresh, t)) for t in cands], name
 
+    @pytest.mark.parametrize("name,make,replaced", [
+        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5), False),
+        ("-(T(5,6)#T(2,5)#-T(5,7))", lambda: dual(_vanishing_family(5)),
+         True),
+        ("T(7,11)", lambda: torus_complex(7, 11), False)])
+    def test_runs_match_upsilon2_per_candidate(self, calls, name, make,
+                                               replaced):
+        # The walk reports the candidates strictly inside an interval as
+        # one run and meets at its ends; a fresh engine, queried from the
+        # last candidate down, answers each candidate alone.  On the mirror
+        # of the p = 5 family wider certificates replace walked intervals,
+        # so the walk sweeps more often than its final table has entries.
+        sweeps, c = calls("_sweep"), make()
+        reports = jump_values(c)
+        assert (len(sweeps) > len(_engine(c)._intervals)) == replaced, name
+        fresh = make()
+        ts = candidate_parameters(fresh)
+        values = {t: upsilon2(fresh, t) for t in reversed(ts)}
+        assert reports == [JumpReport(t, is_finite(values[t]), values[t])
+                           for t in ts], name
+
     def test_p5_family_jumps(self):
         # Upsilon2 at the jumps 4/5 and 6/5 of the p = 5 family is
         # -4(p-2)/p.
@@ -992,7 +1087,7 @@ class TestJumps:
 
     @pytest.mark.parametrize("kind", [
         "candidate", "interval end", "inside an interval",
-        "past the last candidate"])
+        "below the first candidate", "past the last candidate", "above 2"])
     def test_max_t_gives_a_prefix(self, kind):
         # Cut at max_t, the scan of a fresh engine reports the full scan's
         # rows up to max_t, wherever max_t falls on the walk.
@@ -1005,7 +1100,9 @@ class TestJumps:
         max_t = {"candidate": ts[after],
                  "interval end": ends[1],
                  "inside an interval": (ts[after] + ts[after + 1]) / 2,
-                 "past the last candidate": F(2)}[kind]
+                 "below the first candidate": ts[0] / 2,
+                 "past the last candidate": F(2),
+                 "above 2": F(5, 2)}[kind]
         assert (max_t in ts) == (kind in ("candidate", "interval end"))
         assert (max_t in ends) == (kind == "interval end")
         assert jump_values(_vanishing_family(5), max_t=max_t) == [
