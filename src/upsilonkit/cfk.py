@@ -161,19 +161,23 @@ class Slices(NamedTuple):
     """Finite GF(2) model of the complex: its grading-0 and grading-1 slices.
 
     A grading-m slice lists U^n x, n = (maslov - m)/2, for every generator
-    x with maslov = m mod 2, as the tuple of their levels (alg - n, alex - n),
-    one shared tuple per level, numbered by descending (alg + alex, alg),
-    ties in generator order, so each level is one index range.  Slices two
-    gradings apart are U-translates of each other, so these two carry all
-    the homology.  d0 maps grading 0 to grading -1 and d1 maps grading 1 to
-    grading 0, both as columns: one bitset per source element over the
-    target slice.  phi is the essential functional, a bitset over the
-    grading-0 slice: phi(x), the number of common bits mod 2, is 0 on every
-    boundary and 1 on the cycles generating the homology.
+    x with maslov = m mod 2, at the level (alg - n, alex - n), numbered by
+    descending (alg + alex, alg), ties in generator order, so each level is
+    one index range.  levels0 and levels1 hold each slice's distinct levels
+    in slice order, and starts0 and starts1 the start of each one's range,
+    then the slice's length.  Slices two gradings apart are U-translates of
+    each other, so these two carry all the homology.  d0 maps grading 0 to
+    grading -1 and d1 maps grading 1 to grading 0, both as columns: one
+    bitset per source element over the target slice.  phi is the essential
+    functional, a bitset over the grading-0 slice: phi(x), the number of
+    common bits mod 2, is 0 on every boundary and 1 on the cycles
+    generating the homology.
     """
 
-    basis0: tuple[Level, ...]
-    basis1: tuple[Level, ...]
+    levels0: list[Level]
+    starts0: list[int]
+    levels1: list[Level]
+    starts1: list[int]
     d0: list[int]
     d1: list[int]
     phi: int
@@ -187,22 +191,27 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     members: dict[Level, list[int]] = {}
     for i, (_, maslov, a, x) in enumerate(gens):
         members.setdefault((a - maslov // 2, x - maslov // 2), []).append(i)
-    bases: tuple[list[Level], ...] = ([], [])
+    # Per parity, the distinct levels in slice order after a sentinel, and
+    # the start of each one's range, the last entry the count placed so far.
+    levels, starts = ([None], [None]), ([0], [0])
     pos = [0] * len(gens)  # each generator's index in its slice
     for level in sorted(members, key=lambda lv: (-lv[0] - lv[1], -lv[0])):
         for i in members[level]:
-            basis = bases[gens[i].maslov % 2]
-            pos[i] = len(basis)
-            basis.append(level)
-    del members
-    basis0, basis1 = map(tuple, bases)
+            m = gens[i].maslov % 2
+            s = starts[m]
+            if levels[m][-1] is not level:
+                levels[m].append(level)
+                s.append(s[-1])
+            pos[i] = s[-1]
+            s[-1] += 1
+    del members, levels[0][0], levels[1][0]
     # An entry x -> U^n y that drops the grading by 1 maps each translate
     # of x in a slice onto the translate of y in the slice one grading
     # below.  Slice -1 lists the same generators as slice 1 in the same
     # order, so a generator's position in the basis of its parity is its
     # bit in either slice.  A mis-graded entry's bit is never read, since
     # a grading violation returns before the slices are used.
-    cols = d0, d1 = [0] * len(basis0), [0] * len(basis1)
+    cols = d0, d1 = [0] * starts[0][-1], [0] * starts[1][-1]
     graded = True
     for (i, j), exps in c.differential.items():
         gi, gj = gens[i], gens[j]
@@ -259,8 +268,8 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
                 for p, (row, _) in reducer.items():
                     reducer[p] = row, 0
     r0 = len(reducer)
-    h0 = len(basis0) - r0 - r1
-    h1 = len(basis1) - r1 - r0
+    h0 = len(d0) - r0 - r1
+    h1 = len(d1) - r1 - r0
     if h0 != 1:
         violations.append(f"homology: grading-0 homology has rank {h0}, expected 1")
     if h1 != 0:
@@ -268,7 +277,8 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     if violations:
         return violations, None
     # phi vanishes on the boundaries and is 1 on the essential cycle.
-    return [], Slices(basis0, basis1, d0, d1, functional(span))
+    return [], Slices(levels[0], starts[0], levels[1], starts[1],
+                      d0, d1, functional(span))
 
 
 def validate(c: BifilteredComplex) -> list[str]:

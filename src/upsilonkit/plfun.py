@@ -80,9 +80,8 @@ def is_finite(x: ExtRational) -> bool:
 
 
 def format_ext(x: ExtRational) -> str:
-    """Render an extended rational the way the CLI prints it."""
-    if isinstance(x, Infinity):
-        return repr(x)
+    """Render an extended rational the way the CLI prints it: an infinity
+    has only a repr, which str prints."""
     return str(x)
 
 

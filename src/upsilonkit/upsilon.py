@@ -188,34 +188,27 @@ def _collinearity_parameters(levels: list[Level]) -> tuple[Fraction, ...]:
                  for A, X in map(pairs.__getitem__, sorted(pairs)))
 
 
-def _ranges(basis: Sequence[Level]) -> tuple[list[Level], list[int]]:
-    """The distinct levels of a slice numbered by level, in slice order, and
-    the start of each one's index range, then the slice's length."""
-    s = [i for i, lv in enumerate(basis) if not i or lv != basis[i - 1]]
-    return [basis[i] for i in s], s + [len(basis)]
-
-
 class _Engine:
     """Per-complex slice data and the table of certified gamma intervals.
 
     Holds the grading-0/1 slice data as bitset columns and the essential
     functional phi from validation, which vanishes on boundaries but not on
     the essential class, so "is this cycle homologically essential" is a
-    single popcount.  Each level of a slice is one index range: the
-    distinct levels in slice order and the start of each range (and the
-    slice's length after the last), for the grading-0 slice also their
-    bitset masks.  Each table entry comes from one sweep just above or
-    below some t; no entry contains another, so lo and hi increase
-    together.  The collinearity candidates are listed on first use.
+    single popcount.  Each level of a slice is one index range: validation
+    lists the distinct levels in slice order and the start of each range
+    (and the slice's length after the last), and the engine keeps the
+    grading-0 ranges as bitset masks too.  Each table entry comes from one
+    sweep just above or below some t; no entry contains another, so lo and
+    hi increase together.  The collinearity candidates are listed on first
+    use.
     """
 
     def __init__(self, c: BifilteredComplex):
         violations, slices = validated_slices(c)
         if violations:
             raise InvalidComplexError(violations)
-        basis0, basis1, self.d0cols, self.d1cols, self.phi = slices
-        self.levels, self._starts = _ranges(basis0)
-        self.levels1, self._starts1 = _ranges(basis1)
+        (self.levels, self._starts, self.levels1, self._starts1,
+         self.d0cols, self.d1cols, self.phi) = slices
         s = self._starts
         self._masks = [(1 << e) - (1 << b) for b, e in zip(s, s[1:])]
         self._w = 2 * max((abs(A - a) for a, A in self.levels), default=0) + 1
@@ -621,21 +614,17 @@ def jump_values(c: BifilteredComplex,
         while hi < cands[k]:
             hi = eng.interval(hi, 1)[3]
         j = bisect_left(cands, hi, k, stop)
-        # The no-jump reports of the run strictly inside, built in C.
-        out += map(tuple.__new__, repeat(JumpReport),
-                   zip(cands[k:j], repeat(False), repeat(POS_INF)))
+        out += [JumpReport(t, False, POS_INF) for t in cands[k:j]]
         if j < stop and cands[j] == hi:
             u2 = _secondary(eng, hi, hi)[1]
             out.append(JumpReport(t=hi, is_jump=is_finite(u2), upsilon2=u2))
             j += 1
         k = j
-    for end in sorted({end for entry in eng._intervals
-                       for end in entry[2:] if 0 < end < 2}):
-        k = bisect_left(cands, end)
-        if cands[k:k + 1] != (end,):
-            raise AssertionError(f"certified interval ends at {end}, no "
-                                 f"candidate parameter; candidate set "
-                                 f"incomplete")
+    lost = {end for entry in eng._intervals
+            for end in entry[2:] if 0 < end < 2}.difference(cands)
+    if lost:
+        raise AssertionError(f"certified interval ends at {min(lost)}, no "
+                             f"candidate parameter; candidate set incomplete")
     return out
 
 

@@ -103,6 +103,16 @@ def slice_levels(c, m):
     return sorted(out, key=lambda e: (e[2] + e[3], e[2]), reverse=True)
 
 
+def element_levels(sl, m):
+    """The level of each element of the grading-m slice (m = 0 or 1) of the
+    validated Slices sl, in slice order: each distinct level repeated over
+    its index range."""
+    levels, starts = (sl.levels0, sl.starts0) if m == 0 else (sl.levels1,
+                                                              sl.starts1)
+    return [level for level, b, e in zip(levels, starts, starts[1:])
+            for _ in range(b, e)]
+
+
 def boundary(c, m):
     """The boundary map from the grading-m slice to the grading-(m-1) slice,
     one bitset column per source element over the target slice."""

@@ -1,10 +1,11 @@
 """Repository-level checks: no tracked build artefacts, no correctness
 check that `python -O` would strip, no floating point in the package, no
 function name the benchmark tracer wraps or the benchmark imports missing
-from the package, none rebound in `verify`, no private module-level function that nothing in the
-package names, no entry point but `__main__.py`, a lean command-line
-import graph that loads every module the tracer reads, a handler bound
-to every subcommand, and no engine attribute set outside its constructor."""
+from the package, none rebound in `verify`, no private module-level
+function that nothing in the package names, no unused import, no entry
+point but `__main__.py`, a lean command-line import graph that loads every
+module the tracer reads, a handler bound to every subcommand, and no
+engine attribute set outside its constructor."""
 
 import argparse
 import ast
@@ -75,6 +76,29 @@ def test_no_orphaned_private_helpers():
                and not any(node.name in names
                            for m, names in enumerate(named) if m != k)]
     assert orphans == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """line:name of every name path imports and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{node.lineno}:{name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for name in [(alias.asname or alias.name).split(".")[0]]
+            if name not in read]
+
+
+def test_no_unused_imports_in_src():
+    # A refactor that removes the last use of an import leaves the import
+    # behind.  __init__.py imports only to re-export.
+    unused = [f"{path.relative_to(ROOT)}:{where}"
+              for path in sorted((ROOT / "src").rglob("*.py"))
+              if path.name != "__init__.py"
+              for where in unused_imports(path)]
+    assert unused == []
 
 
 def is_main_guard(node) -> bool:

@@ -16,8 +16,9 @@ from upsilonkit.verify import CheckResult
 RECORDS = [
     (lambda: Generator("w0", 0, 0, 1),
      "Generator(name='w0', maslov=0, alg=0, alex=1)"),
-    (lambda: Slices(((0, 1),), (), [0], [], 1),
-     "Slices(basis0=((0, 1),), basis1=(), d0=[0], d1=[], phi=1)"),
+    (lambda: Slices([(0, 1)], [0, 1], [], [0], [0], [], 1),
+     "Slices(levels0=[(0, 1)], starts0=[0, 1], levels1=[], starts1=[0], "
+     "d0=[0], d1=[], phi=1)"),
     (lambda: Torus(2, 3), "Torus(p=2, q=3)"),
     (lambda: Term(Torus(2, 3)), "Term(atom=Torus(p=2, q=3), n=1, mirror=False)"),
     (lambda: Term(Unknot(), 2, True), "Term(atom=Unknot(), n=2, mirror=True)"),
@@ -53,7 +54,7 @@ def test_immutable(make, expected):
 def test_value_equality(make, expected):
     a, b = make(), make()
     assert a == b and not a != b
-    if not isinstance(a, Slices):  # its d0 and d1 are lists
+    if not isinstance(a, Slices):  # its levels, starts and columns are lists
         assert hash(a) == hash(b)
     assert type(a)(*a[:-1], None) != a
     assert a == tuple(a)  # a record is a tuple of its fields

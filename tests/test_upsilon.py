@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reference import (apply, boundary, certified_interval, chamber_sweeps,
-                       collinearity_parameters, cycle_spaces, evaluate,
-                       is_essential, secondary, slice_levels)
+                       collinearity_parameters, cycle_spaces, element_levels,
+                       evaluate, is_essential, relabel, secondary,
+                       slice_levels)
 from upsilonkit import upsilon
 from upsilonkit.cfk import (dual, from_staircase, shift_filtration, tensor,
                             unknot_complex, validated_slices)
@@ -181,6 +182,37 @@ WALKED_COMPLEXES = SMALL_COMPLEXES + [
     ("T(3,4)#twin", lambda: tensor(torus_complex(3, 4), _twin_unknot())),
     ("-T(2,5)#twin",
      lambda: tensor(dual(torus_complex(2, 5)), _twin_unknot()))]
+
+
+def _relabelled_family(p):
+    """The p family's complex with its generators in a seeded shuffle, so
+    ties within a level fall in another order."""
+    c = _vanishing_family(p)
+    return BifilteredComplex(*relabel(c, random.Random(p).sample(
+        range(len(c)), len(c))))
+
+
+class TestLevelRanges:
+    """Validation hands each slice over as its distinct levels in slice
+    order and the start of each one's index range, the slice's length
+    last."""
+
+    @pytest.mark.parametrize("name,make", SMALL_COMPLEXES + [
+        ("T(5,6)#T(2,5)#-T(5,7)", lambda: _vanishing_family(5)),
+        ("shuffled T(5,6)#T(2,5)#-T(5,7)", lambda: _relabelled_family(5))])
+    def test_ranges_expand_to_the_slices(self, name, make):
+        c = make()
+        violations, sl = validated_slices(c)
+        assert violations == []
+        for m, levels, starts, cols in ((0, sl.levels0, sl.starts0, sl.d0),
+                                        (1, sl.levels1, sl.starts1, sl.d1)):
+            assert len(set(levels)) == len(levels), (name, m)
+            assert len(starts) == len(levels) + 1, (name, m)
+            assert starts[0] == 0 and starts[-1] == len(cols), (name, m)
+            assert all(b < e for b, e in zip(starts, starts[1:])), (name, m)
+            assert element_levels(sl, m) == [
+                (alg, alex) for _, _, alg, alex in slice_levels(c, m)], (
+                name, m)
 
 
 class TestGammaOracle:
@@ -453,8 +485,9 @@ class TestCandidateGuard:
                 upsilon, "_collinearity_parameters",
                 lambda levels: tuple(t for t in complete(levels)
                                      if t != dropped))
-            with pytest.raises(AssertionError,
-                               match="candidate set incomplete"):
+            with pytest.raises(
+                    AssertionError,
+                    match=f"certified interval ends at {text}, no "):
                 jump_values(realize(parse_expr(expr)))
             assert main(["jumps", expr]) == 3, (expr, text)
             assert capsys.readouterr().err.startswith("internal error: ")
@@ -784,9 +817,9 @@ class TestCertificates:
             t = F(2, 3)
             c = torus_complex(3, 4)
             g = gamma_at(c, t)
-            basis0 = validated_slices(c)[1].basis0
-            assert list(basis0) == [(alg, alex) for _, _, alg, alex
-                                    in slice_levels(c, 0)]
+            basis0 = element_levels(validated_slices(c)[1], 0)
+            assert basis0 == [(alg, alex) for _, _, alg, alex
+                              in slice_levels(c, 0)]
             outside = [k for k, level in enumerate(basis0)
                        if _f(t, level) > g]
             assert outside
@@ -923,7 +956,7 @@ class TestIntervalCertificate:
             list(base.generators) + [Generator("w", 1, 1, 2),
                                      Generator("y", 0, 1, 2)],
             {**base.differential, (k, k + 1): {0}})
-        levels = list(validated_slices(c)[1].basis0)
+        levels = element_levels(validated_slices(c)[1], 0)
         assert levels == [(alg, alex) for _, _, alg, alex
                           in slice_levels(c, 0)]
         y = 1 << levels.index((1, 2))
