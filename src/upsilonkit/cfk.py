@@ -171,7 +171,8 @@ class Slices(NamedTuple):
     bitset per source element over the target slice.  phi is the essential
     functional, a bitset over the grading-0 slice: phi(x), the number of
     common bits mod 2, is 0 on every boundary and 1 on the cycles
-    generating the homology.
+    generating the homology: the homology stage, `essential_functional`,
+    derives it from d0 and d1; `slice_columns` gives the other fields.
     """
 
     levels0: list[Level]
@@ -183,9 +184,10 @@ class Slices(NamedTuple):
     phi: int
 
 
-def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]:
-    """The violations of the structural axioms (see `validate`) and, when
-    there are none, the slices the homology check ran on."""
+def slice_columns(c: BifilteredComplex) -> tuple[list[str], Optional[tuple]]:
+    """Validation's structural stage, the only one that reads c: the
+    grading, filtration and d^2 violations and, when there are none, the
+    `Slices` fields but phi."""
     violations: list[str] = []
     gens = c.generators
     members: dict[Level, list[int]] = {}
@@ -194,7 +196,9 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     # Per parity, the distinct levels in slice order after a sentinel, and
     # the start of each one's range, the last entry the count placed so far.
     levels, starts = ([None], [None]), ([0], [0])
-    pos = [0] * len(gens)  # each generator's index in its slice
+    # Each generator's index in its slice, as machine ints: a list would
+    # hold an int object per generator beside the caller's complex.
+    pos = memoryview(bytearray(8 * len(gens))).cast("q")
     for level in sorted(members, key=lambda lv: (-lv[0] - lv[1], -lv[0])):
         for i in members[level]:
             m = gens[i].maslov % 2
@@ -246,12 +250,19 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
                 violations.append(
                     f"d^2: component U^{z.maslov // 2 + 1 - x.maslov // 2}."
                     f"{z.name} of d^2({x.name}) is nonzero")
-    del pos  # freed before the elimination, where memory peaks
     if violations:
         return violations, None
+    return [], (levels[0], starts[0], levels[1], starts[1], d0, d1)
 
-    # Homology: rank bookkeeping on the two slices.  Slices two gradings
-    # apart carry identical boundary matrices (a uniform U-shift), so
+
+def essential_functional(d0: list[int], d1: list[int]
+                         ) -> tuple[list[str], Optional[int]]:
+    """Validation's homology stage, on the columns alone: the homology
+    violations and, when there are none, phi.  A caller that has dropped
+    the complex runs its tagged elimination, validation's memory peak,
+    without the complex."""
+    # Rank bookkeeping on the two slices.  Slices two gradings apart carry
+    # identical boundary matrices (a uniform U-shift), so
     # rank(out of grading 2) = rank(out of grading 0) etc.
     # Eliminating d0 with combination tags finds the grading-0 cycles; the
     # first one outside the boundaries joins their basis tagged 1.  From
@@ -270,6 +281,7 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     r0 = len(reducer)
     h0 = len(d0) - r0 - r1
     h1 = len(d1) - r1 - r0
+    violations = []
     if h0 != 1:
         violations.append(f"homology: grading-0 homology has rank {h0}, expected 1")
     if h1 != 0:
@@ -277,8 +289,18 @@ def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]
     if violations:
         return violations, None
     # phi vanishes on the boundaries and is 1 on the essential cycle.
-    return [], Slices(levels[0], starts[0], levels[1], starts[1],
-                      d0, d1, functional(span))
+    return [], functional(span)
+
+
+def validated_slices(c: BifilteredComplex) -> tuple[list[str], Optional[Slices]]:
+    """Both stages of validation: the violations of the structural axioms
+    (see `validate`) and, when there are none, the slices."""
+    violations, columns = slice_columns(c)
+    if not violations:
+        violations, phi = essential_functional(*columns[4:])
+    if violations:
+        return violations, None
+    return [], Slices(*columns, phi)
 
 
 def validate(c: BifilteredComplex) -> list[str]:
@@ -289,7 +311,8 @@ def validate(c: BifilteredComplex) -> list[str]:
     compatibility, d^2 = 0 over F2[U,U^-1], and that the homology is a single
     copy of F2[U,U^-1] with its generator in grading 0 (grading-0 slice
     homology has rank 1, grading-1 slice homology has rank 0; all other
-    gradings are U-translates of these two).
+    gradings are U-translates of these two).  The homology check, the
+    second stage, runs when the others pass.
     """
     return validated_slices(c)[0]
 

@@ -61,7 +61,8 @@ from itertools import compress, count, repeat
 from operator import itemgetter, sub
 from typing import NamedTuple, Optional, Sequence
 
-from .cfk import BifilteredComplex, Level, validated_slices
+from .cfk import (BifilteredComplex, Level, essential_functional,
+                  slice_columns)
 from .f2 import Basis, functional, image, reduce_pair
 from .plfun import (NEG_INF, POS_INF, ExtRational, PLFunction, is_finite,
                     pl_from_samples, _frac)
@@ -192,30 +193,46 @@ class _Engine:
     """Per-complex slice data and the table of certified gamma intervals.
 
     Holds the grading-0/1 slice data as bitset columns and the essential
-    functional phi from validation, which vanishes on boundaries but not on
-    the essential class, so "is this cycle homologically essential" is a
-    single popcount.  Each level of a slice is one index range: validation
-    lists the distinct levels in slice order and the start of each range
-    (and the slice's length after the last), and the engine keeps the
-    grading-0 ranges as bitset masks too.  Each table entry comes from one
-    sweep just above or below some t; no entry contains another, so lo and
-    hi increase together.  The collinearity candidates are listed on first
-    use.
+    functional phi, which vanishes on boundaries but not on the essential
+    class, so "is this cycle homologically essential" is a single popcount.
+    Each level of a slice is one index range: validation lists the distinct
+    levels in slice order and the start of each range (and the slice's
+    length after the last), and the engine keeps the grading-0 ranges as
+    bitset masks too.  Each table entry comes from one sweep just above or
+    below some t; no entry contains another, so lo and hi increase
+    together.
+
+    The constructor runs validation's structural stage; phi (its homology
+    stage, which raises InvalidComplexError on every use of an invalid
+    complex), the masks and the collinearity candidates are computed on
+    first use.  Every sweep reads phi, and so does candidates, so every
+    public function raises before it returns anything.
     """
 
     def __init__(self, c: BifilteredComplex):
-        violations, slices = validated_slices(c)
+        violations, columns = slice_columns(c)
         if violations:
             raise InvalidComplexError(violations)
         (self.levels, self._starts, self.levels1, self._starts1,
-         self.d0cols, self.d1cols, self.phi) = slices
-        s = self._starts
-        self._masks = [(1 << e) - (1 << b) for b, e in zip(s, s[1:])]
+         self.d0cols, self.d1cols) = columns
         self._w = 2 * max((abs(A - a) for a, A in self.levels), default=0) + 1
         self._intervals: list[Interval] = []
 
     @cached_property
+    def phi(self) -> int:
+        violations, phi = essential_functional(self.d0cols, self.d1cols)
+        if violations:
+            raise InvalidComplexError(violations)
+        return phi
+
+    @cached_property
+    def _masks(self) -> list[int]:
+        s = self._starts
+        return [(1 << e) - (1 << b) for b, e in zip(s, s[1:])]
+
+    @cached_property
     def candidates(self) -> tuple[Fraction, ...]:
+        self.phi  # raises on a homology violation, as every sweep does
         return _collinearity_parameters(self.levels)
 
     def interval(self, t: Fraction, side: int,
@@ -389,8 +406,9 @@ def _engine(c: BifilteredComplex) -> _Engine:
     """The engine of c, built on first use.  The cache holds it only while
     c lives, and no engine field refers to c, so each public function binds
     the engine and drops its own c before any sweep: a complex that only
-    the call held is freed then, and a caller who keeps c keeps the cache
-    entry."""
+    the call held is freed then, before phi and the masks allocate, and a
+    caller who keeps c keeps the cache entry, also one whose homology
+    check failed, with its columns."""
     eng = _engines.get(c)
     if eng is None:
         eng = _engines[c] = _Engine(c)

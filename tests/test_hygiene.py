@@ -252,8 +252,9 @@ def test_engine_state_set_in_the_constructor_only():
     # attribute that a later call sets would outlive that call, and one
     # that a call parks for the methods it calls is a hidden argument.
     # Only __init__ sets attributes; later calls only update the interval
-    # table it made, and the cached candidate list is set by
-    # functools.cached_property.
+    # table it made.  phi, the level masks and the candidate list are set
+    # on first use by functools.cached_property, which sets nothing on a
+    # raise, so a homology violation leaves no phi and raises again.
     path = ROOT / "src" / "upsilonkit" / "upsilon.py"
     [engine] = [node for node in ast.parse(path.read_text()).body
                 if isinstance(node, ast.ClassDef) and node.name == "_Engine"]

@@ -22,7 +22,7 @@ import pytest
 
 from reference import relabel
 from upsilonkit import upsilon, verify
-from upsilonkit.cfk import BifilteredComplex
+from upsilonkit.cfk import BifilteredComplex, dual
 from upsilonkit.expr import parse_expr, realize
 from upsilonkit.f2 import reduce_pair
 from upsilonkit.plfun import NEG_INF
@@ -86,6 +86,21 @@ def test_jumps_on_k7(ledger):
     assert ledger == {"sweeps": 8, "intervals": 22, "meets": 7,
                       "gamma2 scans": 4,
                       "kernel calls": 7598, "xors": 8269, "words": 273805}
+
+
+@pytest.mark.parametrize("p,sweeps,kept", [(5, 9, 7), (7, 19, 13)])
+def test_jumps_on_the_mirror_sweeps_more_than_it_keeps(ledger, p, sweeps,
+                                                       kept):
+    # Known extra work: a certificate does not always reach the largest
+    # interval its contact level holds on, so a later sweep can certify a
+    # wider interval that replaces earlier entries.  On the mirror of K_p
+    # jump_values makes more sweeps than its final table has entries; a
+    # certificate that reached the largest interval would lower the count.
+    knot = f"T({p},{p + 1}) # T(2,{p}) # -T({p},{p + 2})"
+    c = dual(realize(parse_expr(knot)))
+    upsilon.jump_values(c)
+    assert ledger["sweeps"] == sweeps
+    assert len(upsilon._engine(c)._intervals) == kept
 
 
 def test_work_does_not_depend_on_the_numbering(ledger):

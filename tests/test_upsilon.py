@@ -14,7 +14,7 @@ from reference import (apply, boundary, certified_interval, chamber_sweeps,
                        slice_levels)
 from upsilonkit import upsilon
 from upsilonkit.cfk import (dual, from_staircase, shift_filtration, tensor,
-                            unknot_complex, validated_slices)
+                            unknot_complex, validate, validated_slices)
 from upsilonkit.expr import parse_expr, realize
 from upsilonkit.f2 import span_basis
 from upsilonkit.plfun import (NEG_INF, POS_INF, is_finite, pl_add,
@@ -880,8 +880,11 @@ class TestCertificates:
             gamma2(c, t, t)
 
     def test_exhausted_scan_raises(self):
+        # phi is read first: the homology stage runs on first use, and on
+        # the zeroed d1 it would raise InvalidComplexError before the scan.
         c = torus_complex(3, 4)
         eng = _engine(c)
+        assert eng.phi
         eng.d1cols = [0] * len(eng.d1cols)
         with pytest.raises(AssertionError, match="exhausted"):
             gamma2(c, F(2, 3), F(2, 3))
@@ -1257,7 +1260,7 @@ class TestMeetRows:
                  "is_jump_value": lambda c: is_jump_value(c, F(6, 5)),
                  "jump_values": jump_values}
         c = _vanishing_family(5)
-        names = set(vars(_Engine(c))) | {"candidates"}
+        names = set(vars(_Engine(c))) | {"candidates", "phi", "_masks"}
         for fn in calls.values() if call == "all" else [calls[call]]:
             fn(c)
             assert set(vars(_engine(c))) <= names, call
@@ -1281,11 +1284,13 @@ class TestMeetRows:
 
 
 K5 = "T(5,6) # T(2,5) # -T(5,7)"
+K7 = "T(7,8) # T(2,7) # -T(7,9)"
 
 
 class TestRelease:
     """The public functions hold the engine and drop the complex before the
-    walk, so a complex that only the call holds is freed then."""
+    walk, so a complex that only the call holds is freed then, before
+    validation's homology stage and the level masks are first computed."""
 
     @pytest.mark.parametrize("call,spied", [
         (lambda box: jump_values(box.pop()), "interval"),
@@ -1302,30 +1307,55 @@ class TestRelease:
              "candidate_parameters"])
     def test_complex_freed_before_the_walk(self, monkeypatch, call, spied):
         # box.pop() is passed as the only reference; no *args tuple or
-        # local of the caller holds it during the call.  The spy is on the
-        # first interval lookup, or on the candidate list for the one
-        # function that looks up no interval.
+        # local of the caller holds it during the call.  The spies are on
+        # the first interval lookup, or on the candidate list for the one
+        # function that looks up no interval, on the homology stage, and
+        # on the build of the level masks, which every function but
+        # candidate_parameters reaches.
         box = [realize(parse_expr(K5))]
         freed = weakref.finalize(box[0], lambda: None)
-        alive_at_first_use = []
+        alive_at_first_use = {}
         owner, name = ((_Engine, "interval") if spied == "interval"
                        else (upsilon, "_collinearity_parameters"))
-        method = getattr(owner, name)
 
-        def spy(*args):
-            if not alive_at_first_use:
-                alive_at_first_use.append(freed.alive)
-            return method(*args)
+        def spy(owner, name, label):
+            method = getattr(owner, name)
 
-        monkeypatch.setattr(owner, name, spy)
+            def spied_method(*args):
+                alive_at_first_use.setdefault(label, freed.alive)
+                return method(*args)
+
+            monkeypatch.setattr(owner, name, spied_method)
+
+        spy(owner, name, spied)
+        spy(upsilon, "essential_functional", "homology")
+        spy(_Engine._masks, "func", "masks")
         got = call(box)
-        assert alive_at_first_use == [False]
+        assert alive_at_first_use == dict.fromkeys(
+            [spied, "homology"] + ["masks"] * (spied == "interval"), False)
         kept = realize(parse_expr(K5))
         assert call([kept]) == got
-        # A caller that keeps its complex keeps the cached engine.
+        # A caller that keeps its complex keeps the cached engine, with
+        # phi and the masks it computed.
         held = vars(_engine(kept))
         assert held["_intervals"] if spied == "interval" else (
             "candidates" in held)
+        assert "phi" in held
+        assert ("_masks" in held) == (spied == "interval")
+
+    def test_peak_memory(self):
+        # The complex that only the call holds is freed before the homology
+        # stage's tagged elimination and the masks: the peak is realize's
+        # own, about 1.69 MiB, against 1.84 MiB while validation eliminated
+        # beside the complex.
+        tracemalloc.start()
+        try:
+            reports = jump_values(realize(parse_expr(K7)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(r.is_jump for r in reports) == 4
+        assert peak < 1.70 * 2**20
 
     def test_engine_holds_no_complex(self):
         c = realize(parse_expr(K5))
@@ -1337,6 +1367,64 @@ class TestRelease:
         assert eng.candidates == kept.candidates
         for t in (F(0), *kept.candidates, F(1, 3), F(2)):
             assert eng.sides(t) == kept.sides(t), t
+
+
+def _homology_invalid():
+    """Two grading-0 generators and no differential: it passes the
+    structural stage of validation and fails the homology stage, and its
+    one level gives no candidate parameter."""
+    return BifilteredComplex(
+        [Generator("a", 0, 0, 0), Generator("b", 0, 0, 0)], {})
+
+
+class TestHomologyStage:
+    """The engine runs only validation's structural stage; the homology
+    stage runs on first use of phi, and every public function reaches it
+    before it returns anything."""
+
+    @pytest.mark.parametrize("call", [
+        candidate_parameters,
+        lambda c: gamma_at(c, F(1)),
+        upsilon_pl,
+        lambda c: pivot_points(c, F(1)),
+        lambda c: cycle_space(c, F(1, 3)),
+        lambda c: gamma2(c, F(1), F(1, 2)),
+        lambda c: upsilon2(c, F(1)),
+        lambda c: is_jump_value(c, F(1)),
+        jump_values,
+        lambda c: jump_values(c, max_t=F(1, 100))],
+        ids=["candidate_parameters", "gamma_at", "upsilon_pl",
+             "pivot_points", "cycle_space", "gamma2", "upsilon2",
+             "is_jump_value", "jump_values", "jump_values-max_t"])
+    def test_homology_violation_raises(self, call):
+        # With no candidate, candidate_parameters and jump_values would
+        # return an empty answer without reading phi.  The engine stays
+        # cached while the complex lives, so the second call raises from
+        # the same engine, whose phi was never set.
+        c = _homology_invalid()
+        expected = validate(c)
+        assert expected and all(v.startswith("homology: ") for v in expected)
+        for _ in range(2):
+            with pytest.raises(InvalidComplexError) as raised:
+                call(c)
+            assert raised.value.violations == expected
+            assert str(raised.value) == "invalid complex: " + "; ".join(
+                expected)
+            assert "phi" not in vars(upsilon._engines[c])
+
+    def test_structural_violation_raises_when_built(self):
+        # A mis-graded entry raises from the constructor: no engine is
+        # cached and no later stage runs.
+        c = BifilteredComplex(
+            [Generator("a", 0, 0, 0), Generator("b", 0, 0, 0)], {(0, 1): {0}})
+        expected = validate(c)
+        assert expected and expected[0].startswith("grading: ")
+        with pytest.raises(InvalidComplexError) as raised:
+            _Engine(c)
+        assert raised.value.violations == expected
+        with pytest.raises(InvalidComplexError):
+            gamma_at(c, F(1))
+        assert c not in upsilon._engines
 
 
 class TestSubadditivity:
